@@ -161,10 +161,15 @@ def cmd_tangent(args) -> int:
 def cmd_decompose(args) -> int:
     arr, builtin_thetas = _load_arrangement(args.arrangement)
     thetas = _resolve_basis(args, arr, builtin_thetas)
-    result = saito_check(arr, thetas)
+    try:
+        result = saito_check(arr, thetas)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     if not result.ok:
         raise CliError(f"candidate basis fails the Saito check: {result.reason}")
     op = _parse_op(args.op, arr.dim)
+    if args.tmax is not None and args.tmax < 1:
+        raise CliError("--tmax must be at least 1")
     try:
         dec = decompose(op, arr, result, t_max=args.tmax)
     except DecompositionError as exc:

@@ -4,9 +4,11 @@ Tangency is membership in every truncated idealizer: u is tangent up to t
 when u * f^t lands in f^t * Diff for each defining form f (or for the full
 defining polynomial) and every power up to t.  Over a free arrangement any
 tangent operator is a polynomial combination of products of basis tangent
-derivations; ``decompose`` computes that combination level by level, and
-``transport`` realizes the weaker statement that a large enough power of
-the defining polynomial pushes an arbitrary operator into such words.
+derivations; ``decompose`` computes that combination level by level, reading
+each level's coefficients off the principal symbol after substituting the
+adjugate of the basis coefficient matrix, and ``transport`` realizes the
+weaker statement that a large enough power of the defining polynomial
+pushes an arbitrary operator into such words.
 """
 
 from __future__ import annotations
@@ -16,10 +18,9 @@ from math import comb
 from typing import Sequence
 
 from .arrangement import Arrangement, SaitoBasis
-from .jacobian import commutator_value_matrix, product_family
-from .linalg import determinant, multiplicity_product, sym_indices
-from .polyring import NotDivisibleError, Poly, coordinates, exact_divide
-from .weyl import Derivation, DiffOp, in_right_ideal, iterated_commutator
+from .linalg import determinant, multiplicity_vector, sym_indices
+from .polyring import NotDivisibleError, Poly, exact_divide
+from .weyl import Derivation, DiffOp, in_right_ideal
 
 
 @dataclass(frozen=True)
@@ -184,28 +185,43 @@ def transport(u: DiffOp, arr: Arrangement) -> Decomposition:
     return Decomposition(tuple(rec(u)), generators)
 
 
+def _adjugate(m: list[list[Poly]]) -> list[list[Poly]]:
+    """adj(m)[j][i] is the (i, j) cofactor, so that m * adj(m) = det(m) * I."""
+    n = len(m)
+    if n == 1:
+        return [[Poly.one(m[0][0].nvars)]]
+    return [
+        [
+            determinant([r[:j] + r[j + 1:] for k, r in enumerate(m) if k != i])
+            * (-1) ** (i + j)
+            for i in range(n)
+        ]
+        for j in range(n)
+    ]
+
+
 def decompose(u: DiffOp, arr: Arrangement, basis: SaitoBasis,
-              coords: Sequence[Poly] | None = None,
               t_max: int | None = None,
               check_tangency: bool = True) -> Decomposition:
     """Write a tangent operator as words in the basis derivations.
 
-    Works down one order level at a time.  At level p, the coefficient of
-    the word at index k is read off a higher Jacobian: substituting u for
-    the k-th entry of the basis product family makes the Jacobian equal
-    (multiplicity product) * scalar^E * Q^E times that coefficient, with
-    E = C(p+dim-1, dim).  Exact division extracts it; subtracting the
-    recovered words must strictly drop the order.  Failure of either step
-    is reported as a DecompositionError naming the level and index: that is
-    the certificate that u is not a word combination, even if it slipped
-    through the truncated tangency pre-check.
+    Works down one order level at a time through the principal symbol.
+    With Theta = (theta_i(x_j)) and det Theta = lambda * Q, the symbol of
+    the word at index K is (Theta xi)^K, so an order-p operator whose top
+    part is sum_K c_K theta^K has symbol sum_K c_K (Theta xi)^K.
+    Substituting xi = adj(Theta) y turns Theta xi into lambda * Q * y, so
+    the coefficient of y^K in the substituted symbol is (lambda Q)^p * c_K.
+    Exact division extracts c_K; subtracting the recovered words must
+    strictly drop the order.  Failure of either step is reported as a
+    DecompositionError naming the level and index: that is the certificate
+    that u is not a word combination, even if it slipped through the
+    truncated tangency pre-check.  The c_K are the same rational functions
+    that Cramer's rule reads off the higher Jacobians, so a failed division
+    names the same first index on either route.
     """
     n = arr.dim
     if u.nvars != n:
         raise ValueError("operator over a different ambient dimension")
-    fs = tuple(coords) if coords is not None else coordinates(n)
-    if len(fs) != n:
-        raise ValueError("need one coordinate polynomial per variable")
     thetas = basis.thetas
 
     if not u:
@@ -218,60 +234,81 @@ def decompose(u: DiffOp, arr: Arrangement, basis: SaitoBasis,
                 f"operator fails the tangency test at t_max = {cutoff}"
             )
 
-    # Scalar of the ordinary Jacobian for this coordinate tuple; equals the
-    # certified basis scalar when coords are the standard coordinates.
-    base1 = determinant(commutator_value_matrix(fs, product_family(thetas, 1)))
+    theta = [list(th.coeffs) for th in thetas]
     try:
-        quot = exact_divide(base1, arr.q)
+        quot = exact_divide(determinant(theta), arr.q)
     except NotDivisibleError:
         quot = None
     if quot is None or not quot or quot.degree != 0:
         raise ValueError(
             "basis Jacobian is not a nonzero scalar multiple of the defining polynomial"
         )
-    lam = quot.constant_term()
+    lam_q = arr.q * quot.constant_term()
+
+    # xi_j = sum_i adj(Theta)_ji * y_i, as polynomials in x1..xl, y1..yl.
+    adj = _adjugate(theta)
+    m = 2 * n
+    ys = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
+    xi = [
+        Poly(m, {mono + ys[i]: c for i in range(n) for mono, c in adj[j][i].terms.items()})
+        for j in range(n)
+    ]
+    no_y = (0,) * n
+
+    ops = [th.as_diffop() for th in thetas]
+    word_ops: dict[tuple[int, ...], DiffOp] = {(): DiffOp.one(n)}
+
+    def word_op(k: tuple[int, ...]) -> DiffOp:
+        w = word_ops.get(k)
+        if w is None:
+            w = word_ops[k] = word_op(k[:-1]) * ops[k[-1] - 1]
+        return w
 
     words: list[Word] = []
     cur = u
     while cur and cur.order >= 1:
         p = cur.order
-        idxs = sym_indices(n, p)
-        exponent = comb(p + n - 1, n)
-        divisor = arr.q ** exponent * (multiplicity_product(n, p) * lam ** exponent)
-        fam = product_family(thetas, p)
-        base_entries = fam.entries
-        base_rows = commutator_value_matrix(fs, fam)
-        u_row = [
-            iterated_commutator(cur, [fs[j - 1] for j in jdx]).value_at_one()
-            for jdx in idxs
-        ]
-        level_words: list[tuple[Poly, tuple[int, ...], DiffOp]] = []
-        for pos, k in enumerate(idxs):
-            rows = [u_row if i == pos else base_rows[i] for i in range(len(idxs))]
-            jac = determinant(rows)
-            if not jac:
+        powers = [[Poly.one(m)] for _ in range(n)]
+        symbol = Poly.zero(m)
+        for beta, a in cur.terms.items():
+            if sum(beta) != p:
+                continue
+            term = Poly(m, {mono + no_y: c for mono, c in a.terms.items()})
+            for j, e in enumerate(beta):
+                while len(powers[j]) <= e:
+                    powers[j].append(powers[j][-1] * xi[j])
+                if e:
+                    term = term * powers[j][e]
+            symbol = symbol + term
+        numerators: dict[tuple[int, ...], dict] = {}
+        for mono, c in symbol.terms.items():
+            numerators.setdefault(mono[n:], {})[mono[:n]] = c
+        divisor = lam_q ** p
+        level_words: list[tuple[Poly, tuple[int, ...]]] = []
+        for k in sym_indices(n, p):
+            numer = numerators.get(multiplicity_vector(k, n))
+            if not numer:
                 continue
             try:
-                coeff = exact_divide(jac, divisor)
+                coeff = exact_divide(Poly(n, numer), divisor)
             except NotDivisibleError:
                 raise DecompositionError(
-                    f"level {p}, index {k}: Jacobian is not divisible by the "
-                    "scaled power of the defining polynomial; the operator is "
-                    "not a word combination at this level",
+                    f"level {p}, index {k}: symbol coefficient is not divisible "
+                    "by the scaled power of the defining polynomial; the "
+                    "operator is not a word combination at this level",
                     level=p, index=k,
                 ) from None
-            if coeff:
-                level_words.append((coeff, k, base_entries[pos]))
+            level_words.append((coeff, k))
         nxt = cur
-        for coeff, _k, op in level_words:
-            nxt = nxt - coeff * op
+        for coeff, k in level_words:
+            nxt = nxt - coeff * word_op(k)
         if nxt and nxt.order >= p:
             raise DecompositionError(
                 f"level {p}: subtracting the recovered words did not lower the "
                 "order; the operator is not a word combination at this level",
                 level=p,
             )
-        words.extend(Word(coeff, k) for coeff, k, _op in level_words)
+        words.extend(Word(coeff, k) for coeff, k in level_words)
         cur = nxt
     if cur:
         words.append(Word(cur.value_at_one(), ()))

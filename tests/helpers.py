@@ -1,12 +1,17 @@
-"""Seeded random value generators shared across the test modules."""
+"""Seeded random value generators and reference routes shared across the test modules."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
-from logdiff.polyring import Poly
-from logdiff.weyl import Derivation, DiffOp
+from logdiff.arrangement import Arrangement, SaitoBasis
+from logdiff.jacobian import commutator_value_matrix, product_family
+from logdiff.linalg import determinant, multiplicity_product, sym_indices
+from logdiff.polyring import NotDivisibleError, Poly, coordinates, exact_divide
+from logdiff.tangent import Decomposition, DecompositionError, Word
+from logdiff.weyl import Derivation, DiffOp, iterated_commutator
 
 
 def random_monomial(rng: random.Random, nvars: int, max_degree: int) -> tuple[int, ...]:
@@ -66,3 +71,58 @@ def eval_poly(f: Poly, point) -> Fraction:
             value *= Fraction(x) ** e
         total += value
     return total
+
+
+def decompose_by_jacobians(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> Decomposition:
+    """Reference route for ``decompose`` (no tangency pre-check): Cramer's rule.
+
+    At level p the coefficient of the word at index k is read off a higher
+    Jacobian: substituting the current operator for the k-th entry of the
+    basis product family makes the Jacobian equal (multiplicity product) *
+    scalar^E * Q^E times that coefficient, with E = C(p+dim-1, dim).  Exact
+    division extracts it, and subtracting the recovered words must strictly
+    drop the order.  Failures raise DecompositionError with the same level
+    and index as ``decompose``.
+    """
+    n = arr.dim
+    fs = coordinates(n)
+    thetas = basis.thetas
+    if not u:
+        return Decomposition((), thetas)
+    base1 = determinant(commutator_value_matrix(fs, product_family(thetas, 1)))
+    lam = exact_divide(base1, arr.q).constant_term()
+
+    words: list[Word] = []
+    cur = u
+    while cur and cur.order >= 1:
+        p = cur.order
+        idxs = sym_indices(n, p)
+        exponent = comb(p + n - 1, n)
+        divisor = arr.q ** exponent * (multiplicity_product(n, p) * lam ** exponent)
+        fam = product_family(thetas, p)
+        base_rows = commutator_value_matrix(fs, fam)
+        u_row = [
+            iterated_commutator(cur, [fs[j - 1] for j in jdx]).value_at_one()
+            for jdx in idxs
+        ]
+        level_words = []
+        for pos, k in enumerate(idxs):
+            rows = [u_row if i == pos else base_rows[i] for i in range(len(idxs))]
+            jac = determinant(rows)
+            if not jac:
+                continue
+            try:
+                coeff = exact_divide(jac, divisor)
+            except NotDivisibleError:
+                raise DecompositionError("Jacobian not divisible", level=p, index=k) from None
+            level_words.append((coeff, k, fam.entries[pos]))
+        nxt = cur
+        for coeff, _k, op in level_words:
+            nxt = nxt - coeff * op
+        if nxt and nxt.order >= p:
+            raise DecompositionError("order did not drop", level=p)
+        words.extend(Word(coeff, k) for coeff, k, _op in level_words)
+        cur = nxt
+    if cur:
+        words.append(Word(cur.value_at_one(), ()))
+    return Decomposition(tuple(words), thetas)

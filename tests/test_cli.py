@@ -126,6 +126,26 @@ def test_decompose_parse_error(capsys):
     assert "position" in err
 
 
+def test_decompose_wrong_basis_size(tmp_path, capsys):
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps(["x1*d1 + x2*d2"]))
+    code, _, err = run(
+        capsys, "decompose", "--arrangement", "builtin:triple2",
+        "--basis", str(basis), "--op", "x1*d1",
+    )
+    assert code == 2
+    assert "error: need exactly 2 derivations" in err
+
+
+def test_decompose_rejects_tmax_zero(capsys):
+    code, _, err = run(
+        capsys, "decompose", "--arrangement", "builtin:boolean1",
+        "--op", "x*d1", "--tmax", "0",
+    )
+    assert code == 2
+    assert "error: --tmax must be at least 1" in err
+
+
 # -- tangent -------------------------------------------------------------------
 
 def test_tangent_table_failure(capsys):

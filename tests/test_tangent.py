@@ -3,8 +3,8 @@ from math import comb
 
 import pytest
 
-from helpers import random_diffop, random_poly, random_word_operator
-from logdiff.arrangement import builtin_arrangement, rank2_basis, saito_check
+from helpers import decompose_by_jacobians, random_diffop, random_poly, random_word_operator
+from logdiff.arrangement import Arrangement, builtin_arrangement, rank2_basis, saito_check
 from logdiff.exprparse import parse_diffop, parse_poly
 from logdiff.linalg import sym_indices
 from logdiff.polyring import LinearForm, Poly, coordinates, divides_power
@@ -20,7 +20,7 @@ from logdiff.tangent import (
     tangency_table,
     transport,
 )
-from logdiff.weyl import DiffOp, iterated_commutator
+from logdiff.weyl import Derivation, DiffOp, iterated_commutator
 from logdiff.jacobian import OpFamily, higher_jacobian
 
 
@@ -37,6 +37,27 @@ def fixture_basis(name):
     result = saito_check(arr, thetas)
     assert result.ok
     return arr, result
+
+
+def four_lines_basis():
+    arr = Arrangement([LinearForm((1, 0)), LinearForm((0, 1)),
+                       LinearForm((1, 1)), LinearForm((1, -1))])
+    basis = saito_check(arr, rank2_basis(arr))
+    assert basis.ok
+    return arr, basis
+
+
+def a3_basis():
+    # the braid arrangement: forms x_i and x_i - x_j, basis sum_i x_i^k d_i
+    forms = [LinearForm(tuple(1 if k == i else 0 for k in range(3))) for i in range(3)]
+    forms += [LinearForm(tuple(1 if k == i else -1 if k == j else 0 for k in range(3)))
+              for i in range(3) for j in range(i + 1, 3)]
+    arr = Arrangement(forms)
+    thetas = [Derivation(tuple(Poly.variable(3, i) ** k for i in (1, 2, 3)))
+              for k in (1, 2, 3)]
+    basis = saito_check(arr, thetas)
+    assert basis.ok and basis.scalar == -1 and basis.degrees == (1, 2, 3)
+    return arr, basis
 
 
 # -- truncated tangency ------------------------------------------------------------
@@ -195,18 +216,50 @@ def test_decompose_round_trip_on_random_words():
 def test_decompose_round_trip_four_lines():
     # two-variable arrangement with four forms and the generic rank-2 basis
     rng = random.Random(55)
-    from logdiff.arrangement import Arrangement
-
-    arr = Arrangement([LinearForm((1, 0)), LinearForm((0, 1)),
-                       LinearForm((1, 1)), LinearForm((1, -1))])
-    basis = saito_check(arr, rank2_basis(arr))
-    assert basis.ok
+    arr, basis = four_lines_basis()
     for _ in range(8):
         u = random_word_operator(rng, basis.thetas, 2, max_len=2)
         if not u:
             continue
         dec = decompose(u, arr, basis)
         assert reassemble(dec) == u
+
+
+def _decompose_outcome(route, u, arr, basis, **kwargs):
+    try:
+        return route(u, arr, basis, **kwargs)
+    except DecompositionError as exc:
+        return ("error", exc.level, exc.index)
+
+
+@pytest.mark.parametrize("fixture, max_order, trials", [
+    (lambda: fixture_basis("boolean3"), 3, 12),
+    (lambda: fixture_basis("triple2"), 3, 12),
+    (four_lines_basis, 2, 12),
+    (a3_basis, 2, 6),
+], ids=["boolean3", "triple2", "four_lines", "A3"])
+def test_decompose_agrees_with_jacobian_route(fixture, max_order, trials):
+    # symbol substitution against Cramer's rule on higher Jacobians: same
+    # words, and on failure the same level and index
+    rng = random.Random(59)
+    arr, basis = fixture()
+    outcomes = []
+    for _ in range(trials):
+        for u in (random_word_operator(rng, basis.thetas, arr.dim, max_len=max_order),
+                  random_diffop(rng, arr.dim, max_order=max_order)):
+            expected = _decompose_outcome(decompose_by_jacobians, u, arr, basis)
+            got = _decompose_outcome(decompose, u, arr, basis, check_tangency=False)
+            assert got == expected, str(u)
+            outcomes.append(isinstance(got, Decomposition))
+    assert any(outcomes) and not all(outcomes)
+
+
+def test_decompose_a3_order_four():
+    # the Jacobian route needs C(6, 2) = 15 determinants of size 15 here
+    arr, basis = a3_basis()
+    u = DiffOp.from_poly(Poly.variable(3, 1)) * basis.thetas[0].as_diffop() ** 4
+    dec = decompose(u, arr, basis)
+    assert reassemble(dec) == u
 
 
 def test_decompose_rejects_non_tangent_operator():
