@@ -12,7 +12,6 @@ from .arrangement import (
     euler_derivation,
     is_tangent_derivation,
     is_tangent_derivation_via_q,
-    make_arrangement,
     rank2_basis,
     saito_check,
 )
@@ -20,7 +19,6 @@ from .exprparse import ParseError, parse_diffop, parse_poly, render
 from .jacobian import OpFamily, higher_jacobian, jacobian_power_identity, product_family
 from .linalg import (
     determinant,
-    multiplicity_factorial,
     multiplicity_product,
     permanent,
     sym_indices,
@@ -31,7 +29,6 @@ from .polyring import (
     LinearForm,
     NotDivisibleError,
     Poly,
-    apply_linear_map,
     coordinates,
     divides_power,
     exact_divide,
@@ -74,7 +71,6 @@ __all__ = [
     "SaitoBasis",
     "SaitoFailure",
     "Word",
-    "apply_linear_map",
     "builtin_arrangement",
     "commutator",
     "coordinates",
@@ -92,8 +88,6 @@ __all__ = [
     "is_tangent_q",
     "iterated_commutator",
     "jacobian_power_identity",
-    "make_arrangement",
-    "multiplicity_factorial",
     "multiplicity_product",
     "parse_diffop",
     "parse_poly",

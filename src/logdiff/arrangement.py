@@ -25,9 +25,9 @@ from .weyl import Derivation
 
 
 class Arrangement:
-    """A central arrangement: forms, defining polynomial, cofactors."""
+    """A central arrangement: forms and defining polynomial."""
 
-    __slots__ = ("dim", "forms", "q", "cofactors")
+    __slots__ = ("dim", "forms", "q")
 
     def __init__(self, forms: Sequence[LinearForm]):
         forms = tuple(forms)
@@ -46,17 +46,9 @@ class Arrangement:
         q = Poly.one(dim)
         for f in forms:
             q = q * f.as_poly()
-        cofactors = []
-        for i in range(len(forms)):
-            c = Poly.one(dim)
-            for j, f in enumerate(forms):
-                if j != i:
-                    c = c * f.as_poly()
-            cofactors.append(c)
         self.dim = dim
         self.forms = forms
         self.q = q
-        self.cofactors = tuple(cofactors)
 
     @property
     def size(self) -> int:
@@ -65,11 +57,6 @@ class Arrangement:
 
     def __repr__(self) -> str:
         return f"Arrangement({[str(f.as_poly()) for f in self.forms]})"
-
-
-def make_arrangement(forms: Sequence[LinearForm]) -> Arrangement:
-    """Validate the forms and build the arrangement."""
-    return Arrangement(forms)
 
 
 def is_tangent_derivation(delta: Derivation, arr: Arrangement) -> bool:

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .arrangement import Arrangement, builtin_arrangement, saito_check
 from .exprparse import ParseError, parse_diffop, render
-from .jacobian import OpFamily, higher_jacobian, jacobian_power_identity, product_family
+from .jacobian import OpFamily, higher_jacobian, jacobian_power_identity
 from .linalg import sym_indices, sym_power_det_identity_holds
 from .polyring import LinearForm, Poly, coordinates, divides_power
 from .tangent import (
@@ -50,11 +50,13 @@ def _load_json(path: str):
         raise CliError(f"{path} is not valid JSON: {exc}") from None
 
 
-def _parse_basis_texts(texts, dim: int) -> tuple[Derivation, ...]:
+def _parse_basis_texts(texts, dim: int, where: str) -> tuple[Derivation, ...]:
+    if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+        raise CliError(f"{where} must be a list of operator strings")
     thetas = []
     for i, text in enumerate(texts, start=1):
         try:
-            op = parse_diffop(str(text), dim)
+            op = parse_diffop(text, dim)
             thetas.append(Derivation.from_diffop(op))
         except (ParseError, ValueError) as exc:
             raise CliError(f"basis entry {i} ({text!r}): {exc}") from None
@@ -70,18 +72,23 @@ def _load_arrangement(source: str) -> tuple[Arrangement, tuple[Derivation, ...] 
     data = _load_json(source)
     if not isinstance(data, dict) or "dim" not in data or "forms" not in data:
         raise CliError(f"{source}: expected an object with 'dim' and 'forms'")
-    dim = data["dim"]
+    dim, rows = data["dim"], data["forms"]
+    if type(dim) is not int or dim < 1:
+        raise CliError(f"{source}: 'dim' must be a positive integer, got {dim!r}")
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise CliError(f"{source}: 'forms' must be a list of coefficient lists")
     try:
         forms = [
             LinearForm(tuple(Fraction(str(c)) for c in row))
-            for row in data["forms"]
+            for row in rows
         ]
         arr = Arrangement(forms)
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"{source}: {exc}") from None
     if arr.dim != dim:
         raise CliError(f"{source}: forms have {arr.dim} coefficients but dim is {dim}")
-    thetas = _parse_basis_texts(data["basis"], dim) if "basis" in data else None
+    thetas = (_parse_basis_texts(data["basis"], dim, f"{source}: 'basis'")
+              if "basis" in data else None)
     return arr, thetas
 
 
@@ -89,9 +96,7 @@ def _load_basis_file(path: str, dim: int) -> tuple[Derivation, ...]:
     data = _load_json(path)
     if isinstance(data, dict):
         data = data.get("basis")
-    if not isinstance(data, list):
-        raise CliError(f"{path}: expected a list of operator strings (or a 'basis' key)")
-    return _parse_basis_texts(data, dim)
+    return _parse_basis_texts(data, dim, f"{path}: the basis")
 
 
 def _resolve_basis(args, arr, builtin_thetas) -> tuple[Derivation, ...]:
@@ -168,10 +173,8 @@ def cmd_decompose(args) -> int:
     if not result.ok:
         raise CliError(f"candidate basis fails the Saito check: {result.reason}")
     op = _parse_op(args.op, arr.dim)
-    if args.tmax is not None and args.tmax < 1:
-        raise CliError("--tmax must be at least 1")
     try:
-        dec = decompose(op, arr, result, t_max=args.tmax)
+        dec = decompose(op, arr, result)
     except DecompositionError as exc:
         print(f"not decomposable: {exc}")
         return 1
@@ -292,6 +295,8 @@ def _verify_divisibility(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.l < 1:
+        raise CliError("--l must be at least 1")
     if args.p < 0:
         raise CliError("--p must be non-negative")
     if args.trials < 1:
@@ -322,8 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arrangement", required=True)
     p.add_argument("--basis")
     p.add_argument("--op", required=True, help="operator text, e.g. 'x1^2*d1^2'")
-    p.add_argument("--tmax", type=int, default=None,
-                   help="tangency pre-check cutoff (default: the operator order)")
     p.add_argument("--json", action="store_true", help="emit the word list as JSON")
     p.set_defaults(func=cmd_decompose)
 

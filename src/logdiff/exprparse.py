@@ -173,15 +173,23 @@ class _Parser:
         return DiffOp.partial(self.nvars, index)
 
 
+def _parse(text: str, nvars: int, allow_partials: bool) -> DiffOp:
+    parser = _Parser(text, nvars, allow_partials)
+    try:
+        return parser.parse()
+    except RecursionError:
+        # Each nesting level costs a few Python frames of the descent.
+        raise ParseError("expression is nested too deeply", parser.peek()[2]) from None
+
+
 def parse_diffop(text: str, nvars: int) -> DiffOp:
     """Parse operator text to a normally ordered DiffOp."""
-    return _Parser(text, nvars, allow_partials=True).parse()
+    return _parse(text, nvars, allow_partials=True)
 
 
 def parse_poly(text: str, nvars: int) -> Poly:
     """Parse polynomial text; any d<k> token is rejected."""
-    op = _Parser(text, nvars, allow_partials=False).parse()
-    return op.value_at_one()
+    return _parse(text, nvars, allow_partials=False).value_at_one()
 
 
 def _var_name(index: int, nvars: int, aliases: bool) -> str:

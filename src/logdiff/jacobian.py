@@ -40,15 +40,6 @@ class OpFamily:
     def index_tuples(self) -> list[tuple[int, ...]]:
         return sym_indices(self.nvars, self.power)
 
-    def entry(self, idx: Sequence[int]) -> DiffOp:
-        return self.entries[self.index_tuples.index(tuple(idx))]
-
-    def substitute(self, w: DiffOp, idx: Sequence[int]) -> OpFamily:
-        """Replace the entry at ``idx``, leaving all others untouched."""
-        pos = self.index_tuples.index(tuple(idx))
-        entries = self.entries[:pos] + (w,) + self.entries[pos + 1:]
-        return OpFamily(self.nvars, self.power, entries)
-
 
 def _as_ops(ops: Sequence[DiffOp | Derivation]) -> list[DiffOp]:
     return [op.as_diffop() if isinstance(op, Derivation) else op for op in ops]

@@ -43,20 +43,12 @@ def multiplicity_vector(idx: Sequence[int], dim: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def multiplicity_factorial(idx: Sequence[int], dim: int) -> tuple[tuple[int, ...], int]:
-    """The multiplicity vector of ``idx`` and the product of its factorials."""
-    vec = multiplicity_vector(idx, dim)
-    fact = 1
-    for e in vec:
-        fact *= factorial(e)
-    return vec, fact
-
-
 def multiplicity_product(dim: int, power: int) -> int:
     """Product of multiplicity factorials over all weakly increasing tuples."""
     out = 1
     for idx in sym_indices(dim, power):
-        out *= multiplicity_factorial(idx, dim)[1]
+        for e in multiplicity_vector(idx, dim):
+            out *= factorial(e)
     return out
 
 
@@ -229,20 +221,3 @@ def sym_power_det_identity_holds(m: Matrix, power: int) -> bool:
     det = determinant(m)
     rhs = multiplicity_product(dim, power) * det ** comb(power + dim - 1, dim)
     return lhs == rhs
-
-
-def mat_mul(a: Matrix, b: Matrix) -> list[list]:
-    """Ring matrix product (used by tests and the symmetric-power checks)."""
-    if not a or not b or len(a[0]) != len(b):
-        raise ValueError("inner dimensions must agree")
-    out = []
-    for row in a:
-        new = []
-        for j in range(len(b[0])):
-            acc = None
-            for k, x in enumerate(row):
-                term = x * b[k][j]
-                acc = term if acc is None else acc + term
-            new.append(acc)
-        out.append(new)
-    return out

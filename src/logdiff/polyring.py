@@ -339,22 +339,6 @@ def divides_power(f: Poly, t: int, a: Poly) -> bool:
     return True
 
 
-def apply_linear_map(matrix: Sequence[Sequence[Scalar]], polys: Sequence[Poly]) -> tuple[Poly, ...]:
-    """Component j of the result is sum_k matrix[j][k] * polys[k]."""
-    n = len(polys)
-    if len(matrix) != n or any(len(row) != n for row in matrix):
-        raise ValueError(f"matrix must be square of size {n}")
-    nvars = polys[0].nvars
-    out = []
-    for row in matrix:
-        acc = Poly.zero(nvars)
-        for c, f in zip(row, polys):
-            if c != 0:
-                acc = acc + f * c
-        out.append(acc)
-    return tuple(out)
-
-
 def coordinates(nvars: int) -> tuple[Poly, ...]:
     """The coordinate tuple (x1, ..., xl) as polynomials."""
     return tuple(Poly.variable(nvars, i) for i in range(1, nvars + 1))

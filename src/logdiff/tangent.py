@@ -55,9 +55,14 @@ class Decomposition:
 
 
 class DecompositionError(Exception):
-    """Structured failure: the operator is not a word combination at a level."""
+    """Structured failure: the operator is not a word combination at a level.
 
-    def __init__(self, message: str, level: int | None = None,
+    ``index`` names the word whose coefficient failed to divide; it is None
+    when every division succeeded but subtracting the words did not lower
+    the order.
+    """
+
+    def __init__(self, message: str, level: int,
                  index: tuple[int, ...] | None = None):
         super().__init__(message)
         self.level = level
@@ -67,19 +72,11 @@ class DecompositionError(Exception):
 def is_tangent(u: DiffOp, arr: Arrangement, t_max: int) -> bool:
     """Truncated per-form idealizer test for t in 1..t_max.
 
-    This checks u * a^t in a^t * Diff for every defining form a.  The full
-    tangency condition quantifies over all t; callers choose the cutoff.
+    This checks u * a^t in a^t * Diff for every defining form a, stopping
+    at the first failing cell.  The full tangency condition quantifies over
+    all t; callers choose the cutoff.
     """
-    if t_max < 1:
-        raise ValueError("t_max must be at least 1")
-    if u.nvars != arr.dim:
-        raise ValueError("operator over a different ambient dimension")
-    for form in arr.forms:
-        fp = form.as_poly()
-        for t in range(1, t_max + 1):
-            if not in_right_ideal(u * fp ** t, fp, t):
-                return False
-    return True
+    return all(row.ok for row in _tangency_rows(u, arr, t_max))
 
 
 def is_tangent_q(u: DiffOp, arr: Arrangement, t_max: int) -> bool:
@@ -101,25 +98,35 @@ class TangencyRow:
     witness: tuple[tuple[int, ...], Poly] | None = None
 
 
-def tangency_table(u: DiffOp, arr: Arrangement, t_max: int) -> list[TangencyRow]:
-    """Per-form, per-power results; failures carry the offending coefficient."""
+def _tangency_rows(u: DiffOp, arr: Arrangement, t_max: int):
+    """Yield the cells form by form, t = 1..t_max within each form.
+
+    Carries u * a^t and a^t forward from t - 1, one multiplication by the
+    form a each, and checks every coefficient of u * a^t for divisibility
+    by a^t in graded order; the first one that fails is the witness.
+    """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
-    rows = []
+    if u.nvars != arr.dim:
+        raise ValueError("operator over a different ambient dimension")
     for i, form in enumerate(arr.forms, start=1):
         fp = form.as_poly()
+        prod, ft = u, Poly.one(arr.dim)
         for t in range(1, t_max + 1):
-            prod = u * fp ** t
+            prod, ft = prod * fp, ft * fp
             witness = None
-            ft = fp ** t
             for beta in sorted(prod.terms, key=lambda b: (sum(b), b)):
                 try:
                     exact_divide(prod.terms[beta], ft)
                 except NotDivisibleError:
                     witness = (beta, prod.terms[beta])
                     break
-            rows.append(TangencyRow(i, t, witness is None, witness))
-    return rows
+            yield TangencyRow(i, t, witness is None, witness)
+
+
+def tangency_table(u: DiffOp, arr: Arrangement, t_max: int) -> list[TangencyRow]:
+    """Per-form, per-power results; failures carry the offending coefficient."""
+    return list(_tangency_rows(u, arr, t_max))
 
 
 def _word_operator(ops: Sequence[DiffOp], word: Sequence[int], nvars: int) -> DiffOp:
@@ -200,9 +207,7 @@ def _adjugate(m: list[list[Poly]]) -> list[list[Poly]]:
     ]
 
 
-def decompose(u: DiffOp, arr: Arrangement, basis: SaitoBasis,
-              t_max: int | None = None,
-              check_tangency: bool = True) -> Decomposition:
+def decompose(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> Decomposition:
     """Write a tangent operator as words in the basis derivations.
 
     Works down one order level at a time through the principal symbol.
@@ -213,11 +218,17 @@ def decompose(u: DiffOp, arr: Arrangement, basis: SaitoBasis,
     the coefficient of y^K in the substituted symbol is (lambda Q)^p * c_K.
     Exact division extracts c_K; subtracting the recovered words must
     strictly drop the order.  Failure of either step is reported as a
-    DecompositionError naming the level and index: that is the certificate
-    that u is not a word combination, even if it slipped through the
-    truncated tangency pre-check.  The c_K are the same rational functions
-    that Cramer's rule reads off the higher Jacobians, so a failed division
-    names the same first index on either route.
+    DecompositionError naming the level, and the index when a division
+    fails: that is the certificate that u is not a word combination.  The
+    c_K are the same rational functions that Cramer's rule reads off the
+    higher Jacobians, so a failed division names the same first index on
+    either route.
+
+    A successful decomposition certifies tangency, so no separate test
+    runs: it reassembles to u exactly, and every word is a product of
+    tangent derivations, so u is tangent.  Conversely, by Saito's theorem and the decomposition theorem
+    every tangent operator over a free arrangement is a word combination
+    in a certified basis, so a tangent u never fails.
     """
     n = arr.dim
     if u.nvars != n:
@@ -226,13 +237,6 @@ def decompose(u: DiffOp, arr: Arrangement, basis: SaitoBasis,
 
     if not u:
         return Decomposition((), thetas)
-
-    if check_tangency and u.order >= 1:
-        cutoff = t_max if t_max is not None else u.order
-        if not is_tangent(u, arr, cutoff):
-            raise DecompositionError(
-                f"operator fails the tangency test at t_max = {cutoff}"
-            )
 
     theta = [list(th.coeffs) for th in thetas]
     try:

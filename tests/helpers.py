@@ -1,13 +1,15 @@
-"""Seeded random value generators and reference routes shared across the test modules."""
+"""Seeded random value generators, reference routes and small constructions
+that only the tests use, shared across the test modules."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 from math import comb
+from typing import Sequence
 
 from logdiff.arrangement import Arrangement, SaitoBasis
-from logdiff.jacobian import commutator_value_matrix, product_family
+from logdiff.jacobian import OpFamily, commutator_value_matrix, product_family
 from logdiff.linalg import determinant, multiplicity_product, sym_indices
 from logdiff.polyring import NotDivisibleError, Poly, coordinates, exact_divide
 from logdiff.tangent import Decomposition, DecompositionError, Word
@@ -62,6 +64,46 @@ def random_word_operator(rng: random.Random, thetas, nvars: int,
     return op
 
 
+def mat_mul(a, b) -> list[list]:
+    """Ring matrix product."""
+    if not a or not b or len(a[0]) != len(b):
+        raise ValueError("inner dimensions must agree")
+    out = []
+    for row in a:
+        new = []
+        for j in range(len(b[0])):
+            acc = None
+            for k, x in enumerate(row):
+                term = x * b[k][j]
+                acc = term if acc is None else acc + term
+            new.append(acc)
+        out.append(new)
+    return out
+
+
+def apply_linear_map(matrix, polys: Sequence[Poly]) -> tuple[Poly, ...]:
+    """Component j of the result is sum_k matrix[j][k] * polys[k]."""
+    n = len(polys)
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        raise ValueError(f"matrix must be square of size {n}")
+    nvars = polys[0].nvars
+    out = []
+    for row in matrix:
+        acc = Poly.zero(nvars)
+        for c, f in zip(row, polys):
+            if c != 0:
+                acc = acc + f * c
+        out.append(acc)
+    return tuple(out)
+
+
+def substitute_entry(fam: OpFamily, w: DiffOp, idx: Sequence[int]) -> OpFamily:
+    """Replace the entry at ``idx``, leaving all others untouched."""
+    pos = fam.index_tuples.index(tuple(idx))
+    entries = fam.entries[:pos] + (w,) + fam.entries[pos + 1:]
+    return OpFamily(fam.nvars, fam.power, entries)
+
+
 def eval_poly(f: Poly, point) -> Fraction:
     """Independent polynomial evaluation at a rational point."""
     total = Fraction(0)
@@ -74,7 +116,7 @@ def eval_poly(f: Poly, point) -> Fraction:
 
 
 def decompose_by_jacobians(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> Decomposition:
-    """Reference route for ``decompose`` (no tangency pre-check): Cramer's rule.
+    """Reference route for ``decompose``: Cramer's rule.
 
     At level p the coefficient of the word at index k is read off a higher
     Jacobian: substituting the current operator for the k-th entry of the

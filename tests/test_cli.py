@@ -69,6 +69,21 @@ def test_bad_arrangement_file(tmp_path, capsys):
     assert "proportional" in err
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"dim": 0, "forms": [["1"]]}, "'dim' must be a positive integer"),
+    ({"dim": "2", "forms": [["1", "0"]]}, "'dim' must be a positive integer"),
+    ({"dim": 2, "forms": 5}, "'forms' must be a list of coefficient lists"),
+    ({"dim": 2, "forms": [["1", "0"], "01"]}, "'forms' must be a list of coefficient lists"),
+    ({"dim": 1, "forms": [["1"]], "basis": "x1*d1"}, "'basis' must be a list of operator strings"),
+], ids=["dim-zero", "dim-string", "forms-int", "forms-row-string", "basis-string"])
+def test_malformed_arrangement_file(tmp_path, capsys, spec, message):
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run(capsys, "check-free", "--arrangement", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+
+
 def test_unknown_builtin(capsys):
     code, _, err = run(capsys, "check-free", "--arrangement", "builtin:nope")
     assert code == 2
@@ -114,7 +129,7 @@ def test_decompose_non_tangent(capsys):
         "--arrangement", "builtin:boolean1", "--op", "d1",
     )
     assert code == 1
-    assert "not decomposable" in out
+    assert out.startswith("not decomposable: level 1, index (1,):")
 
 
 def test_decompose_parse_error(capsys):
@@ -137,13 +152,13 @@ def test_decompose_wrong_basis_size(tmp_path, capsys):
     assert "error: need exactly 2 derivations" in err
 
 
-def test_decompose_rejects_tmax_zero(capsys):
+def test_decompose_has_no_tmax_flag(capsys):
     code, _, err = run(
         capsys, "decompose", "--arrangement", "builtin:boolean1",
-        "--op", "x*d1", "--tmax", "0",
+        "--op", "x*d1", "--tmax", "2",
     )
     assert code == 2
-    assert "error: --tmax must be at least 1" in err
+    assert "unrecognized arguments: --tmax 2" in err
 
 
 # -- tangent -------------------------------------------------------------------
@@ -167,6 +182,15 @@ def test_tangent_table_pass(capsys):
     )
     assert code == 0
     assert "tangent up to t_max = 5" in out
+
+
+def test_tangent_deeply_nested_operator(capsys):
+    code, _, err = run(
+        capsys, "tangent", "--arrangement", "builtin:boolean1",
+        "--op", "(" * 2000 + "x" + ")" * 2000, "--tmax", "1",
+    )
+    assert code == 2
+    assert err.startswith("error: ") and "nested too deeply" in err
 
 
 def test_tangent_constant(capsys):
@@ -206,6 +230,13 @@ def test_verify_divisibility(capsys):
     )
     assert code == 0
     assert "passed=10 failed=0" in out
+
+
+@pytest.mark.parametrize("lemma", ["sym-power", "jacobian-power"])
+def test_verify_rejects_dimension_zero(capsys, lemma):
+    code, _, err = run(capsys, "verify", "--lemma", lemma, "--l", "0", "--trials", "1")
+    assert code == 2
+    assert "error: --l must be at least 1" in err
 
 
 def test_verify_divisibility_needs_arrangement(capsys):

@@ -92,6 +92,14 @@ def test_parse_unknown_name():
         parse_diffop("foo", 2)
 
 
+def test_parse_deep_nesting_is_a_parse_error():
+    for text in ("(" * 2000 + "x" + ")" * 2000, "-" * 5000 + "x"):
+        for parse in (parse_diffop, parse_poly):
+            with pytest.raises(ParseError, match="nested too deeply"):
+                parse(text, 1)
+    assert parse_poly("(" * 50 + "x" + ")" * 50, 1) == parse_poly("x", 1)
+
+
 # -- rendering ----------------------------------------------------------------------
 
 def test_render_examples():

@@ -1,17 +1,16 @@
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
-from helpers import random_poly
+from helpers import mat_mul, random_poly
 from logdiff.exprparse import parse_poly
 from logdiff.linalg import (
     determinant,
-    mat_mul,
-    multiplicity_factorial,
     multiplicity_product,
+    multiplicity_vector,
     permanent,
     sym_indices,
     sym_power_det_identity_holds,
@@ -70,9 +69,13 @@ def test_sym_indices_count_and_order():
 
 
 def test_multiplicity_factorial():
-    assert multiplicity_factorial((1, 1, 3), 3) == ((2, 0, 1), 2)
-    assert multiplicity_factorial((1, 2), 2) == ((1, 1), 1)
-    assert multiplicity_factorial((2, 2, 2, 2), 2) == ((0, 4), 24)
+    assert multiplicity_vector((1, 1, 3), 3) == (2, 0, 1)
+    assert multiplicity_vector((1, 2), 2) == (1, 1)
+    assert multiplicity_vector((2, 2, 2, 2), 2) == (0, 4)
+    # (1,1,1,1), (1,1,1,2), (1,1,2,2), (1,2,2,2), (2,2,2,2)
+    assert multiplicity_product(2, 4) == 24 * 6 * 4 * 6 * 24
+    with pytest.raises(ValueError):
+        multiplicity_vector((3,), 2)
 
 
 def test_multiplicity_product():
@@ -242,7 +245,8 @@ def test_rescaled_sym_power_is_multiplicative():
     # induced map on the symmetric power, which is multiplicative
     rng = random.Random(37)
     dim, power = 2, 2
-    facts = [multiplicity_factorial(idx, dim)[1] for idx in sym_indices(dim, power)]
+    facts = [prod(factorial(e) for e in multiplicity_vector(idx, dim))
+             for idx in sym_indices(dim, power)]
 
     def rescale(s):
         return [[Fraction(s[i][j], facts[j]) for j in range(len(s))] for i in range(len(s))]

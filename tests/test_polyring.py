@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import eval_poly, random_poly
+from helpers import apply_linear_map, eval_poly, random_poly
 from logdiff.exprparse import parse_poly
 from logdiff.polyring import (
     LinearForm,
     NotDivisibleError,
     Poly,
-    apply_linear_map,
     coordinates,
     divides_power,
     exact_divide,

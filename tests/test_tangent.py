@@ -225,9 +225,9 @@ def test_decompose_round_trip_four_lines():
         assert reassemble(dec) == u
 
 
-def _decompose_outcome(route, u, arr, basis, **kwargs):
+def _decompose_outcome(route, u, arr, basis):
     try:
-        return route(u, arr, basis, **kwargs)
+        return route(u, arr, basis)
     except DecompositionError as exc:
         return ("error", exc.level, exc.index)
 
@@ -248,7 +248,7 @@ def test_decompose_agrees_with_jacobian_route(fixture, max_order, trials):
         for u in (random_word_operator(rng, basis.thetas, arr.dim, max_len=max_order),
                   random_diffop(rng, arr.dim, max_order=max_order)):
             expected = _decompose_outcome(decompose_by_jacobians, u, arr, basis)
-            got = _decompose_outcome(decompose, u, arr, basis, check_tangency=False)
+            got = _decompose_outcome(decompose, u, arr, basis)
             assert got == expected, str(u)
             outcomes.append(isinstance(got, Decomposition))
     assert any(outcomes) and not all(outcomes)
@@ -271,20 +271,17 @@ def test_decompose_rejects_non_tangent_operator():
 def test_decompose_division_failure_diagnosis():
     arr, basis = fixture_basis("boolean1")
     with pytest.raises(DecompositionError) as info:
-        decompose(D("d1", 1), arr, basis, check_tangency=False)
+        decompose(D("d1", 1), arr, basis)
     assert info.value.level == 1
     assert info.value.index == (1,)
 
 
-def test_decompose_respects_custom_tmax():
+def test_decompose_failure_names_level_and_index():
+    # tangent up to t = 1 only; the level-2 division is what rejects it
     arr, basis = fixture_basis("boolean1")
-    u = D("x*d1^2", 1)
-    # passes the truncated pre-check at t_max=1 but the division detects it
     with pytest.raises(DecompositionError) as info:
-        decompose(u, arr, basis, t_max=1)
-    assert info.value.level is not None
-    with pytest.raises(DecompositionError):
-        decompose(u, arr, basis)  # default t_max = order catches it up front
+        decompose(D("x*d1^2", 1), arr, basis)
+    assert (info.value.level, info.value.index) == (2, (1, 1))
 
 
 def test_decompose_levels_strictly_drop():
