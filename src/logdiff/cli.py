@@ -50,6 +50,15 @@ def _load_json(path: str):
         raise CliError(f"{path} is not valid JSON: {exc}") from None
 
 
+# Operator text longer than this is quoted as a prefix ending in "...";
+# the parse error already gives the position.
+QUOTE_CHARS = 40
+
+
+def _quote(text: str) -> str:
+    return repr(text if len(text) <= QUOTE_CHARS else text[:QUOTE_CHARS] + "...")
+
+
 def _parse_basis_texts(texts, dim: int, where: str) -> tuple[Derivation, ...]:
     if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
         raise CliError(f"{where} must be a list of operator strings")
@@ -59,7 +68,7 @@ def _parse_basis_texts(texts, dim: int, where: str) -> tuple[Derivation, ...]:
             op = parse_diffop(text, dim)
             thetas.append(Derivation.from_diffop(op))
         except (ParseError, ValueError) as exc:
-            raise CliError(f"basis entry {i} ({text!r}): {exc}") from None
+            raise CliError(f"basis entry {i} ({_quote(text)}): {exc}") from None
     return tuple(thetas)
 
 
@@ -111,7 +120,7 @@ def _parse_op(text: str, dim: int) -> DiffOp:
     try:
         return parse_diffop(text, dim)
     except ParseError as exc:
-        raise CliError(f"operator {text!r}: {exc}") from None
+        raise CliError(f"operator {_quote(text)}: {exc}") from None
 
 
 def cmd_check_free(args) -> int:

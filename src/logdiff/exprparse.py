@@ -9,6 +9,11 @@ loose: ``^``, unary ``-``, ``*``, binary ``+``/``-``)::
     power  := atom ('^' INT)?
     atom   := INT ('/' INT)? | NAME | '(' expr ')'
 
+Exponents above ``MAX_EXPONENT`` and nesting (open parentheses plus
+pending unary minus signs) deeper than ``MAX_NESTING`` are rejected with a
+``ParseError``: powers are computed by repeated multiplication, and the
+parser recurses once per nesting level.
+
 Names are ``x1 .. xl`` for variables and ``d1 .. dl`` for partials, with
 ``x``, ``y``, ``z`` accepted as aliases of ``x1``, ``x2``, ``x3`` when the
 ambient dimension is at most 3.  Rational literals ``a/b`` bind tighter
@@ -26,6 +31,10 @@ from .weyl import DiffOp
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*^()/]))")
 _ALIASES = {"x": 1, "y": 2, "z": 3}
+MAX_EXPONENT = 1000
+# Each level costs at most five Python frames, well inside the default
+# recursion limit of 1000 even when the caller is already deep.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -63,6 +72,7 @@ class _Parser:
     def __init__(self, text: str, nvars: int, allow_partials: bool):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.nvars = nvars
         self.allow_partials = allow_partials
 
@@ -73,6 +83,11 @@ class _Parser:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
+
+    def enter(self, at: int) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError("expression is nested too deeply", at)
 
     def expect_op(self, symbol: str):
         kind, value, at = self.peek()
@@ -109,10 +124,13 @@ class _Parser:
                 return value
 
     def factor(self) -> DiffOp:
-        kind, tok, _ = self.peek()
+        kind, tok, at = self.peek()
         if kind == "op" and tok == "-":
             self.advance()
-            return -self.factor()
+            self.enter(at)
+            value = -self.factor()
+            self.depth -= 1
+            return value
         return self.power()
 
     def power(self) -> DiffOp:
@@ -125,6 +143,8 @@ class _Parser:
                 raise ParseError("negative exponent", at)
             if kind != "int":
                 raise ParseError("expected a non-negative integer exponent", at)
+            if exp > MAX_EXPONENT:
+                raise ParseError(f"exponent {exp} exceeds the limit {MAX_EXPONENT}", at)
             self.advance()
             return base ** exp
         return base
@@ -147,8 +167,10 @@ class _Parser:
         if kind == "name":
             return self.name_atom(tok, at)
         if kind == "op" and tok == "(":
+            self.enter(at)
             value = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return value
         raise ParseError(f"unexpected token {tok!r}", at)
 
@@ -173,23 +195,14 @@ class _Parser:
         return DiffOp.partial(self.nvars, index)
 
 
-def _parse(text: str, nvars: int, allow_partials: bool) -> DiffOp:
-    parser = _Parser(text, nvars, allow_partials)
-    try:
-        return parser.parse()
-    except RecursionError:
-        # Each nesting level costs a few Python frames of the descent.
-        raise ParseError("expression is nested too deeply", parser.peek()[2]) from None
-
-
 def parse_diffop(text: str, nvars: int) -> DiffOp:
     """Parse operator text to a normally ordered DiffOp."""
-    return _parse(text, nvars, allow_partials=True)
+    return _Parser(text, nvars, allow_partials=True).parse()
 
 
 def parse_poly(text: str, nvars: int) -> Poly:
     """Parse polynomial text; any d<k> token is rejected."""
-    return _parse(text, nvars, allow_partials=False).value_at_one()
+    return _Parser(text, nvars, allow_partials=False).parse().value_at_one()
 
 
 def _var_name(index: int, nvars: int, aliases: bool) -> str:

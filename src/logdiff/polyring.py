@@ -11,8 +11,11 @@ Variables are positional and 1-based in the public API: ``x1 .. xl``.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from math import perm, prod
+from operator import add, neg, sub
 from typing import Mapping, Sequence
 
 Monomial = tuple[int, ...]
@@ -33,6 +36,19 @@ def simplify_scalar(c: Scalar) -> Scalar:
 def _grlex(m: Monomial) -> tuple[int, Monomial]:
     # Graded lexicographic key with x1 > x2 > ... > xl.
     return (sum(m), m)
+
+
+def _canon(terms: dict[Monomial, Scalar]) -> dict[Monomial, Scalar]:
+    """Drop zero coefficients and store integral Fractions as int.
+
+    Arithmetic on int and Fraction only ever yields exactly those two
+    types, so ``type(c) is Fraction`` suffices (``isinstance`` against the
+    numeric ABCs costs far more per coefficient).
+    """
+    return {
+        m: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+        for m, c in terms.items() if c
+    }
 
 
 class Poly:
@@ -61,6 +77,19 @@ class Poly:
                     clean[mono] = coeff
         self.nvars = nvars
         self.terms = clean
+
+    @classmethod
+    def _make(cls, nvars: int, terms: dict[Monomial, Scalar]) -> Poly:
+        """Wrap an already canonical map without validating it.
+
+        Internal results only: every key is a length-``nvars`` tuple of
+        non-negative ints and every value a nonzero int or non-integral
+        Fraction.  The map is owned by the new polynomial.
+        """
+        out = object.__new__(cls)
+        out.nvars = nvars
+        out.terms = terms
+        return out
 
     # -- constructors -----------------------------------------------------
 
@@ -136,13 +165,10 @@ class Poly:
         if other is None:
             return NotImplemented
         out = dict(self.terms)
+        get = out.get
         for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return Poly(self.nvars, out)
+            out[m] = get(m, 0) + c
+        return Poly._make(self.nvars, _canon(out))
 
     __radd__ = __add__
 
@@ -151,13 +177,10 @@ class Poly:
         if other is None:
             return NotImplemented
         out = dict(self.terms)
+        get = out.get
         for m, c in other.terms.items():
-            s = out.get(m, 0) - c
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return Poly(self.nvars, out)
+            out[m] = get(m, 0) - c
+        return Poly._make(self.nvars, _canon(out))
 
     def __rsub__(self, other) -> Poly:
         other = self._coerce(other)
@@ -166,26 +189,24 @@ class Poly:
         return other - self
 
     def __neg__(self) -> Poly:
-        return Poly(self.nvars, {m: -c for m, c in self.terms.items()})
+        return Poly._make(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other) -> Poly:
+        if isinstance(other, Poly):
+            self._check_same_ring(other)
+            out: dict[Monomial, Scalar] = {}
+            get = out.get
+            items = other.terms.items()
+            for ma, ca in self.terms.items():
+                for mb, cb in items:
+                    key = tuple(map(add, ma, mb))
+                    out[key] = get(key, 0) + ca * cb
+            return Poly._make(self.nvars, _canon(out))
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return Poly.zero(self.nvars)
-            return Poly(self.nvars, {m: c * other for m, c in self.terms.items()})
-        if not isinstance(other, Poly):
-            return NotImplemented
-        self._check_same_ring(other)
-        out: dict[Monomial, Scalar] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ma, mb))
-                s = out.get(key, 0) + ca * cb
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return Poly(self.nvars, out)
+            return Poly._make(self.nvars, _canon({m: c * other for m, c in self.terms.items()}))
+        return NotImplemented
 
     def __rmul__(self, other) -> Poly:
         if isinstance(other, (int, Fraction)):
@@ -211,9 +232,8 @@ class Poly:
         for m, c in self.terms.items():
             e = m[i]
             if e:
-                key = m[:i] + (e - 1,) + m[i + 1:]
-                out[key] = out.get(key, 0) + c * e
-        return Poly(self.nvars, out)
+                out[m[:i] + (e - 1,) + m[i + 1:]] = c * e
+        return Poly._make(self.nvars, _canon(out))
 
     def diff_multi(self, exponents: Sequence[int]) -> Poly:
         """Apply the mixed partial d^e1/dx1^e1 ... in one pass."""
@@ -221,19 +241,12 @@ class Poly:
             raise ValueError("derivative exponent tuple has wrong length")
         out: dict[Monomial, Scalar] = {}
         for m, c in self.terms.items():
-            factor = 1
-            key = []
-            for e, d in zip(m, exponents):
-                if e < d:
-                    factor = 0
-                    break
-                for k in range(d):
-                    factor *= e - k
-                key.append(e - d)
+            # perm(e, d) is the falling factorial e(e-1)...(e-d+1), 0 for d > e;
+            # distinct surviving monomials keep distinct keys.
+            factor = prod(map(perm, m, exponents))
             if factor:
-                k2 = tuple(key)
-                out[k2] = out.get(k2, 0) + c * factor
-        return Poly(self.nvars, out)
+                out[tuple(map(sub, m, exponents))] = c * factor
+        return Poly._make(self.nvars, _canon(out))
 
     # -- protocol ----------------------------------------------------------
 
@@ -241,10 +254,10 @@ class Poly:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(self.nvars, other)
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Poly.constant(self.nvars, other)
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self) -> int:
@@ -294,7 +307,10 @@ def exact_divide(a: Poly, b: Poly) -> Poly:
 
     Single-divisor multivariate division with graded-lex leading terms:
     b divides a exactly iff the running remainder's leading term is always
-    divisible by the leading term of b, which this loop enforces.
+    divisible by the leading term of b, which this loop enforces.  The
+    remainder's monomials sit in a max-heap on the graded-lex key; a
+    monomial whose coefficient cancels to zero stays in the map until the
+    heap reaches it, so each one is pushed and popped once.
     """
     if not isinstance(a, Poly) or not isinstance(b, Poly):
         raise TypeError("exact_divide expects polynomials")
@@ -305,23 +321,39 @@ def exact_divide(a: Poly, b: Poly) -> Poly:
         return Poly.zero(a.nvars)
     lead_b = max(b.terms, key=_grlex)
     cb = b.terms[lead_b]
+    int_cb = type(cb) is int
+    # b's leading term cancels the popped term exactly; the rest of b only
+    # reaches monomials below it, so a popped monomial never comes back.
+    tail = [(mb, c) for mb, c in b.terms.items() if mb != lead_b]
     rem = dict(a.terms)
+    # heapq is a min-heap: negate degree and exponents for a max on grlex.
+    heap = [(-sum(m), tuple(map(neg, m)), m) for m in rem]
+    heapq.heapify(heap)
     quot: dict[Monomial, Scalar] = {}
-    while rem:
-        m = max(rem, key=_grlex)
-        mq = tuple(x - y for x, y in zip(m, lead_b))
-        if any(e < 0 for e in mq):
+    while heap:
+        m = heapq.heappop(heap)[2]
+        c = rem.pop(m)
+        if not c:
+            continue
+        mq = tuple(map(sub, m, lead_b))
+        if min(mq) < 0:
             raise NotDivisibleError("remainder is nonzero")
-        cq = simplify_scalar(Fraction(rem[m]) / Fraction(cb))
+        if int_cb and type(c) is int and not c % cb:
+            cq = c // cb
+        else:
+            cq = Fraction(c) / cb
+            if cq.denominator == 1:
+                cq = cq.numerator
         quot[mq] = cq
-        for mb, cbb in b.terms.items():
-            key = tuple(x + y for x, y in zip(mq, mb))
-            s = rem.get(key, 0) - cq * cbb
-            if s == 0:
-                rem.pop(key, None)
+        for mb, cbb in tail:
+            key = tuple(map(add, mq, mb))
+            old = rem.get(key)
+            if old is None:
+                rem[key] = -cq * cbb
+                heapq.heappush(heap, (-sum(key), tuple(map(neg, key)), key))
             else:
-                rem[key] = s
-    return Poly(a.nvars, quot)
+                rem[key] = old - cq * cbb
+    return Poly._make(a.nvars, quot)
 
 
 def divides_power(f: Poly, t: int, a: Poly) -> bool:

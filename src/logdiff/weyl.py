@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as cartesian
-from math import comb
+from math import comb, prod
 from typing import Mapping, Sequence
 
 from .polyring import Monomial, Poly, Scalar, divides_power
@@ -39,6 +39,19 @@ class DiffOp:
         self.nvars = nvars
         self.terms = clean
 
+    @classmethod
+    def _make(cls, nvars: int, terms: dict[Monomial, Poly]) -> DiffOp:
+        """Wrap an already canonical map without validating it.
+
+        Internal results only: every key is a length-``nvars`` tuple of
+        non-negative ints and every value a nonzero Poly in ``nvars``
+        variables.  The map is owned by the new operator.
+        """
+        out = object.__new__(cls)
+        out.nvars = nvars
+        out.terms = terms
+        return out
+
     # -- constructors -----------------------------------------------------
 
     @classmethod
@@ -51,7 +64,7 @@ class DiffOp:
 
     @classmethod
     def from_poly(cls, f: Poly) -> DiffOp:
-        return cls(f.nvars, {(0,) * f.nvars: f})
+        return cls._make(f.nvars, {(0,) * f.nvars: f} if f else {})
 
     @classmethod
     def partial(cls, nvars: int, index: int) -> DiffOp:
@@ -107,12 +120,8 @@ class DiffOp:
         out = dict(self.terms)
         for beta, coeff in other.terms.items():
             s = out.get(beta)
-            s = coeff if s is None else s + coeff
-            if s:
-                out[beta] = s
-            else:
-                out.pop(beta, None)
-        return DiffOp(self.nvars, out)
+            out[beta] = coeff if s is None else s + coeff
+        return DiffOp._make(self.nvars, {b: c for b, c in out.items() if c})
 
     __radd__ = __add__
 
@@ -120,55 +129,60 @@ class DiffOp:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        out = dict(self.terms)
+        for beta, coeff in other.terms.items():
+            s = out.get(beta)
+            out[beta] = -coeff if s is None else s - coeff
+        return DiffOp._make(self.nvars, {b: c for b, c in out.items() if c})
 
     def __rsub__(self, other) -> DiffOp:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __neg__(self) -> DiffOp:
-        return DiffOp(self.nvars, {b: -c for b, c in self.terms.items()})
+        return DiffOp._make(self.nvars, {b: -c for b, c in self.terms.items()})
 
     def __mul__(self, other) -> DiffOp:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         out: dict[Monomial, Poly] = {}
-        for beta, f in self.terms.items():
-            for gamma, g in other.terms.items():
-                # d^beta g = sum over delta <= beta of C(beta, delta)
-                # (d^delta g) d^(beta-delta); delta capped by the degrees of g.
-                caps = tuple(min(b, d) for b, d in zip(beta, g.degrees()))
+        left = self.terms.items()
+        for gamma, g in other.terms.items():
+            # d^beta g = sum over delta <= beta of C(beta, delta)
+            # (d^delta g) d^(beta-delta); delta capped by the degrees of g.
+            # Each derivative of g serves every left term that reaches it.
+            degrees = g.degrees()
+            derivs: dict[Monomial, Poly] = {}
+            for beta, f in left:
+                caps = map(min, beta, degrees)
                 for delta in cartesian(*(range(c + 1) for c in caps)):
-                    dg = g.diff_multi(delta)
+                    dg = derivs.get(delta)
+                    if dg is None:
+                        dg = derivs[delta] = g.diff_multi(delta)
                     if not dg:
                         continue
-                    mult = 1
-                    for b, d in zip(beta, delta):
-                        mult *= comb(b, d)
+                    mult = prod(map(comb, beta, delta))
                     key = tuple(b - d + c for b, d, c in zip(beta, delta, gamma))
                     term = f * dg
                     if mult != 1:
                         term = term * mult
                     acc = out.get(key)
-                    acc = term if acc is None else acc + term
-                    if acc:
-                        out[key] = acc
-                    else:
-                        out.pop(key, None)
-        return DiffOp(self.nvars, out)
+                    out[key] = term if acc is None else acc + term
+        return DiffOp._make(self.nvars, {b: c for b, c in out.items() if c})
 
     def __rmul__(self, other) -> DiffOp:
         # Polynomials and scalars multiply coefficients on the left directly.
-        if isinstance(other, (int, Fraction)):
-            return DiffOp(self.nvars, {b: c * other for b, c in self.terms.items()})
         if isinstance(other, Poly):
             if self.nvars != other.nvars:
                 raise ValueError("mixed ambient dimensions")
-            return DiffOp(self.nvars, {b: other * c for b, c in self.terms.items()})
-        return NotImplemented
+        elif not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if not other:
+            return DiffOp.zero(self.nvars)
+        return DiffOp._make(self.nvars, {b: c * other for b, c in self.terms.items()})
 
     def __pow__(self, n: int) -> DiffOp:
         if not isinstance(n, int) or n < 0:
@@ -184,13 +198,13 @@ class DiffOp:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (Poly, int, Fraction)):
+        if not isinstance(other, DiffOp):
+            if not isinstance(other, (Poly, int, Fraction)):
+                return NotImplemented
             try:
                 other = self._coerce(other)
             except ValueError:
                 return False
-        if not isinstance(other, DiffOp):
-            return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self) -> int:

@@ -11,7 +11,7 @@ from typing import Sequence
 from logdiff.arrangement import Arrangement, SaitoBasis
 from logdiff.jacobian import OpFamily, commutator_value_matrix, product_family
 from logdiff.linalg import determinant, multiplicity_product, sym_indices
-from logdiff.polyring import NotDivisibleError, Poly, coordinates, exact_divide
+from logdiff.polyring import NotDivisibleError, Poly, coordinates, exact_divide, simplify_scalar
 from logdiff.tangent import Decomposition, DecompositionError, Word
 from logdiff.weyl import Derivation, DiffOp, iterated_commutator
 
@@ -113,6 +113,35 @@ def eval_poly(f: Poly, point) -> Fraction:
             value *= Fraction(x) ** e
         total += value
     return total
+
+
+def exact_divide_by_rescan(a: Poly, b: Poly) -> Poly:
+    """Reference route for ``exact_divide``: rescan the remainder for its
+    graded-lex leading term before each quotient term (quadratic in the
+    number of terms), raising NotDivisibleError when that term is not a
+    multiple of b's leading term."""
+    def grlex(m):
+        return (sum(m), m)
+
+    lead_b = max(b.terms, key=grlex)
+    cb = b.terms[lead_b]
+    rem = dict(a.terms)
+    quot = {}
+    while rem:
+        m = max(rem, key=grlex)
+        mq = tuple(x - y for x, y in zip(m, lead_b))
+        if any(e < 0 for e in mq):
+            raise NotDivisibleError("remainder is nonzero")
+        cq = simplify_scalar(Fraction(rem[m]) / Fraction(cb))
+        quot[mq] = cq
+        for mb, cbb in b.terms.items():
+            key = tuple(x + y for x, y in zip(mq, mb))
+            s = rem.get(key, 0) - cq * cbb
+            if s == 0:
+                rem.pop(key, None)
+            else:
+                rem[key] = s
+    return Poly(a.nvars, quot)
 
 
 def decompose_by_jacobians(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> Decomposition:

@@ -191,6 +191,28 @@ def test_tangent_deeply_nested_operator(capsys):
     )
     assert code == 2
     assert err.startswith("error: ") and "nested too deeply" in err
+    # the operator text is quoted as a short prefix, not all 4,001 characters
+    assert max(len(line) for line in err.splitlines()) < 200
+
+
+def test_tangent_huge_exponent_is_a_parse_error(capsys):
+    code, _, err = run(
+        capsys, "tangent", "--arrangement", "builtin:boolean1",
+        "--op", "x^100000000", "--tmax", "1",
+    )
+    assert code == 2
+    assert err.startswith("error: ") and "exceeds the limit" in err
+
+
+def test_long_basis_entry_is_quoted_short(tmp_path, capsys):
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps(["(" * 2000 + "x1*d1" + ")" * 2000, "x2*d2"]))
+    code, _, err = run(
+        capsys, "check-free", "--arrangement", "builtin:boolean2", "--basis", str(basis),
+    )
+    assert code == 2
+    assert "basis entry 1" in err and "nested too deeply" in err
+    assert max(len(line) for line in err.splitlines()) < 200
 
 
 def test_tangent_constant(capsys):

@@ -4,7 +4,14 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_diffop, random_poly
-from logdiff.exprparse import ParseError, parse_diffop, parse_poly, render
+from logdiff.exprparse import (
+    MAX_EXPONENT,
+    MAX_NESTING,
+    ParseError,
+    parse_diffop,
+    parse_poly,
+    render,
+)
 from logdiff.polyring import Poly
 from logdiff.weyl import DiffOp
 
@@ -98,6 +105,28 @@ def test_parse_deep_nesting_is_a_parse_error():
             with pytest.raises(ParseError, match="nested too deeply"):
                 parse(text, 1)
     assert parse_poly("(" * 50 + "x" + ")" * 50, 1) == parse_poly("x", 1)
+
+
+def test_nesting_limit_is_a_fixed_depth():
+    n = MAX_NESTING
+    x = parse_diffop("x", 1)
+    sign = 1 if n % 2 == 0 else -1
+    # n levels of parentheses, minus signs or both parse; n + 1 levels do not
+    assert parse_diffop("(" * n + "x" + ")" * n, 1) == x
+    assert parse_diffop("-" * n + "x", 1) == sign * x
+    assert parse_diffop("-" + "(" * (n - 1) + "x" + ")" * (n - 1), 1) == -x
+    for text in ("(" * (n + 1) + "x" + ")" * (n + 1), "-" * (n + 1) + "x",
+                 "-" + "(" * n + "x" + ")" * n):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_diffop(text, 1)
+
+
+def test_exponent_limit():
+    assert parse_poly(f"x^{MAX_EXPONENT}", 1).terms == {(MAX_EXPONENT,): 1}
+    for text in (f"x^{MAX_EXPONENT + 1}", "d1^100000000", "x^100000000"):
+        with pytest.raises(ParseError, match="exceeds the limit") as info:
+            parse_diffop(text, 1)
+        assert info.value.position == text.index("^") + 1
 
 
 # -- rendering ----------------------------------------------------------------------

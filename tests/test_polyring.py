@@ -3,10 +3,10 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import apply_linear_map, eval_poly, random_poly
+from helpers import apply_linear_map, eval_poly, exact_divide_by_rescan, random_poly
 from logdiff.exprparse import parse_poly
 from logdiff.polyring import (
     LinearForm,
@@ -169,3 +169,64 @@ def test_divides_power_matches_exact_divide():
         except NotDivisibleError:
             expected = False
         assert divides_power(f, t, a) == expected
+
+
+# -- the arithmetic kernel against the validating constructor and oracle ------
+
+_qcoeffs = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+_monos3 = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+_qpolys = st.dictionaries(_monos3, _qcoeffs, max_size=5).map(lambda d: Poly(3, d))
+_deltas = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+
+
+def assert_canonical(p):
+    """No zero coefficient, every integral one an int, and equal (with an
+    equal hash) to the same map passed through the validating ``Poly``."""
+    for m, c in p.terms.items():
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+        assert len(m) == p.nvars and all(type(e) is int and e >= 0 for e in m)
+    rebuilt = Poly(p.nvars, p.terms)
+    assert rebuilt == p and hash(rebuilt) == hash(p)
+
+
+def divide_or_fail(divide, a, b):
+    try:
+        return divide(a, b)
+    except NotDivisibleError:
+        return NotDivisibleError
+
+
+@settings(max_examples=100)
+@given(_qpolys, _qpolys, _qpolys)
+def test_exact_divide_matches_rescan_oracle(a, b, c):
+    assume(b)
+    for dividend in (a, a * b, a * b + c):
+        got = divide_or_fail(exact_divide, dividend, b)
+        assert got == divide_or_fail(exact_divide_by_rescan, dividend, b)
+        if got is not NotDivisibleError:
+            assert_canonical(got)
+            assert got * b == dividend
+    q = exact_divide(a * b, b)
+    assert q == a
+    assert_canonical(q)
+
+
+@settings(max_examples=100)
+@given(_qpolys, _qpolys, _qcoeffs, _deltas)
+def test_kernel_results_are_canonical(a, b, s, delta):
+    for result in (a + b, a - b, a * b, -a, a * s, s * a, a + s, s - a,
+                   a.diff(1), a.diff_multi(delta), (a * b).diff_multi(delta)):
+        assert_canonical(result)
+
+
+def test_integral_fraction_results_are_stored_as_int():
+    half = Poly(1, {(1,): Fraction(1, 2), (0,): Fraction(3, 2)})
+    for result in (half + half, half * 2, (half * half).diff(1),
+                   half.diff_multi((1,)) * 4, exact_divide(half * 4, half)):
+        assert_canonical(result)
+    assert (half + half).terms == {(1,): 1, (0,): 3}
+    assert exact_divide(Poly(1, {(1,): 3}), Poly(1, {(1,): 2})).terms == {(0,): Fraction(3, 2)}

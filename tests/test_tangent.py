@@ -262,12 +262,6 @@ def test_decompose_a3_order_four():
     assert reassemble(dec) == u
 
 
-def test_decompose_rejects_non_tangent_operator():
-    arr, basis = fixture_basis("boolean1")
-    with pytest.raises(DecompositionError):
-        decompose(D("d1", 1), arr, basis)
-
-
 def test_decompose_division_failure_diagnosis():
     arr, basis = fixture_basis("boolean1")
     with pytest.raises(DecompositionError) as info:

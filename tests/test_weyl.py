@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -52,6 +53,48 @@ def test_product_order_bound():
         uv = u * v
         if u.order is not None and v.order is not None and uv:
             assert uv.order <= u.order + v.order
+
+
+def _times_by_commutation(u, v):
+    """u * v by moving one partial at a time across each coefficient with
+    d_i * h = h * d_i + dh/dx_i; independent of the Leibniz formula."""
+    n = u.nvars
+    out = DiffOp.zero(n)
+    for beta, f in u.terms.items():
+        for gamma, g in v.terms.items():
+            cur = {gamma: g}  # d^beta' * g * d^gamma as sum of h * d^delta
+            for i, e in enumerate(beta):
+                for _ in range(e):
+                    nxt = {}
+                    for delta, h in cur.items():
+                        up = delta[:i] + (delta[i] + 1,) + delta[i + 1:]
+                        nxt[up] = nxt.get(up, Poly.zero(n)) + h
+                        nxt[delta] = nxt.get(delta, Poly.zero(n)) + h.diff(i + 1)
+                    cur = nxt
+            out = out + f * DiffOp(n, cur)
+    return out
+
+
+def test_leibniz_product_matches_commutation_relation():
+    # one right coefficient meets several left terms, which share its derivatives
+    f = P("x^3*y^2 + 2*x*y - 1/2*y^3", 2)
+    u = D("d1 + d2 + x*d1*d2 + d1^2*d2 + 3*d2^2", 2)
+    assert u * f == _times_by_commutation(u, DiffOp.from_poly(f))
+    rng = random.Random(6)
+    for _ in range(40):
+        u = random_diffop(rng, 2, max_order=3, max_terms=4)
+        v = random_diffop(rng, 2, max_order=2, max_degree=3)
+        uv = u * v
+        assert uv == _times_by_commutation(u, v)
+        for beta, coeff in uv.terms.items():
+            assert coeff and coeff.nvars == 2 and len(beta) == 2
+
+
+def test_left_multiplication_by_zero_gives_zero_operator():
+    u = D("x*d1 + d2^2", 2)
+    for zero in (0, Fraction(0), Poly.zero(2)):
+        assert (zero * u).terms == {}
+    assert (Fraction(1, 2) * u).terms == D("1/2*x*d1 + 1/2*d2^2", 2).terms
 
 
 def test_dimension_mismatch_rejected():
