@@ -4,7 +4,8 @@ Subcommands: ``check-free`` (Saito certification), ``decompose`` (write a
 tangent operator as words in a basis), ``tangent`` (truncated tangency
 table), and ``verify`` (seeded randomized checks of the core identities).
 
-Exit codes: 0 success, 1 mathematical negative, 2 usage or parse error.
+Exit codes: 0 success, 1 mathematical negative, 2 usage or parse error,
+3 internal error (a result failed its own invariant check, which is a bug).
 Arrangements come from JSON files ``{"dim": l, "forms": [[coeff, ...],
 ...], "basis": ["op text", ...]}`` or from the named fixtures
 ``builtin:boolean1``, ``builtin:boolean2``, ``builtin:boolean3``,
@@ -25,7 +26,8 @@ from .arrangement import Arrangement, builtin_arrangement, saito_check
 from .exprparse import ParseError, parse_diffop, render
 from .jacobian import OpFamily, higher_jacobian, jacobian_power_identity
 from .linalg import sym_indices, sym_power_det_identity_holds
-from .polyring import LinearForm, Poly, coordinates, divides_power
+from .polyring import LinearForm, coordinates, divides_power
+from .sampling import random_order_one_op, random_word
 from .tangent import (
     DecompositionError,
     decompose,
@@ -188,9 +190,9 @@ def cmd_decompose(args) -> int:
         print(f"not decomposable: {exc}")
         return 1
     if reassemble(dec) != op and op:
-        raise AssertionError("internal error: reassembly does not match the input")
+        raise AssertionError("reassembly does not match the input")
     if not dec.words and op:
-        raise AssertionError("internal error: nonzero operator gave no words")
+        raise AssertionError("nonzero operator gave no words")
     payload = decomposition_to_json(dec)
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -200,30 +202,6 @@ def cmd_decompose(args) -> int:
         for item in payload:
             print(f"word {item['word']}: coeff {item['coeff']}")
     return 0
-
-
-def _random_monomial(rng: random.Random, nvars: int, max_degree: int):
-    exps = [0] * nvars
-    for _ in range(rng.randint(0, max_degree)):
-        exps[rng.randrange(nvars)] += 1
-    return tuple(exps)
-
-
-def _random_poly(rng: random.Random, nvars: int, max_degree: int, nonzero: bool = False) -> Poly:
-    terms = {}
-    for _ in range(rng.randint(0, 3)):
-        terms[_random_monomial(rng, nvars, max_degree)] = rng.randint(-4, 4)
-    p = Poly(nvars, terms)
-    if nonzero and not p:
-        return Poly.constant(nvars, rng.choice([1, 2, -1, -2, 3]))
-    return p
-
-
-def _random_order_one_op(rng: random.Random, nvars: int, max_degree: int) -> DiffOp:
-    op = DiffOp.from_poly(_random_poly(rng, nvars, max_degree))
-    for i in range(1, nvars + 1):
-        op = op + _random_poly(rng, nvars, max_degree) * DiffOp.partial(nvars, i)
-    return op
 
 
 def _report(name: str, details: str, trials: int, seed: int, failures: list[str]) -> int:
@@ -258,20 +236,11 @@ def _verify_jacobian_power(args) -> int:
             ops: Sequence = fixture_thetas
             label = "fixture basis"
         else:
-            ops = [_random_order_one_op(rng, dim, 2) for _ in range(dim)]
+            ops = [random_order_one_op(rng, dim, 2) for _ in range(dim)]
             label = "; ".join(render(op) for op in ops)
         if not jacobian_power_identity(fs, ops, args.p):
             failures.append(f"trial {trial}: ops {label}")
     return _report("jacobian-power", f"l={dim} p={args.p}", args.trials, args.seed, failures)
-
-
-def _random_word_entry(rng: random.Random, thetas, max_len: int, nvars: int) -> DiffOp:
-    length = rng.randint(0, max_len)
-    letters = sorted(rng.randint(1, len(thetas)) for _ in range(length))
-    op = DiffOp.from_poly(_random_poly(rng, nvars, 2, nonzero=True))
-    for i in letters:
-        op = op * thetas[i - 1].as_diffop()
-    return op
 
 
 def _verify_divisibility(args) -> int:
@@ -288,7 +257,7 @@ def _verify_divisibility(args) -> int:
     failures = []
     for trial in range(args.trials):
         entries = tuple(
-            _random_word_entry(rng, thetas, args.p, arr.dim)
+            random_word(rng, thetas, arr.dim, args.p)
             for _ in sym_indices(arr.dim, args.p)
         )
         fam = OpFamily(arr.dim, args.p, entries)
@@ -370,6 +339,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

@@ -9,10 +9,12 @@ loose: ``^``, unary ``-``, ``*``, binary ``+``/``-``)::
     power  := atom ('^' INT)?
     atom   := INT ('/' INT)? | NAME | '(' expr ')'
 
-Exponents above ``MAX_EXPONENT`` and nesting (open parentheses plus
-pending unary minus signs) deeper than ``MAX_NESTING`` are rejected with a
-``ParseError``: powers are computed by repeated multiplication, and the
-parser recurses once per nesting level.
+Exponents above ``MAX_EXPONENT``, nesting (open parentheses plus pending
+unary minus signs) deeper than ``MAX_NESTING``, and any sum, product or
+step of a power with more than ``MAX_TERMS`` terms (counted over all
+coefficients) are rejected with a ``ParseError``: powers are computed by
+repeated multiplication, the parser recurses once per nesting level, and
+the term check after every step stops an expansion before it grows large.
 
 Names are ``x1 .. xl`` for variables and ``d1 .. dl`` for partials, with
 ``x``, ``y``, ``z`` accepted as aliases of ``x1``, ``x2``, ``x3`` when the
@@ -35,6 +37,7 @@ MAX_EXPONENT = 1000
 # Each level costs at most five Python frames, well inside the default
 # recursion limit of 1000 even when the caller is already deep.
 MAX_NESTING = 100
+MAX_TERMS = 10_000
 
 
 class ParseError(ValueError):
@@ -89,6 +92,11 @@ class _Parser:
         if self.depth > MAX_NESTING:
             raise ParseError("expression is nested too deeply", at)
 
+    def bounded(self, value: DiffOp, at: int) -> DiffOp:
+        if sum(len(c.terms) for c in value.terms.values()) > MAX_TERMS:
+            raise ParseError(f"expression has more than {MAX_TERMS} terms", at)
+        return value
+
     def expect_op(self, symbol: str):
         kind, value, at = self.peek()
         if kind != "op" or value != symbol:
@@ -105,21 +113,21 @@ class _Parser:
     def expr(self) -> DiffOp:
         value = self.term()
         while True:
-            kind, tok, _ = self.peek()
+            kind, tok, at = self.peek()
             if kind == "op" and tok in "+-":
                 self.advance()
                 rhs = self.term()
-                value = value + rhs if tok == "+" else value - rhs
+                value = self.bounded(value + rhs if tok == "+" else value - rhs, at)
             else:
                 return value
 
     def term(self) -> DiffOp:
         value = self.factor()
         while True:
-            kind, tok, _ = self.peek()
+            kind, tok, at = self.peek()
             if kind == "op" and tok == "*":
                 self.advance()
-                value = value * self.factor()
+                value = self.bounded(value * self.factor(), at)
             else:
                 return value
 
@@ -146,7 +154,10 @@ class _Parser:
             if exp > MAX_EXPONENT:
                 raise ParseError(f"exponent {exp} exceeds the limit {MAX_EXPONENT}", at)
             self.advance()
-            return base ** exp
+            value = DiffOp.one(self.nvars)
+            for _ in range(exp):
+                value = self.bounded(value * base, at)
+            return value
         return base
 
     def atom(self) -> DiffOp:

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
-from .linalg import determinant, multiplicity_product, sym_indices
+from .linalg import determinant, fold_sym_indices, multiplicity_product, sym_indices
 from .polyring import Poly
-from .weyl import Derivation, DiffOp, iterated_commutator
+from .weyl import Derivation, DiffOp, commutator
 
 
 @dataclass(frozen=True)
@@ -53,27 +53,23 @@ def product_family(ops: Sequence[DiffOp | Derivation], power: int) -> OpFamily:
     nvars = ops[0].nvars
     if len(ops) != nvars:
         raise ValueError("need one operator per variable")
-    entries = []
-    for idx in sym_indices(nvars, power):
-        w = DiffOp.one(nvars)
-        for i in idx:
-            w = w * ops[i - 1]
-        entries.append(w)
+    entries = fold_sym_indices(nvars, power, DiffOp.one(nvars), lambda w, i: w * ops[i - 1])
     return OpFamily(nvars, power, tuple(entries))
 
 
 def commutator_value_matrix(fs: Sequence[Poly], fam: OpFamily) -> list[list[Poly]]:
-    """Matrix entry (i, j) is [fam_i, fs_{j_1}, ..., fs_{j_p}] applied to 1."""
+    """Matrix entry (i, j) is [fam_i, fs_{j_1}, ..., fs_{j_p}] applied to 1.
+
+    Within a row, the bracket with each prefix of the column tuples is
+    formed once and shared by every column that extends it.
+    """
     if len(fs) != fam.nvars:
         raise ValueError("need one polynomial per variable")
-    idxs = fam.index_tuples
-    rows = []
-    for u in fam.entries:
-        rows.append([
-            iterated_commutator(u, [fs[j - 1] for j in jdx]).value_at_one()
-            for jdx in idxs
-        ])
-    return rows
+    return [
+        [w.value_at_one() for w in fold_sym_indices(
+            fam.nvars, fam.power, u, lambda w, j: commutator(w, fs[j - 1]))]
+        for u in fam.entries
+    ]
 
 
 def higher_jacobian(fs: Sequence[Poly], fam: OpFamily) -> Poly:

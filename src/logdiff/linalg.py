@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
-from math import comb, factorial
+from math import comb, factorial, prod
+from operator import add
 from typing import Sequence
 
 from .polyring import Poly, exact_divide, simplify_scalar
@@ -190,23 +191,69 @@ def _det_bareiss(a: list[list], n: int):
     return -result if sign < 0 else result
 
 
+def fold_sym_indices(dim: int, power: int, start, step) -> list:
+    """Fold ``step`` along every tuple of ``sym_indices(dim, power)``.
+
+    The value at () is ``start`` and the value at k + (j,) is
+    ``step(value at k, j)``.  Every prefix of a weakly increasing tuple is
+    one too, so each prefix is folded once and shared by all the tuples
+    that extend it.  The result follows the ``sym_indices`` order.
+    """
+    level = [((), start)]
+    for _ in range(power):
+        level = [
+            (k + (j,), step(value, j))
+            for k, value in level
+            for j in range(k[-1] if k else 1, dim + 1)
+        ]
+    return [value for _, value in level]
+
+
 def sym_power_matrix(m: Matrix, power: int) -> list[list]:
     """The induced matrix on the degree-``power`` symmetric power.
 
-    Entry (i, j) is the permanent of the power x power matrix whose (a, b)
+    Entry (I, J) is the permanent of the power x power matrix whose (a, b)
     entry is m[i_a][j_b]; rows and columns follow the ``sym_indices`` order.
+    Row I is read off the product over a of the linear forms
+    sum_j m[i_a][j] y_j: the permanent counts each way of giving the
+    factors the columns of J once per reordering of equal columns, so
+    entry (I, J) is the coefficient of y^mult(J) times the product of the
+    multiplicity factorials of J.
     """
     dim = _square_size(m)
     idxs = sym_indices(dim, power)
+    one = _one_like(m[0][0])
     if power == 0:
-        return [[_one_like(m[0][0])]]
+        return [[one]]
+    zero = _zero_like(m[0][0])
+    # Row i of m as (unit exponent vector of y_j, nonzero m[i][j]) pairs.
+    forms = [
+        [(tuple(int(k == j) for k in range(dim)), x)
+         for j, x in enumerate(row) if not _is_zero(x)]
+        for row in m
+    ]
+
+    def times_form(prev: dict, i: int) -> dict:
+        out: dict = {}
+        for mono, c in prev.items():
+            for unit, x in forms[i - 1]:
+                key = tuple(map(add, mono, unit))
+                acc = out.get(key)
+                out[key] = c * x if acc is None else acc + c * x
+        return out
+
+    rows = fold_sym_indices(dim, power, {(0,) * dim: one}, times_form)
+    cols = []
+    for j in idxs:
+        mult = multiplicity_vector(j, dim)
+        cols.append((mult, prod(map(factorial, mult))))
     out = []
-    for i in idxs:
-        row = []
-        for j in idxs:
-            block = [[m[ia - 1][jb - 1] for jb in j] for ia in i]
-            row.append(permanent(block))
-        out.append(row)
+    for row in rows:
+        entries = []
+        for mult, f in cols:
+            c = row.get(mult)
+            entries.append(zero if c is None else c if f == 1 else c * f)
+        out.append(entries)
     return out
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as cartesian
+from itertools import islice, product as cartesian
 from math import comb, prod
 from typing import Mapping, Sequence
 
@@ -151,26 +151,7 @@ class DiffOp:
         out: dict[Monomial, Poly] = {}
         left = self.terms.items()
         for gamma, g in other.terms.items():
-            # d^beta g = sum over delta <= beta of C(beta, delta)
-            # (d^delta g) d^(beta-delta); delta capped by the degrees of g.
-            # Each derivative of g serves every left term that reaches it.
-            degrees = g.degrees()
-            derivs: dict[Monomial, Poly] = {}
-            for beta, f in left:
-                caps = map(min, beta, degrees)
-                for delta in cartesian(*(range(c + 1) for c in caps)):
-                    dg = derivs.get(delta)
-                    if dg is None:
-                        dg = derivs[delta] = g.diff_multi(delta)
-                    if not dg:
-                        continue
-                    mult = prod(map(comb, beta, delta))
-                    key = tuple(b - d + c for b, d, c in zip(beta, delta, gamma))
-                    term = f * dg
-                    if mult != 1:
-                        term = term * mult
-                    acc = out.get(key)
-                    out[key] = term if acc is None else acc + term
+            _leibniz_into(out, left, g, gamma, 0)
         return DiffOp._make(self.nvars, {b: c for b, c in out.items() if c})
 
     def __rmul__(self, other) -> DiffOp:
@@ -217,6 +198,35 @@ class DiffOp:
 
     def __repr__(self) -> str:
         return f"DiffOp({self!s}, nvars={self.nvars})"
+
+
+def _leibniz_into(out: dict[Monomial, Poly], left, g: Poly, gamma: Monomial,
+                  skip: int) -> None:
+    """Add (sum over ``left`` of f d^beta) * g d^gamma into ``out``.
+
+    d^beta g = sum over delta <= beta of C(beta, delta) (d^delta g)
+    d^(beta-delta), with delta capped by the degrees of g; each derivative
+    of g serves every left term that reaches it.  ``skip`` = 1 drops the
+    delta = 0 terms f g d^beta, which come first in the delta order.
+    """
+    degrees = g.degrees()
+    derivs: dict[Monomial, Poly] = {}
+    for beta, f in left:
+        caps = map(min, beta, degrees)
+        deltas = cartesian(*(range(c + 1) for c in caps))
+        for delta in islice(deltas, skip, None):
+            dg = derivs.get(delta)
+            if dg is None:
+                dg = derivs[delta] = g.diff_multi(delta)
+            if not dg:
+                continue
+            mult = prod(map(comb, beta, delta))
+            key = tuple(b - d + c for b, d, c in zip(beta, delta, gamma))
+            term = f * dg
+            if mult != 1:
+                term = term * mult
+            acc = out.get(key)
+            out[key] = term if acc is None else acc + term
 
 
 @dataclass(frozen=True)
@@ -285,11 +295,21 @@ class Derivation:
 
 
 def commutator(u: DiffOp, v) -> DiffOp:
-    """[u, v] = uv - vu, with polynomials and scalars coerced."""
+    """[u, v] = uv - vu, with polynomials and scalars coerced.
+
+    For a polynomial or scalar f the delta = 0 Leibniz terms of u*f are
+    exactly f*u, so only the rest is formed: [u, f] is the sum, over the
+    terms a_beta d^beta of u and 0 < delta <= beta, of
+    C(beta, delta) a_beta (d^delta f) d^(beta-delta).
+    """
     w = u._coerce(v)
     if w is None:
         raise TypeError(f"cannot commute a DiffOp with {type(v).__name__}")
-    return u * w - w * u
+    if isinstance(v, DiffOp):
+        return u * w - w * u
+    out: dict[Monomial, Poly] = {}
+    _leibniz_into(out, u.terms.items(), w.value_at_one(), (0,) * u.nvars, 1)
+    return DiffOp._make(u.nvars, {b: c for b, c in out.items() if c})
 
 
 def iterated_commutator(u: DiffOp, fs: Sequence[Poly]) -> DiffOp:

@@ -1,5 +1,6 @@
-"""Seeded random value generators, reference routes and small constructions
-that only the tests use, shared across the test modules."""
+"""Random generators on top of ``logdiff.sampling``, reference routes and
+small constructions that only the tests use, shared across the test
+modules."""
 
 from __future__ import annotations
 
@@ -10,28 +11,11 @@ from typing import Sequence
 
 from logdiff.arrangement import Arrangement, SaitoBasis
 from logdiff.jacobian import OpFamily, commutator_value_matrix, product_family
-from logdiff.linalg import determinant, multiplicity_product, sym_indices
+from logdiff.linalg import determinant, multiplicity_product, permanent, sym_indices
 from logdiff.polyring import NotDivisibleError, Poly, coordinates, exact_divide, simplify_scalar
+from logdiff.sampling import random_monomial, random_poly, random_word
 from logdiff.tangent import Decomposition, DecompositionError, Word
 from logdiff.weyl import Derivation, DiffOp, iterated_commutator
-
-
-def random_monomial(rng: random.Random, nvars: int, max_degree: int) -> tuple[int, ...]:
-    exps = [0] * nvars
-    for _ in range(rng.randint(0, max_degree)):
-        exps[rng.randrange(nvars)] += 1
-    return tuple(exps)
-
-
-def random_poly(rng: random.Random, nvars: int, max_degree: int = 2,
-                max_terms: int = 3, nonzero: bool = False) -> Poly:
-    terms = {}
-    for _ in range(rng.randint(0, max_terms)):
-        terms[random_monomial(rng, nvars, max_degree)] = rng.randint(-4, 4)
-    p = Poly(nvars, terms)
-    if nonzero and not p:
-        return Poly.constant(nvars, rng.choice([-2, -1, 1, 2, 3]))
-    return p
 
 
 def random_diffop(rng: random.Random, nvars: int, max_order: int = 2,
@@ -55,12 +39,7 @@ def random_word_operator(rng: random.Random, thetas, nvars: int,
     """A sum of words: polynomial coefficients times products of generators."""
     op = DiffOp.zero(nvars)
     for _ in range(rng.randint(1, max_words)):
-        length = rng.randint(0, max_len)
-        letters = sorted(rng.randint(1, len(thetas)) for _ in range(length))
-        w = DiffOp.from_poly(random_poly(rng, nvars, coeff_degree, nonzero=True))
-        for i in letters:
-            w = w * thetas[i - 1].as_diffop()
-        op = op + w
+        op = op + random_word(rng, thetas, nvars, max_len, coeff_degree)
     return op
 
 
@@ -102,6 +81,35 @@ def substitute_entry(fam: OpFamily, w: DiffOp, idx: Sequence[int]) -> OpFamily:
     pos = fam.index_tuples.index(tuple(idx))
     entries = fam.entries[:pos] + (w,) + fam.entries[pos + 1:]
     return OpFamily(fam.nvars, fam.power, entries)
+
+
+def sym_power_matrix_by_permanents(m, power: int) -> list[list]:
+    """Reference route for ``sym_power_matrix``: entry (I, J) is the
+    permanent of the power x power block whose (a, b) entry is
+    m[i_a][j_b], computed separately for every pair of index tuples."""
+    idxs = sym_indices(len(m), power)
+    if power == 0:
+        return [[Poly.one(m[0][0].nvars) if isinstance(m[0][0], Poly) else 1]]
+    return [
+        [permanent([[m[ia - 1][jb - 1] for jb in j] for ia in i]) for j in idxs]
+        for i in idxs
+    ]
+
+
+def commutator_value_matrix_by_products(fs: Sequence[Poly], fam: OpFamily) -> list[list[Poly]]:
+    """Reference route for ``commutator_value_matrix``: every entry brackets
+    from scratch, each bracket [w, f] formed as the products w*f - f*w."""
+    rows = []
+    for u in fam.entries:
+        row = []
+        for jdx in fam.index_tuples:
+            w = u
+            for j in jdx:
+                f = fs[j - 1]
+                w = w * f - f * w
+            row.append(w.value_at_one())
+        rows.append(row)
+    return rows
 
 
 def eval_poly(f: Poly, point) -> Fraction:

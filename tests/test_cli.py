@@ -1,8 +1,15 @@
 import json
+import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import logdiff.cli
+from logdiff.arrangement import builtin_arrangement
 from logdiff.cli import main
+from logdiff.exprparse import render
+from logdiff.sampling import random_order_one_op, random_poly, random_word
 
 
 def run(capsys, *argv):
@@ -195,6 +202,25 @@ def test_tangent_deeply_nested_operator(capsys):
     assert max(len(line) for line in err.splitlines()) < 200
 
 
+def test_decompose_internal_error_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(logdiff.cli, "reassemble", lambda dec: logdiff.cli.DiffOp.zero(1))
+    code, out, err = run(
+        capsys, "decompose", "--arrangement", "builtin:boolean1", "--op", "x1^2*d1^2",
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: reassembly does not match the input\n"
+
+
+def test_tangent_term_limit_is_a_parse_error(capsys):
+    code, _, err = run(
+        capsys, "tangent", "--arrangement", "builtin:boolean3",
+        "--op", "(x1+x2+x3+d1)^1000", "--tmax", "1",
+    )
+    assert code == 2
+    assert err.startswith("error: ") and "more than 10000 terms" in err
+
+
 def test_tangent_huge_exponent_is_a_parse_error(capsys):
     code, _, err = run(
         capsys, "tangent", "--arrangement", "builtin:boolean1",
@@ -280,6 +306,113 @@ def test_verify_deterministic_given_seed(capsys):
     assert out1 == out2
 
 
+def test_verify_draws_are_pinned():
+    # Recorded from the generators as ``logdiff verify`` has always drawn
+    # them, so that ``verify --seed N`` keeps reproducing earlier runs.
+    rng = random.Random(20261018)
+    got = []
+    for _ in range(3):
+        got.append(render(random_poly(rng, 2, 2)))
+        got.append(render(random_poly(rng, 3, 2, nonzero=True)))
+        got.append(render(random_order_one_op(rng, 2, 2)))
+    _, thetas = builtin_arrangement("triple2")
+    for _ in range(3):
+        got.append(render(random_word(rng, thetas, 2, 2)))
+    assert got == [
+        "1",
+        "4*x1^2 - 4*x2^2 - 2*x3^2",
+        "-2*x1^2*d1 - x1^2*d2",
+        "-2",
+        "3",
+        "-3*x1^2*d1 + 4*x1*x2*d1 + 3*x2*d2 + 4*d2",
+        "0",
+        "4",
+        "-3*x1^2*d1 + x1*x2*d1 - x1*x2*d2 - 4",
+        "-x1^3*x2^2*d1^2 + 3*x1^4*d1^2 - x1^2*x2^3*d1*d2 + x1*x2^4*d1*d2"
+        " + 3*x1^3*x2*d1*d2 - 3*x1^2*x2^2*d1*d2 + x2^5*d2^2 - 3*x1*x2^3*d2^2"
+        " - 2*x1^2*x2^2*d1 + 6*x1^3*d1 + 2*x2^4*d2 - 6*x1*x2^2*d2",
+        "-1",
+        "3*x1^3*x2^2*d1^2 + 2*x1^3*d1^2 + 3*x1^2*x2^3*d1*d2 - 3*x1*x2^4*d1*d2"
+        " + 2*x1^2*x2*d1*d2 - 2*x1*x2^2*d1*d2 - 3*x2^5*d2^2 - 2*x2^3*d2^2"
+        " + 6*x1^2*x2^2*d1 + 4*x1^2*d1 - 6*x2^4*d2 - 4*x2^2*d2",
+    ]
+    assert rng.randrange(10 ** 9) == 405785738
+    # the fallback constant of a nonzero draw
+    assert [random_poly(rng, 1, 0, nonzero=True).constant_term() for _ in range(20)] == [
+        1, 2, -2, 3, -1, 3, -1, -1, 1, -1, 1, 1, -3, 4, 4, -4, -2, 1, -3, 4,
+    ]
+    assert rng.randrange(10 ** 9) == 106487582
+
+
+def test_verify_failure_report_is_pinned(tmp_path, capsys):
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps(["d1", "d2"]))
+    code, out, _ = run(
+        capsys, "verify", "--lemma", "divisibility", "--arrangement", "builtin:triple2",
+        "--basis", str(basis), "--p", "1", "--trials", "4", "--seed", "3",
+    )
+    assert code == 1
+    assert out == (
+        "divisibility: arrangement=builtin:triple2 p=1 trials=4 seed=3 passed=3 failed=1\n"
+        "  reproduce: trial 2: entries ['4*x1*x2*d2 + 2*x2^2*d2', '-2*x1*x2*d1 - x2^2*d1']\n"
+    )
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["decompose"]) == 2
     capsys.readouterr()
+
+
+# -- fuzzing ----------------------------------------------------------------------
+
+_op_text = st.lists(
+    st.sampled_from(["x1", "x2", "d1", "d2", "x", "y", "z", "d3", "1", "2", "3", "1/2",
+                     "+", "-", "*", "^", "(", ")", " ", "/", "0", "&"]),
+    max_size=14,
+).map("".join)
+_coeff = st.one_of(st.integers(-3, 3), st.text("0123-./e", max_size=3), st.none())
+_consistent_arrangement = st.integers(1, 3).flatmap(lambda n: st.fixed_dictionaries({
+    "dim": st.just(n),
+    "forms": st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                      min_size=1, max_size=4),
+}, optional={"basis": st.lists(_op_text, min_size=n, max_size=n)}))
+_arrangement_json = st.one_of(
+    _consistent_arrangement,
+    st.fixed_dictionaries({
+        "dim": st.one_of(st.integers(-1, 3), st.text(max_size=2), st.none()),
+        "forms": st.one_of(
+            st.lists(st.lists(_coeff, max_size=3), max_size=4),
+            st.integers(), st.text(max_size=3),
+        ),
+    }, optional={"basis": st.one_of(st.lists(_op_text, max_size=3), _op_text, st.integers())}),
+    st.lists(st.integers(), max_size=2),
+    st.text(max_size=5),
+)
+
+
+def _assert_clean_exit(code, err):
+    # 3 means an internal invariant failed: never on any input.
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_op_text, st.sampled_from(["builtin:boolean1", "builtin:boolean2", "builtin:triple2"]))
+def test_fuzz_operator_text(capsys, text, arrangement):
+    for argv in (["tangent", "--arrangement", arrangement, "--op", text, "--tmax", "2"],
+                 ["decompose", "--arrangement", arrangement, "--op", text]):
+        code, _, err = run(capsys, *argv)
+        _assert_clean_exit(code, err)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_arrangement_json, _op_text)
+def test_fuzz_arrangement_json(tmp_path, capsys, data, text):
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps(data))
+    for argv in (["check-free", "--arrangement", str(path)],
+                 ["tangent", "--arrangement", str(path), "--op", text, "--tmax", "1"],
+                 ["decompose", "--arrangement", str(path), "--op", text]):
+        code, _, err = run(capsys, *argv)
+        _assert_clean_exit(code, err)

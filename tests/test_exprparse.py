@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -7,6 +8,7 @@ from helpers import random_diffop, random_poly
 from logdiff.exprparse import (
     MAX_EXPONENT,
     MAX_NESTING,
+    MAX_TERMS,
     ParseError,
     parse_diffop,
     parse_poly,
@@ -126,6 +128,41 @@ def test_exponent_limit():
     for text in (f"x^{MAX_EXPONENT + 1}", "d1^100000000", "x^100000000"):
         with pytest.raises(ParseError, match="exceeds the limit") as info:
             parse_diffop(text, 1)
+        assert info.value.position == text.index("^") + 1
+
+
+def _term_count(op: DiffOp) -> int:
+    return sum(len(c.terms) for c in op.terms.values())
+
+
+def test_term_limit_boundary():
+    # (x1 + 1)^a * (x2 + 1)^b has (a + 1)(b + 1) terms; the limit is 100^2.
+    assert MAX_TERMS == 100 * 100
+    at_limit = parse_poly("(x1 + 1)^99 * (x2 + 1)^99", 2)
+    assert len(at_limit.terms) == MAX_TERMS
+    text = "(x1 + 1)^99 * (x2 + 1)^100"
+    with pytest.raises(ParseError, match=f"more than {MAX_TERMS} terms") as info:
+        parse_poly(text, 2)
+    assert info.value.position == text.index("*")
+    # Operators count terms over all coefficients.
+    assert _term_count(parse_diffop("(x1 + 1)^99 * (d1 + 1)^99", 1)) == MAX_TERMS
+    with pytest.raises(ParseError, match="terms"):
+        parse_diffop("(x1 + 1)^99 * (d1 + 1)^100", 1)
+    # A sum is bounded too.
+    text = "(x1 + 1)^99 * (x2 + 1)^99 + x3"
+    with pytest.raises(ParseError, match="terms") as info:
+        parse_poly(text, 3)
+    assert info.value.position == text.index("+ x3")
+
+
+def test_term_limit_stops_a_power_early():
+    # (x1 + ... + x6)^k has C(k + 5, 5) terms, above the limit from k = 14
+    # on; each step of the power is checked, so ^1000 stops at step 14.
+    base = "(x1 + x2 + x3 + x4 + x5 + x6)"
+    assert len(parse_poly(base + "^13", 6).terms) == comb(18, 5)
+    for text in (base + "^14", base + "^1000", "(x1 + d1 + x2 + d2 + x3 + d3)^1000"):
+        with pytest.raises(ParseError, match="terms") as info:
+            parse_diffop(text, 6)
         assert info.value.position == text.index("^") + 1
 
 

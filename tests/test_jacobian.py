@@ -3,18 +3,26 @@ from math import comb
 
 import pytest
 
-from helpers import apply_linear_map, random_derivation, random_poly, substitute_entry
+from helpers import (
+    apply_linear_map,
+    commutator_value_matrix_by_products,
+    random_derivation,
+    random_diffop,
+    random_poly,
+    substitute_entry,
+)
 from logdiff.arrangement import builtin_arrangement
 from logdiff.exprparse import parse_diffop, parse_poly
 from logdiff.jacobian import (
     OpFamily,
+    commutator_value_matrix,
     higher_jacobian,
     jacobian_power_identity,
     product_family,
 )
 from logdiff.linalg import determinant, multiplicity_product, permanent, sym_indices
 from logdiff.polyring import Poly, coordinates
-from logdiff.weyl import DiffOp, iterated_commutator
+from logdiff.weyl import DiffOp, iterated_commutator, value_at_one_expansion
 
 
 def P(text, nvars):
@@ -111,6 +119,53 @@ def test_linear_change_of_coordinates_scaling():
             lhs = higher_jacobian(apply_linear_map(a, fs), fam)
             rhs = determinant(a) ** comb(power + 1, 2) * higher_jacobian(fs, fam)
             assert lhs == rhs
+
+
+def test_commutator_value_matrix_matches_unshared_routes():
+    # Against brackets rebuilt per entry from operator products, and
+    # against inclusion-exclusion through polynomial application.
+    rng = random.Random(47)
+    nonzero = 0
+    for trial in range(20):
+        nvars = rng.choice([1, 2, 3])
+        power = rng.randint(1, 3 if nvars < 3 else 2)
+        entries = []
+        for _ in sym_indices(nvars, power):
+            beta = [0] * nvars
+            for _ in range(power):
+                beta[rng.randrange(nvars)] += 1
+            top = DiffOp(nvars, {tuple(beta): random_poly(rng, nvars, nonzero=True)})
+            entries.append(top + random_diffop(rng, nvars, max_order=power + 1))
+        fam = OpFamily(nvars, power, tuple(entries))
+        fs = coordinates(nvars) if trial % 2 else [random_poly(rng, nvars) for _ in range(nvars)]
+        got = commutator_value_matrix(fs, fam)
+        assert got == commutator_value_matrix_by_products(fs, fam)
+        assert got == [
+            [value_at_one_expansion(u, [fs[j - 1] for j in jdx]) for jdx in fam.index_tuples]
+            for u in fam.entries
+        ]
+        nonzero += sum(1 for row in got for x in row if x)
+    assert nonzero > 40
+
+
+def test_product_family_entries_are_left_to_right_products():
+    arr, thetas = builtin_arrangement("triple2")
+    ops = [th.as_diffop() for th in thetas]
+    for power in (0, 1, 2, 3):
+        fam = product_family(thetas, power)
+        for idx, entry in zip(sym_indices(2, power), fam.entries):
+            w = DiffOp.one(2)
+            for i in idx:
+                w = w * ops[i - 1]
+            assert entry == w
+
+
+def test_commutator_value_matrix_of_product_family():
+    arr, thetas = builtin_arrangement("triple2")
+    fs = coordinates(2)
+    for power in (1, 2, 3):
+        fam = product_family(thetas, power)
+        assert commutator_value_matrix(fs, fam) == commutator_value_matrix_by_products(fs, fam)
 
 
 def test_permanent_expansion_for_derivation_words():

@@ -4,11 +4,14 @@ from itertools import permutations
 from math import comb, factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import mat_mul, random_poly
+from helpers import mat_mul, random_poly, sym_power_matrix_by_permanents
 from logdiff.exprparse import parse_poly
 from logdiff.linalg import (
     determinant,
+    fold_sym_indices,
     multiplicity_product,
     multiplicity_vector,
     permanent,
@@ -258,3 +261,59 @@ def test_rescaled_sym_power_is_multiplicative():
         right = mat_mul(rescale(sym_power_matrix(a, power)),
                         rescale(sym_power_matrix(b, power)))
         assert left == right
+
+
+def test_fold_sym_indices_shares_prefixes():
+    calls = []
+
+    def step(k, j):
+        calls.append(k + (j,))
+        return k + (j,)
+
+    for dim, power in ((1, 3), (2, 0), (3, 2), (4, 3)):
+        calls.clear()
+        assert fold_sym_indices(dim, power, (), step) == sym_indices(dim, power)
+        # one step per weakly increasing tuple of each length 1..power
+        assert sorted(calls) == sorted(k for t in range(1, power + 1) for k in sym_indices(dim, t))
+
+
+def _random_entry(rng, kind):
+    if kind == "int":
+        return rng.randint(-5, 5)
+    if kind == "fraction":
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    return random_poly(rng, 2, max_degree=1, max_terms=2)
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "poly"])
+def test_sym_power_matrix_matches_permanent_oracle(kind):
+    # Powers 5 and 6 take the Ryser path inside the oracle's permanents.
+    # Rational and polynomial entries skip the largest sizes, where the
+    # oracle alone takes seconds.
+    rng = random.Random(53)
+    for dim in (1, 2, 3, 4):
+        for power in range(7):
+            if kind != "int" and comb(power + dim - 1, dim - 1) > 21:
+                continue
+            m = [[_random_entry(rng, kind) for _ in range(dim)] for _ in range(dim)]
+            assert sym_power_matrix(m, power) == sym_power_matrix_by_permanents(m, power)
+
+
+def test_sym_power_matrix_on_singular_and_sparse_inputs():
+    for m in ([[0, 0], [0, 0]], [[0, 1], [0, 0]], [[1, 2], [2, 4]], [[0, 0, 3], [0, 0, 0], [1, 0, 0]]):
+        for power in range(5):
+            assert sym_power_matrix(m, power) == sym_power_matrix_by_permanents(m, power)
+
+
+_entries = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(
+           lambda n: st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n)),
+       st.integers(0, 5))
+def test_sym_power_matrix_matches_oracle_hypothesis(m, power):
+    assert sym_power_matrix(m, power) == sym_power_matrix_by_permanents(m, power)

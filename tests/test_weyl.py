@@ -108,6 +108,28 @@ def test_canonical_commutator():
     assert commutator(DiffOp.partial(1, 1), P("x", 1)) == DiffOp.one(1)
 
 
+def test_commutator_with_polynomial_matches_products():
+    # [u, f] skips the Leibniz terms that cancel; u*f - f*u forms them all.
+    rng = random.Random(61)
+    for _ in range(40):
+        nvars = rng.choice([1, 2, 3])
+        u = random_diffop(rng, nvars, max_order=3)
+        f = random_poly(rng, nvars, max_degree=3)
+        if rng.random() < 0.5:
+            u = Fraction(rng.randint(-3, 3), rng.randint(1, 4)) * u
+            f = f * Fraction(rng.randint(1, 5), 3)
+        got = commutator(u, f)
+        assert got == u * f - f * u
+        assert got.terms == (u * f - f * u).terms
+        assert all(got.terms.values())
+    u = random_diffop(rng, 2)
+    for constant in (0, 3, Fraction(-1, 2), Poly.constant(2, 7)):
+        assert commutator(u, constant) == DiffOp.zero(2)
+    assert commutator(DiffOp.zero(2), random_poly(rng, 2, nonzero=True)) == DiffOp.zero(2)
+    w = random_diffop(rng, 2)
+    assert commutator(u, w) == u * w - w * u
+
+
 def test_iterated_commutator_examples():
     x = P("x", 1)
     assert iterated_commutator(D("d1^2", 1), [x, x]) == 2
