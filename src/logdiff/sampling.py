@@ -21,10 +21,10 @@ def random_monomial(rng: random.Random, nvars: int, max_degree: int) -> Monomial
     return tuple(exps)
 
 
-def random_poly(rng: random.Random, nvars: int, max_degree: int = 2,
-                max_terms: int = 3, nonzero: bool = False) -> Poly:
+def random_poly(rng: random.Random, nvars: int, max_degree: int,
+                nonzero: bool = False) -> Poly:
     terms = {}
-    for _ in range(rng.randint(0, max_terms)):
+    for _ in range(rng.randint(0, 3)):
         terms[random_monomial(rng, nvars, max_degree)] = rng.randint(-4, 4)
     p = Poly(nvars, terms)
     if nonzero and not p:
@@ -41,12 +41,12 @@ def random_order_one_op(rng: random.Random, nvars: int, max_degree: int) -> Diff
 
 
 def random_word(rng: random.Random, thetas: Sequence[Derivation], nvars: int,
-                max_len: int, coeff_degree: int = 2) -> DiffOp:
+                max_len: int) -> DiffOp:
     """A nonzero polynomial times a product of at most ``max_len`` of the
     ``thetas``, taken in weakly increasing index order."""
     length = rng.randint(0, max_len)
     letters = sorted(rng.randint(1, len(thetas)) for _ in range(length))
-    op = DiffOp.from_poly(random_poly(rng, nvars, coeff_degree, nonzero=True))
+    op = DiffOp.from_poly(random_poly(rng, nvars, 2, nonzero=True))
     for i in letters:
         op = op * thetas[i - 1].as_diffop()
     return op

@@ -166,6 +166,8 @@ class DiffOp:
         return DiffOp._make(self.nvars, {b: c * other for b, c in self.terms.items()})
 
     def __pow__(self, n: int) -> DiffOp:
+        # exprparse._Parser.power repeats this loop so that it can check
+        # the term bound after each step; keep the two in step.
         if not isinstance(n, int) or n < 0:
             raise ValueError("operator power needs a non-negative integer exponent")
         out = DiffOp.one(self.nvars)

@@ -9,13 +9,20 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
+from logdiff import sampling
 from logdiff.arrangement import Arrangement, SaitoBasis
 from logdiff.jacobian import OpFamily, commutator_value_matrix, product_family
 from logdiff.linalg import determinant, multiplicity_product, permanent, sym_indices
 from logdiff.polyring import NotDivisibleError, Poly, coordinates, exact_divide, simplify_scalar
-from logdiff.sampling import random_monomial, random_poly, random_word
+from logdiff.sampling import random_monomial, random_word
 from logdiff.tangent import Decomposition, DecompositionError, Word
 from logdiff.weyl import Derivation, DiffOp, iterated_commutator
+
+
+def random_poly(rng: random.Random, nvars: int, max_degree: int = 2,
+                nonzero: bool = False) -> Poly:
+    """``sampling.random_poly`` with the degree bound most tests use."""
+    return sampling.random_poly(rng, nvars, max_degree, nonzero)
 
 
 def random_diffop(rng: random.Random, nvars: int, max_order: int = 2,
@@ -34,12 +41,11 @@ def random_derivation(rng: random.Random, nvars: int, max_degree: int = 2) -> De
 
 
 def random_word_operator(rng: random.Random, thetas, nvars: int,
-                         max_len: int = 3, max_words: int = 3,
-                         coeff_degree: int = 2) -> DiffOp:
+                         max_len: int = 3, max_words: int = 3) -> DiffOp:
     """A sum of words: polynomial coefficients times products of generators."""
     op = DiffOp.zero(nvars)
     for _ in range(rng.randint(1, max_words)):
-        op = op + random_word(rng, thetas, nvars, max_len, coeff_degree)
+        op = op + random_word(rng, thetas, nvars, max_len)
     return op
 
 

@@ -112,7 +112,7 @@ def test_jacobian_divisibility():
         fs = coordinates(arr.dim)
         entries = tuple(
             random_word_operator(rng, basis.thetas, arr.dim,
-                                 max_len=p, max_words=1, coeff_degree=2)
+                                 max_len=p, max_words=1)
             for _ in sym_indices(arr.dim, p)
         )
         jac = higher_jacobian(fs, OpFamily(arr.dim, p, entries))
@@ -131,7 +131,7 @@ def test_decompose_round_trip():
     while done < 200:
         arr, basis = fixtures[done % 3]
         u = random_word_operator(rng, basis.thetas, arr.dim,
-                                 max_len=3, coeff_degree=2)
+                                 max_len=3)
         if not u:
             continue
         done += 1
