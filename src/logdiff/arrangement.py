@@ -18,7 +18,7 @@ from .polyring import (
     NotDivisibleError,
     Poly,
     Scalar,
-    divides_power,
+    divides,
     exact_divide,
 )
 from .weyl import Derivation
@@ -65,7 +65,7 @@ def is_tangent_derivation(delta: Derivation, arr: Arrangement) -> bool:
         raise ValueError("derivation over a different ambient dimension")
     for form in arr.forms:
         fp = form.as_poly()
-        if not divides_power(fp, 1, delta.apply(fp)):
+        if not divides(fp, delta.apply(fp)):
             return False
     return True
 
@@ -74,7 +74,7 @@ def is_tangent_derivation_via_q(delta: Derivation, arr: Arrangement) -> bool:
     """Equivalent test through the defining polynomial itself."""
     if delta.nvars != arr.dim:
         raise ValueError("derivation over a different ambient dimension")
-    return divides_power(arr.q, 1, delta.apply(arr.q))
+    return divides(arr.q, delta.apply(arr.q))
 
 
 def euler_derivation(dim: int) -> Derivation:

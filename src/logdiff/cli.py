@@ -19,6 +19,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 from math import comb
 from typing import Sequence
 
@@ -328,10 +329,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on first use and shared by later calls."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -10,11 +10,14 @@ loose: ``^``, unary ``-``, ``*``, binary ``+``/``-``)::
     atom   := INT ('/' INT)? | NAME | '(' expr ')'
 
 Exponents above ``MAX_EXPONENT``, nesting (open parentheses plus pending
-unary minus signs) deeper than ``MAX_NESTING``, and any sum, product or
-step of a power with more than ``MAX_TERMS`` terms (counted over all
-coefficients) are rejected with a ``ParseError``: powers are computed by
-repeated multiplication, the parser recurses once per nesting level, and
-the term check after every step stops an expansion before it grows large.
+unary minus signs) deeper than ``MAX_NESTING``, any sum, product or step
+of a power with more than ``MAX_TERMS`` terms (counted over all
+coefficients), and any product or step of a power whose two factors'
+term counts multiply to more than ``MAX_TERM_PAIRS`` are rejected with a
+``ParseError``: powers are computed by repeated multiplication, the parser
+recurses once per nesting level, the term check after every step stops
+an expansion before it grows large, and the pair check before every
+multiplication stops one expensive product before it starts.
 
 Names are ``x1 .. xl`` for variables and ``d1 .. dl`` for partials, with
 ``x``, ``y``, ``z`` accepted as aliases of ``x1``, ``x2``, ``x3`` when the
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import attrgetter
 
 from .polyring import Poly, Scalar
 from .weyl import DiffOp
@@ -38,6 +42,8 @@ MAX_EXPONENT = 1000
 # recursion limit of 1000 even when the caller is already deep.
 MAX_NESTING = 100
 MAX_TERMS = 10_000
+# A product multiplies every term of one factor by every term of the other.
+MAX_TERM_PAIRS = 1_000_000
 
 
 class ParseError(ValueError):
@@ -69,6 +75,14 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     return out
 
 
+_terms = attrgetter("terms")
+
+
+def _size(value: DiffOp) -> int:
+    """Number of terms, counted over all coefficients."""
+    return sum(map(len, map(_terms, value.terms.values())))
+
+
 class _Parser:
     """Recursive descent over the token list; builds DiffOp values directly."""
 
@@ -93,9 +107,18 @@ class _Parser:
             raise ParseError("expression is nested too deeply", at)
 
     def bounded(self, value: DiffOp, at: int) -> DiffOp:
-        if sum(len(c.terms) for c in value.terms.values()) > MAX_TERMS:
+        if _size(value) > MAX_TERMS:
             raise ParseError(f"expression has more than {MAX_TERMS} terms", at)
         return value
+
+    def product(self, left: DiffOp, right: DiffOp, at: int) -> DiffOp:
+        # Every parsed value has at most MAX_TERMS terms, so a right factor
+        # of at most MAX_TERM_PAIRS // MAX_TERMS terms (the usual case)
+        # cannot exceed the pair limit and the left one need not be counted.
+        size = _size(right)
+        if size > MAX_TERM_PAIRS // MAX_TERMS and size * _size(left) > MAX_TERM_PAIRS:
+            raise ParseError(f"product has more than {MAX_TERM_PAIRS} term pairs", at)
+        return self.bounded(left * right, at)
 
     def expect_op(self, symbol: str):
         kind, value, at = self.peek()
@@ -127,7 +150,7 @@ class _Parser:
             kind, tok, at = self.peek()
             if kind == "op" and tok == "*":
                 self.advance()
-                value = self.bounded(value * self.factor(), at)
+                value = self.product(value, self.factor(), at)
             else:
                 return value
 
@@ -156,7 +179,7 @@ class _Parser:
             self.advance()
             value = DiffOp.one(self.nvars)
             for _ in range(exp):
-                value = self.bounded(value * base, at)
+                value = self.product(value, base, at)
             return value
         return base
 

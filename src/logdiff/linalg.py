@@ -168,6 +168,9 @@ def _det_cofactor(m: list[list], n: int):
 
 
 def _det_bareiss(a: list[list], n: int):
+    # Over the integers every intermediate entry is a minor, so each
+    # division is an exact integer division.
+    integral = all(type(x) is int for row in a for x in row)
     sign = 1
     prev = None
     for k in range(n - 1):
@@ -185,7 +188,14 @@ def _det_bareiss(a: list[list], n: int):
             lead = row_i[k]
             for j in range(k + 1, n):
                 num = row_i[j] * pivot - lead * row_k[j]
-                row_i[j] = num if prev is None else _exact_div(num, prev)
+                if prev is None:
+                    row_i[j] = num
+                elif integral:
+                    row_i[j], rem = divmod(num, prev)
+                    if rem:
+                        raise AssertionError("inexact Bareiss division over the integers")
+                else:
+                    row_i[j] = _exact_div(num, prev)
         prev = pivot
     result = a[n - 1][n - 1]
     return -result if sign < 0 else result

@@ -216,8 +216,10 @@ class Poly:
     def __pow__(self, n: int) -> Poly:
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial power needs a non-negative integer exponent")
-        out = Poly.one(self.nvars)
-        for _ in range(n):
+        if n == 0:
+            return Poly.one(self.nvars)
+        out = self
+        for _ in range(n - 1):
             out = out * self
         return out
 
@@ -356,6 +358,15 @@ def exact_divide(a: Poly, b: Poly) -> Poly:
     return Poly._make(a.nvars, quot)
 
 
+def divides(b: Poly, a: Poly) -> bool:
+    """True iff b divides a exactly (b nonzero)."""
+    try:
+        exact_divide(a, b)
+    except NotDivisibleError:
+        return False
+    return True
+
+
 def divides_power(f: Poly, t: int, a: Poly) -> bool:
     """True iff f**t divides a exactly (t = 0 is vacuously true)."""
     if t < 0:
@@ -364,11 +375,7 @@ def divides_power(f: Poly, t: int, a: Poly) -> bool:
         return True
     if not f:
         raise ValueError("divisor must be nonzero")
-    try:
-        exact_divide(a, f ** t)
-    except NotDivisibleError:
-        return False
-    return True
+    return divides(f ** t, a)
 
 
 def coordinates(nvars: int) -> tuple[Poly, ...]:

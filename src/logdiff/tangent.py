@@ -1,8 +1,9 @@
 """Operators tangent to an arrangement and their decomposition into words.
 
-Tangency is membership in every truncated idealizer: u is tangent up to t
-when u * f^t lands in f^t * Diff for each defining form f (or for the full
-defining polynomial) and every power up to t.  Over a free arrangement any
+Tangency is membership in every idealizer: u is tangent when u * f^t lands
+in f^t * Diff for each defining form f (or for the full defining
+polynomial) and every power t >= 1.  The powers up to max(ord u, 1)
+already decide it (see ``is_tangent``).  Over a free arrangement any
 tangent operator is a polynomial combination of products of basis tangent
 derivations; ``decompose`` computes that combination level by level, reading
 each level's coefficients off the principal symbol after substituting the
@@ -19,7 +20,7 @@ from typing import Sequence
 
 from .arrangement import Arrangement, SaitoBasis
 from .linalg import determinant, multiplicity_vector, sym_indices
-from .polyring import NotDivisibleError, Poly, exact_divide
+from .polyring import Monomial, NotDivisibleError, Poly, Scalar, divides, exact_divide
 from .weyl import Derivation, DiffOp, in_right_ideal
 
 
@@ -69,18 +70,30 @@ class DecompositionError(Exception):
         self.index = index
 
 
-def is_tangent(u: DiffOp, arr: Arrangement, t_max: int) -> bool:
-    """Truncated per-form idealizer test for t in 1..t_max.
+def is_tangent(u: DiffOp, arr: Arrangement) -> bool:
+    """Exact per-form tangency: u * a^t in a^t * Diff for every form a and t >= 1.
 
-    This checks u * a^t in a^t * Diff for every defining form a, stopping
-    at the first failing cell.  The full tangency condition quantifies over
-    all t; callers choose the cutoff.
+    Only the cells t = 1..max(ord u, 1) are checked, and that is exact.
+    The d^gamma coefficient of u * a^t is sum_k C(t, k) a^(t-k) T_k with
+    T_k the d^gamma coefficient of ad_a^k(u), which does not depend on t
+    and vanishes for k > ord u (see ``_tangency_rows``).  The cells 1..t
+    all pass exactly when a^k divides T_k for every gamma and every
+    k <= t, because the matrix (C(t, k)) is lower triangular with ones on
+    the diagonal.  So once the cells up to ord u pass, every T_k is
+    divisible and every later cell passes.
     """
-    return all(row.ok for row in _tangency_rows(u, arr, t_max))
+    return all(row.ok for row in _tangency_rows(u, arr, max(u.order or 0, 1)))
 
 
 def is_tangent_q(u: DiffOp, arr: Arrangement, t_max: int) -> bool:
-    """Same truncated test through powers of the defining polynomial."""
+    """Truncated tangency through powers of the defining polynomial Q.
+
+    This is the independent whole-Q route: it forms u * Q^t for t in
+    1..t_max and tests membership in Q^t * Diff.  The cutoff t_max =
+    max(ord u, 1) is exact here too, by the same triangular argument as
+    ``is_tangent``, because d^delta(Q^t) = sum_{j <= |delta|} (t)_j
+    Q^(t-j) P_{delta,j} with P independent of t.
+    """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
     if u.nvars != arr.dim:
@@ -98,29 +111,78 @@ class TangencyRow:
     witness: tuple[tuple[int, ...], Poly] | None = None
 
 
+def _brackets(u: DiffOp, alpha: Sequence[Scalar]) -> list[dict[Monomial, Poly]]:
+    """The terms of ad_a^k(u) = [...[u, a], ..., a] for k = 0, 1, ... while nonzero.
+
+    For the linear form a = sum_j alpha_j x_j, [c d^beta, a] = sum_j
+    beta_j alpha_j c d^(beta - e_j): each bracket lowers the order by one,
+    so the list ends by k = ord u.  Its d^gamma coefficient at k is
+    k! * sum over |delta| = k of C(gamma + delta, delta) alpha^delta
+    c_(gamma + delta).
+    """
+    levels = [u.terms]
+    while True:
+        nxt: dict[Monomial, Poly] = {}
+        for beta, c in levels[-1].items():
+            for j, (b, a) in enumerate(zip(beta, alpha)):
+                if a and b:
+                    gamma = beta[:j] + (b - 1,) + beta[j + 1:]
+                    term = c * (a * b)
+                    acc = nxt.get(gamma)
+                    nxt[gamma] = term if acc is None else acc + term
+        nxt = {gamma: c for gamma, c in nxt.items() if c}
+        if not nxt:
+            return levels
+        levels.append(nxt)
+
+
 def _tangency_rows(u: DiffOp, arr: Arrangement, t_max: int):
     """Yield the cells form by form, t = 1..t_max within each form.
 
-    Carries u * a^t and a^t forward from t - 1, one multiplication by the
-    form a each, and checks every coefficient of u * a^t for divisibility
-    by a^t in graded order; the first one that fails is the witness.
+    No operator product is formed.  With ad_a(v) = [v, a] = v * a - a * v,
+    right multiplication by a is left multiplication by a plus ad_a, and
+    the two commute, so u * a^t = sum_k C(t, k) a^(t-k) ad_a^k(u).
+    With T_k the d^gamma coefficient of ad_a^k(u) and K = min(t, last
+    nonzero k), the d^gamma coefficient of u * a^t is a^(t-K) * R with
+    R = sum_{k <= K} C(t, k) a^(K-k) T_k, and a^t divides it exactly when
+    a^K divides R.  While every earlier cell of the form passed, a^k
+    already divides T_k for k < t, so cell t passes exactly when a^t
+    divides T_t for every gamma.  From the first failing cell on, each
+    cell is decided from R.  The gamma are checked in graded order; the
+    first one that fails is the witness, with its full coefficient
+    a^(t-K) * R.
     """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
     if u.nvars != arr.dim:
         raise ValueError("operator over a different ambient dimension")
+    zero = Poly.zero(arr.dim)
     for i, form in enumerate(arr.forms, start=1):
         fp = form.as_poly()
-        prod, ft = u, Poly.one(arr.dim)
+        brackets = _brackets(u, form.coeffs)
+        last = len(brackets) - 1
+        # A gamma that no bracket reaches has coefficient c_gamma * a^t.
+        gammas = sorted({g for level in brackets[1:] for g in level},
+                        key=lambda g: (sum(g), g))
+        powers = [Poly.one(arr.dim)]
+        failed = False
         for t in range(1, t_max + 1):
-            prod, ft = prod * fp, ft * fp
+            powers.append(powers[-1] * fp)
             witness = None
-            for beta in sorted(prod.terms, key=lambda b: (sum(b), b)):
-                try:
-                    exact_divide(prod.terms[beta], ft)
-                except NotDivisibleError:
-                    witness = (beta, prod.terms[beta])
-                    break
+            for gamma in gammas:
+                if not failed:
+                    coeff = brackets[t].get(gamma) if t <= last else None
+                    if coeff is None or divides(powers[t], coeff):
+                        continue
+                k_max = min(t, last)
+                r = brackets[0].get(gamma, zero)
+                for k in range(1, k_max + 1):
+                    r = r * fp + brackets[k].get(gamma, zero) * comb(t, k)
+                if failed and divides(powers[k_max], r):
+                    continue
+                witness = (gamma, r * powers[t - k_max])
+                break
+            failed = failed or witness is not None
             yield TangencyRow(i, t, witness is None, witness)
 
 

@@ -15,7 +15,7 @@ from itertools import islice, product as cartesian
 from math import comb, prod
 from typing import Mapping, Sequence
 
-from .polyring import Monomial, Poly, Scalar, divides_power
+from .polyring import Monomial, Poly, Scalar, divides
 
 
 class DiffOp:
@@ -379,4 +379,4 @@ def in_right_ideal(u: DiffOp, f: Poly, t: int) -> bool:
     if t == 0:
         return True
     ft = f ** t
-    return all(divides_power(ft, 1, coeff) for coeff in u.terms.values())
+    return all(divides(ft, coeff) for coeff in u.terms.values())

@@ -15,7 +15,7 @@ from logdiff.jacobian import OpFamily, commutator_value_matrix, product_family
 from logdiff.linalg import determinant, multiplicity_product, permanent, sym_indices
 from logdiff.polyring import NotDivisibleError, Poly, coordinates, exact_divide, simplify_scalar
 from logdiff.sampling import random_monomial, random_word
-from logdiff.tangent import Decomposition, DecompositionError, Word
+from logdiff.tangent import Decomposition, DecompositionError, TangencyRow, Word
 from logdiff.weyl import Derivation, DiffOp, iterated_commutator
 
 
@@ -156,6 +156,35 @@ def exact_divide_by_rescan(a: Poly, b: Poly) -> Poly:
             else:
                 rem[key] = s
     return Poly(a.nvars, quot)
+
+
+def tangency_table_by_products(u: DiffOp, arr: Arrangement, t_max: int) -> list[TangencyRow]:
+    """Reference route for ``tangency_table``: form each u * a^t as an
+    operator product.
+
+    Carries u * a^t and a^t forward from t - 1, one multiplication by the
+    form a each, and checks every coefficient of u * a^t for divisibility
+    by a^t in graded order; the first one that fails is the witness.
+    """
+    if t_max < 1:
+        raise ValueError("t_max must be at least 1")
+    if u.nvars != arr.dim:
+        raise ValueError("operator over a different ambient dimension")
+    rows = []
+    for i, form in enumerate(arr.forms, start=1):
+        fp = form.as_poly()
+        prod, ft = u, Poly.one(arr.dim)
+        for t in range(1, t_max + 1):
+            prod, ft = prod * fp, ft * fp
+            witness = None
+            for beta in sorted(prod.terms, key=lambda b: (sum(b), b)):
+                try:
+                    exact_divide(prod.terms[beta], ft)
+                except NotDivisibleError:
+                    witness = (beta, prod.terms[beta])
+                    break
+            rows.append(TangencyRow(i, t, witness is None, witness))
+    return rows
 
 
 def decompose_by_jacobians(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> Decomposition:

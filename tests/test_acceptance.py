@@ -24,7 +24,14 @@ from logdiff.linalg import (
     sym_power_det_identity_holds,
 )
 from logdiff.polyring import Poly, coordinates, divides_power
-from logdiff.tangent import decompose, is_tangent, is_tangent_q, reassemble, transport
+from logdiff.tangent import (
+    decompose,
+    is_tangent,
+    is_tangent_q,
+    reassemble,
+    tangency_table,
+    transport,
+)
 from logdiff.weyl import Derivation, DiffOp, iterated_commutator
 
 
@@ -154,7 +161,8 @@ def test_decompose_round_trip():
 
 
 def test_idealizer_equivalence():
-    # per-form and whole-Q truncated tangency agree at every cutoff
+    # per-form and whole-Q truncated tangency agree at every cutoff, and the
+    # exact per-form test agrees with the whole-Q test cut at max(ord u, 1)
     rng = random.Random(2028)
     names = ("boolean1", "boolean2", "boolean3", "triple2", "generic3")
     arrs = [builtin_arrangement(n)[0] for n in names]
@@ -163,8 +171,10 @@ def test_idealizer_equivalence():
         arr = arrs[trial % len(arrs)]
         u = random_diffop(rng, arr.dim, max_order=2)
         for t_max in (1, 2, 3):
-            if is_tangent(u, arr, t_max) != is_tangent_q(u, arr, t_max):
+            if all(r.ok for r in tangency_table(u, arr, t_max)) != is_tangent_q(u, arr, t_max):
                 failures.append((trial, t_max, render(u)))
+        if is_tangent(u, arr) != is_tangent_q(u, arr, max(u.order or 0, 1)):
+            failures.append((trial, "exact", render(u)))
     _report("idealizer equivalence", failures)
 
 
@@ -228,12 +238,12 @@ def test_negative_controls():
 
     # a plain partial fails tangency at the first power
     arr1, _ = builtin_arrangement("boolean1")
-    if is_tangent(parse_diffop("d1", 1), arr1, 1):
+    if is_tangent(parse_diffop("d1", 1), arr1):
         failures.append("d1 accepted")
 
     # x*d1^2 passes the first truncation and fails the second
     u = parse_diffop("x*d1^2", 1)
-    if not is_tangent(u, arr1, 1) or is_tangent(u, arr1, 2):
+    if [r.ok for r in tangency_table(u, arr1, 2)] != [True, False] or is_tangent(u, arr1):
         failures.append("x*d1^2 truncation")
 
     # on the generic 4-plane arrangement the degree-1 tangent space is only

@@ -8,6 +8,7 @@ from helpers import random_diffop, random_poly
 from logdiff.exprparse import (
     MAX_EXPONENT,
     MAX_NESTING,
+    MAX_TERM_PAIRS,
     MAX_TERMS,
     ParseError,
     parse_diffop,
@@ -153,6 +154,31 @@ def test_term_limit_boundary():
     with pytest.raises(ParseError, match="terms") as info:
         parse_poly(text, 3)
     assert info.value.position == text.index("+ x3")
+
+
+def test_term_pair_limit_boundary():
+    # each factor (x1 + 1)^9 * (x2 + 1)^9 * (x3 + 1)^9 has 10^3 terms, so
+    # their product has exactly MAX_TERM_PAIRS pairs and 19^3 terms
+    assert MAX_TERM_PAIRS == 1000 * 1000
+    cube = "(x1 + 1)^9 * (x2 + 1)^9 * (x3 + 1)^9"
+    at_limit = parse_poly(f"({cube}) * ({cube})", 3)
+    assert at_limit == parse_poly("(x1 + 1)^18 * (x2 + 1)^18 * (x3 + 1)^18", 3)
+    text = f"({cube}) * ({cube} + x1^10)"
+    with pytest.raises(ParseError, match=f"more than {MAX_TERM_PAIRS} term pairs") as info:
+        parse_poly(text, 3)
+    assert info.value.position == text.index(") * (") + 2
+
+
+def test_term_pair_limit_stops_a_large_product_before_it_starts():
+    # two 3,003-term factors: 9 million pairs, rejected without multiplying
+    base = "(x1 + x2 + x3 + x4 + x5 + x6)^10"
+    text = f"{base} * {base}"
+    with pytest.raises(ParseError, match="term pairs") as info:
+        parse_poly(text, 6)
+    assert info.value.position == text.index("*")
+    # a power step is a product too
+    with pytest.raises(ParseError, match="term pairs") as info:
+        parse_poly(f"({base})^2", 6)
 
 
 def test_term_limit_stops_a_power_early():

@@ -153,6 +153,18 @@ def test_determinant_bareiss_against_brute_force_ints():
             assert determinant(m) == brute_determinant(m)
 
 
+def test_determinant_bareiss_mixed_int_and_fraction_entries():
+    # integer entries take the direct integer division, which must not
+    # apply once one entry is a Fraction: then quotients of ints need not
+    # be ints
+    rng = random.Random(13)
+    for n in (5, 6):
+        for _ in range(5):
+            m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            m[rng.randrange(n)][rng.randrange(n)] = Fraction(rng.randint(1, 5), rng.randint(2, 4))
+            assert determinant(m) == brute_determinant(m)
+
+
 def test_determinant_bareiss_against_brute_force_polys():
     rng = random.Random(12)
     for _ in range(3):

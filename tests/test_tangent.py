@@ -1,9 +1,18 @@
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import decompose_by_jacobians, random_diffop, random_poly, random_word_operator
+from helpers import (
+    decompose_by_jacobians,
+    random_diffop,
+    random_poly,
+    random_word_operator,
+    tangency_table_by_products,
+)
 from logdiff.arrangement import Arrangement, builtin_arrangement, rank2_basis, saito_check
 from logdiff.exprparse import parse_diffop, parse_poly
 from logdiff.linalg import sym_indices
@@ -60,18 +69,18 @@ def a3_basis():
     return arr, basis
 
 
-# -- truncated tangency ------------------------------------------------------------
+# -- tangency ----------------------------------------------------------------------
 
 def test_plain_partial_fails_immediately():
     arr, _ = builtin_arrangement("boolean1")
-    assert not is_tangent(D("d1", 1), arr, 1)
+    assert not is_tangent(D("d1", 1), arr)
 
 
 def test_truncation_level_matters():
     arr, _ = builtin_arrangement("boolean1")
     u = D("x*d1^2", 1)
-    assert is_tangent(u, arr, 1)
-    assert not is_tangent(u, arr, 2)
+    assert [r.ok for r in tangency_table(u, arr, 2)] == [True, False]
+    assert not is_tangent(u, arr)
     assert is_tangent_q(u, arr, 1)
     assert not is_tangent_q(u, arr, 2)
 
@@ -82,8 +91,9 @@ def test_words_of_tangent_generators_stay_tangent():
         arr, thetas = builtin_arrangement(name)
         for _ in range(10):
             u = random_word_operator(rng, thetas, arr.dim)
+            assert is_tangent(u, arr)
+            assert all(r.ok for r in tangency_table(u, arr, 3))
             for t_max in (1, 2, 3):
-                assert is_tangent(u, arr, t_max)
                 assert is_tangent_q(u, arr, t_max)
 
 
@@ -94,7 +104,8 @@ def test_euler_and_constants_always_pass():
         arr, _ = builtin_arrangement(name)
         assert is_tangent_q(euler_derivation(arr.dim).as_diffop(), arr, 5)
         assert is_tangent_q(DiffOp.one(arr.dim), arr, 3)
-        assert is_tangent(DiffOp.zero(arr.dim), arr, 3)
+        assert is_tangent(DiffOp.zero(arr.dim), arr)
+        assert all(r.ok for r in tangency_table(DiffOp.zero(arr.dim), arr, 3))
 
 
 def test_truncated_tests_agree_on_random_operators():
@@ -104,16 +115,108 @@ def test_truncated_tests_agree_on_random_operators():
         for _ in range(15):
             u = random_diffop(rng, arr.dim, max_order=2)
             for t_max in (1, 2):
-                assert is_tangent(u, arr, t_max) == is_tangent_q(u, arr, t_max)
+                assert all(r.ok for r in tangency_table(u, arr, t_max)) == is_tangent_q(u, arr, t_max)
+            assert is_tangent(u, arr) == is_tangent_q(u, arr, max(u.order or 0, 1))
 
 
 def test_tangency_table_witness():
+    # x*d1^2 * x^t = x^(t+1)*d1^2 + 2t*x^t*d1 + t(t-1)*x^(t-1): the d1^0
+    # coefficient fails from t = 2 on
     arr, _ = builtin_arrangement("boolean1")
-    rows = tangency_table(D("x*d1^2", 1), arr, 2)
-    assert [(r.form_index, r.t, r.ok) for r in rows] == [(1, 1, True), (1, 2, False)]
-    beta, coeff = rows[1].witness
-    assert beta == (0,)
-    assert coeff == P("2*x", 1)
+    rows = tangency_table(D("x*d1^2", 1), arr, 4)
+    assert [(r.form_index, r.t, r.ok) for r in rows] == [
+        (1, 1, True), (1, 2, False), (1, 3, False), (1, 4, False)]
+    assert [r.witness for r in rows[1:]] == [
+        ((0,), P("2*x", 1)), ((0,), P("6*x^2", 1)), ((0,), P("12*x^3", 1))]
+
+
+def test_tangency_arguments_are_checked():
+    arr, _ = builtin_arrangement("boolean2")
+    for table in (tangency_table, tangency_table_by_products):
+        with pytest.raises(ValueError, match="t_max"):
+            table(D("d1", 2), arr, 0)
+        with pytest.raises(ValueError, match="dimension"):
+            table(D("d1", 1), arr, 1)
+    with pytest.raises(ValueError, match="dimension"):
+        is_tangent(D("d1", 1), arr)
+
+
+def _tangency_cases(rng, arr, thetas):
+    """Tangent, non-tangent, rational, zero and order-0 operators."""
+    n = arr.dim
+    yield DiffOp.zero(n)
+    yield DiffOp.from_poly(random_poly(rng, n, nonzero=True))
+    for _ in range(4):
+        if thetas:
+            yield random_word_operator(rng, thetas, n)
+        u = random_diffop(rng, n, max_order=3)
+        yield u
+        yield Fraction(rng.randint(-4, 4) or 1, rng.randint(2, 5)) * u
+        # a form power times u, so that cells can pass before one fails
+        form = rng.choice(arr.forms).as_poly()
+        yield form ** rng.randint(1, 2) * u
+
+
+@pytest.mark.parametrize("fixture", [
+    lambda: builtin_arrangement("boolean1"),
+    lambda: builtin_arrangement("boolean2"),
+    lambda: builtin_arrangement("triple2"),
+    lambda: builtin_arrangement("generic3"),
+    lambda: (a3_basis()[0], a3_basis()[1].thetas),
+], ids=["boolean1", "boolean2", "triple2", "generic3", "A3"])
+def test_tangency_table_equals_products(fixture):
+    rng = random.Random(60)
+    arr, thetas = fixture()
+    outcomes = set()
+    for u in _tangency_cases(rng, arr, thetas):
+        p = u.order or 0
+        for t_max in range(1, p + 4):
+            rows = tangency_table(u, arr, t_max)
+            assert rows == tangency_table_by_products(u, arr, t_max), (str(u), t_max)
+        outcomes.update(r.ok for r in rows)
+    assert outcomes == {True, False}
+
+
+_small_ops = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        st.one_of(st.integers(-4, 4), st.fractions(-2, 2, max_denominator=3)),
+        max_size=3,
+    ).map(lambda d: Poly(2, d)),
+    max_size=3,
+).map(lambda d: DiffOp(2, d))
+
+
+# forms with coefficients other than 0 and 1, so that the coefficient of
+# each variable in the form matters
+_scaled_lines = Arrangement([LinearForm((1, 0)), LinearForm((2, -1)),
+                             LinearForm((Fraction(1, 2), 3))])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_ops, st.sampled_from([builtin_arrangement("triple2")[0], _scaled_lines]),
+       st.integers(1, 5))
+def test_tangency_table_equals_products_hypothesis(u, arr, t_max):
+    assert tangency_table(u, arr, t_max) == tangency_table_by_products(u, arr, t_max)
+
+
+def test_tangency_cutoff_is_exact():
+    # all cells up to max(ord u, 1) pass exactly when all cells up to ord u + 3
+    # do, for the per-form table and for the whole-Q route
+    rng = random.Random(61)
+    seen = set()
+    for name in ("boolean2", "triple2", "generic3"):
+        arr, thetas = builtin_arrangement(name)
+        for u in _tangency_cases(rng, arr, thetas):
+            p = u.order or 0
+            cut = max(p, 1)
+            exact = all(r.ok for r in tangency_table(u, arr, cut))
+            assert exact == all(r.ok for r in tangency_table(u, arr, p + 3)), str(u)
+            assert exact == is_tangent(u, arr)
+            assert is_tangent_q(u, arr, cut) == is_tangent_q(u, arr, p + 3) == exact, str(u)
+            seen.add(exact)
+    assert seen == {True, False}
 
 
 # -- transport ----------------------------------------------------------------------
