@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
-from .linalg import determinant, fold_sym_indices, multiplicity_product, sym_indices
+from .linalg import determinant, multiplicity_product, prefix_fold, sym_indices
 from .polyring import Poly
 from .weyl import Derivation, DiffOp, commutator
 
@@ -53,8 +53,8 @@ def product_family(ops: Sequence[DiffOp | Derivation], power: int) -> OpFamily:
     nvars = ops[0].nvars
     if len(ops) != nvars:
         raise ValueError("need one operator per variable")
-    entries = fold_sym_indices(nvars, power, DiffOp.one(nvars), lambda w, i: w * ops[i - 1])
-    return OpFamily(nvars, power, tuple(entries))
+    fold = prefix_fold(DiffOp.one(nvars), lambda w, i: w * ops[i - 1])
+    return OpFamily(nvars, power, tuple(map(fold, sym_indices(nvars, power))))
 
 
 def commutator_value_matrix(fs: Sequence[Poly], fam: OpFamily) -> list[list[Poly]]:
@@ -65,11 +65,9 @@ def commutator_value_matrix(fs: Sequence[Poly], fam: OpFamily) -> list[list[Poly
     """
     if len(fs) != fam.nvars:
         raise ValueError("need one polynomial per variable")
-    return [
-        [w.value_at_one() for w in fold_sym_indices(
-            fam.nvars, fam.power, u, lambda w, j: commutator(w, fs[j - 1]))]
-        for u in fam.entries
-    ]
+    idxs = fam.index_tuples
+    folds = (prefix_fold(u, lambda w, j: commutator(w, fs[j - 1])) for u in fam.entries)
+    return [[fold(k).value_at_one() for k in idxs] for fold in folds]
 
 
 def higher_jacobian(fs: Sequence[Poly], fam: OpFamily) -> Poly:

@@ -7,7 +7,7 @@ every routine is exact.  Matrices are plain rectangular sequences of rows.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement
 from math import comb, factorial, prod
 from operator import add
 from typing import Sequence
@@ -16,7 +16,7 @@ from .polyring import Poly, exact_divide, simplify_scalar
 
 Matrix = Sequence[Sequence]
 
-# Direct expansion below this size, Ryser / Bareiss above it.
+# Cofactor expansion up to this size, Bareiss elimination above it.
 _SMALL = 4
 
 
@@ -91,20 +91,12 @@ def _exact_div(a, b):
 def permanent(m: Matrix):
     """Permanent of a square matrix: the signless determinant.
 
-    Direct expansion over permutations up to 4x4; Ryser's inclusion-
-    exclusion with Gray-code row sums (O(2^n * n) ring operations) beyond.
+    Ryser's inclusion-exclusion with Gray-code row sums, O(2^n * n) ring
+    operations.
     """
     n = _square_size(m)
     if n == 0:
         return 1
-    if n <= _SMALL:
-        total = None
-        for perm in permutations(range(n)):
-            prod = m[0][perm[0]]
-            for i in range(1, n):
-                prod = prod * m[i][perm[i]]
-            total = prod if total is None else total + prod
-        return total
     return _permanent_ryser(m, n)
 
 
@@ -201,22 +193,27 @@ def _det_bareiss(a: list[list], n: int):
     return -result if sign < 0 else result
 
 
-def fold_sym_indices(dim: int, power: int, start, step) -> list:
-    """Fold ``step`` along every tuple of ``sym_indices(dim, power)``.
+def prefix_fold(start, step):
+    """The lookup fold(k): ``start`` folded with ``step`` along the tuple k.
 
     The value at () is ``start`` and the value at k + (j,) is
-    ``step(value at k, j)``.  Every prefix of a weakly increasing tuple is
-    one too, so each prefix is folded once and shared by all the tuples
-    that extend it.  The result follows the ``sym_indices`` order.
+    ``step(value at k, j)``.  Every prefix formed is kept, in a trie of
+    prefixes, so a later lookup extends the longest prefix already formed
+    and ``step`` runs once per distinct prefix.  The walk is a loop, so a
+    word of any length folds without recursion.
     """
-    level = [((), start)]
-    for _ in range(power):
-        level = [
-            (k + (j,), step(value, j))
-            for k, value in level
-            for j in range(k[-1] if k else 1, dim + 1)
-        ]
-    return [value for _, value in level]
+    root = (start, {})
+
+    def fold(k):
+        value, children = root
+        for j in k:
+            node = children.get(j)
+            if node is None:
+                node = children[j] = (step(value, j), {})
+            value, children = node
+        return value
+
+    return fold
 
 
 def sym_power_matrix(m: Matrix, power: int) -> list[list]:
@@ -252,13 +249,14 @@ def sym_power_matrix(m: Matrix, power: int) -> list[list]:
                 out[key] = c * x if acc is None else acc + c * x
         return out
 
-    rows = fold_sym_indices(dim, power, {(0,) * dim: one}, times_form)
+    fold = prefix_fold({(0,) * dim: one}, times_form)
     cols = []
     for j in idxs:
         mult = multiplicity_vector(j, dim)
         cols.append((mult, prod(map(factorial, mult))))
     out = []
-    for row in rows:
+    for i in idxs:
+        row = fold(i)
         entries = []
         for mult, f in cols:
             c = row.get(mult)

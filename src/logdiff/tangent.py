@@ -19,7 +19,7 @@ from math import comb
 from typing import Sequence
 
 from .arrangement import Arrangement, SaitoBasis
-from .linalg import determinant, multiplicity_vector, sym_indices
+from .linalg import determinant, multiplicity_vector, prefix_fold, sym_indices
 from .polyring import Monomial, NotDivisibleError, Poly, Scalar, divides, exact_divide
 from .weyl import Derivation, DiffOp, in_right_ideal
 
@@ -191,33 +191,32 @@ def tangency_table(u: DiffOp, arr: Arrangement, t_max: int) -> list[TangencyRow]
     return list(_tangency_rows(u, arr, t_max))
 
 
-def _word_operator(ops: Sequence[DiffOp], word: Sequence[int], nvars: int) -> DiffOp:
-    out = DiffOp.one(nvars)
-    for i in word:
-        out = out * ops[i - 1]
-    return out
+def _word_fold(ops: Sequence[DiffOp]):
+    """fold(word) is the product of ops along the word, shared by prefix."""
+    return prefix_fold(DiffOp.one(ops[0].nvars), lambda w, i: w * ops[i - 1])
 
 
 def reassemble(dec: Decomposition) -> DiffOp:
     """Expand the word sum back into one normally ordered operator."""
     if not dec.generators:
         raise ValueError("decomposition carries no generators")
-    nvars = dec.generators[0].nvars
-    ops = [g.as_diffop() for g in dec.generators]
-    out = DiffOp.zero(nvars)
+    word_op = _word_fold([g.as_diffop() for g in dec.generators])
+    out = DiffOp.zero(dec.generators[0].nvars)
     for w in dec.words:
-        out = out + w.coeff * _word_operator(ops, w.word, nvars)
+        out = out + w.coeff * word_op(w.word)
     return out
 
 
 def transport(u: DiffOp, arr: Arrangement) -> Decomposition:
     """Represent Q^C(p+1,2) * u as words in the generators Q*d_1 .. Q*d_l.
 
-    Peels the top normal-form layer of u: multiplying by Q^p turns each
-    top term into a word in the Q-scaled partials up to lower-order error,
-    which is handled recursively with the matching extra power of Q.
-    Reassembling the result gives Q^C(p+1,2) * u exactly, where p is the
-    order of u.
+    Peels the top normal-form layer one level at a time: multiplying the
+    current operator, of order p, by Q^p turns each top term into a word
+    in the Q-scaled partials up to an error of order below p, which the
+    next level peels.  One exponent e starts at C(p+1, 2) and each level
+    of order p spends p of it, so that level's words carry Q^e; the
+    order-0 rest is the empty word.  Reassembling the result gives
+    Q^C(p+1,2) * u exactly, where p is the order of u.
     """
     if u.nvars != arr.dim:
         raise ValueError("operator over a different ambient dimension")
@@ -228,30 +227,27 @@ def transport(u: DiffOp, arr: Arrangement) -> Decomposition:
         Derivation(tuple(arr.q if j == i else Poly.zero(n) for j in range(n)))
         for i in range(n)
     )
-    gen_ops = [g.as_diffop() for g in generators]
-
-    def rec(v: DiffOp) -> list[Word]:
-        p = v.order
-        if p == 0:
-            return [Word(v.value_at_one(), ())]
-        qc = arr.q ** comb(p, 2)
-        words = []
-        remainder = arr.q ** p * v
-        for beta in sorted(v.terms, key=lambda b: (sum(b), b), reverse=True):
+    word_op = _word_fold([g.as_diffop() for g in generators])
+    words = []
+    cur = u
+    e = comb(u.order + 1, 2)
+    while cur and cur.order:
+        p = cur.order
+        e -= p
+        qe = arr.q ** e
+        nxt = arr.q ** p * cur
+        for beta in sorted(cur.terms, key=lambda b: (sum(b), b), reverse=True):
             if sum(beta) != p:
                 continue
             word = tuple(i for i in range(1, n + 1) for _ in range(beta[i - 1]))
-            coeff = v.terms[beta]
-            words.append(Word(qc * coeff, word))
-            remainder = remainder - coeff * _word_operator(gen_ops, word, n)
-        if remainder:
-            p2 = remainder.order
-            assert p2 is not None and p2 <= p - 1, "transport must drop the order"
-            deficit = arr.q ** (comb(p, 2) - comb(p2 + 1, 2))
-            words.extend(Word(deficit * w.coeff, w.word) for w in rec(remainder))
-        return words
-
-    return Decomposition(tuple(rec(u)), generators)
+            coeff = cur.terms[beta]
+            words.append(Word(qe * coeff, word))
+            nxt = nxt - coeff * word_op(word)
+        assert not nxt or nxt.order < p, "transport must drop the order"
+        cur = nxt
+    if cur:
+        words.append(Word(arr.q ** e * cur.value_at_one(), ()))
+    return Decomposition(tuple(words), generators)
 
 
 def _adjugate(m: list[list[Poly]]) -> list[list[Poly]]:
@@ -278,7 +274,8 @@ def decompose(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> Decomposition:
     part is sum_K c_K theta^K has symbol sum_K c_K (Theta xi)^K.
     Substituting xi = adj(Theta) y turns Theta xi into lambda * Q * y, so
     the coefficient of y^K in the substituted symbol is (lambda Q)^p * c_K.
-    Exact division extracts c_K; subtracting the recovered words must
+    lambda is the certified ``basis.scalar``; det Theta, read off adj(Theta),
+    must equal lambda * Q, or a ValueError is raised.  Exact division extracts c_K; subtracting the recovered words must
     strictly drop the order.  Failure of either step is reported as a
     DecompositionError naming the level, and the index when a division
     fails: that is the certificate that u is not a word combination.  The
@@ -300,41 +297,31 @@ def decompose(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> Decomposition:
     if not u:
         return Decomposition((), thetas)
 
+    # The certificate says det Theta = lambda * Q; Laplace along the first
+    # row of Theta reads det Theta off the cofactors in adj(Theta).
     theta = [list(th.coeffs) for th in thetas]
-    try:
-        quot = exact_divide(determinant(theta), arr.q)
-    except NotDivisibleError:
-        quot = None
-    if quot is None or not quot or quot.degree != 0:
+    adj = _adjugate(theta)
+    lam_q = arr.q * basis.scalar
+    if not lam_q or sum((a * adj[j][0] for j, a in enumerate(theta[0])), Poly.zero(n)) != lam_q:
         raise ValueError(
-            "basis Jacobian is not a nonzero scalar multiple of the defining polynomial"
+            "basis Jacobian is not the certified nonzero scalar times the defining polynomial"
         )
-    lam_q = arr.q * quot.constant_term()
 
     # xi_j = sum_i adj(Theta)_ji * y_i, as polynomials in x1..xl, y1..yl.
-    adj = _adjugate(theta)
     m = 2 * n
     ys = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
     xi = [
         Poly(m, {mono + ys[i]: c for i in range(n) for mono, c in adj[j][i].terms.items()})
         for j in range(n)
     ]
+    powers = [[Poly.one(m)] for _ in range(n)]
     no_y = (0,) * n
-
-    ops = [th.as_diffop() for th in thetas]
-    word_ops: dict[tuple[int, ...], DiffOp] = {(): DiffOp.one(n)}
-
-    def word_op(k: tuple[int, ...]) -> DiffOp:
-        w = word_ops.get(k)
-        if w is None:
-            w = word_ops[k] = word_op(k[:-1]) * ops[k[-1] - 1]
-        return w
+    word_op = _word_fold([th.as_diffop() for th in thetas])
 
     words: list[Word] = []
     cur = u
     while cur and cur.order >= 1:
         p = cur.order
-        powers = [[Poly.one(m)] for _ in range(n)]
         symbol = Poly.zero(m)
         for beta, a in cur.terms.items():
             if sum(beta) != p:

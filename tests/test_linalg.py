@@ -11,10 +11,10 @@ from helpers import mat_mul, random_poly, sym_power_matrix_by_permanents
 from logdiff.exprparse import parse_poly
 from logdiff.linalg import (
     determinant,
-    fold_sym_indices,
     multiplicity_product,
     multiplicity_vector,
     permanent,
+    prefix_fold,
     sym_indices,
     sym_power_det_identity_holds,
     sym_power_matrix,
@@ -118,10 +118,13 @@ def test_permanent_matches_determinant_on_diagonal():
 
 def test_permanent_ryser_against_brute_force():
     rng = random.Random(5)
-    for n in (5, 6):
+    for n in range(1, 7):
         for _ in range(5):
             m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
             assert permanent(m) == brute_permanent(m)
+    for n in (1, 2, 3):
+        m = [[random_poly(rng, 2, max_degree=1) for _ in range(n)] for _ in range(n)]
+        assert permanent(m) == brute_permanent(m)
 
 
 def test_permanent_rejects_nonsquare():
@@ -275,18 +278,48 @@ def test_rescaled_sym_power_is_multiplicative():
         assert left == right
 
 
-def test_fold_sym_indices_shares_prefixes():
+def test_prefix_fold_shares_prefixes():
     calls = []
 
     def step(k, j):
         calls.append(k + (j,))
         return k + (j,)
 
+    def prefixes(tuples):
+        return sorted({k[:t] for k in tuples for t in range(1, len(k) + 1)})
+
     for dim, power in ((1, 3), (2, 0), (3, 2), (4, 3)):
+        idxs = sym_indices(dim, power)
         calls.clear()
-        assert fold_sym_indices(dim, power, (), step) == sym_indices(dim, power)
+        fold = prefix_fold((), step)
+        assert [fold(k) for k in idxs] == idxs
         # one step per weakly increasing tuple of each length 1..power
         assert sorted(calls) == sorted(k for t in range(1, power + 1) for k in sym_indices(dim, t))
+        # a subset out of order, asked twice: one step per distinct prefix
+        subset = idxs[::-2]
+        calls.clear()
+        fold = prefix_fold((), step)
+        assert [fold(k) for k in subset + subset] == subset + subset
+        assert sorted(calls) == prefixes(subset)
+
+
+def test_prefix_fold_long_word_does_not_recurse():
+    # 5,000 letters is well past the default recursion limit of 1,000.
+    word = tuple(i % 3 + 1 for i in range(5000))
+    calls = []
+
+    def step(acc, j):
+        calls.append(j)
+        return 2 * acc + j
+
+    values = [0]
+    for j in word:
+        values.append(2 * values[-1] + j)
+    fold = prefix_fold(0, step)
+    assert fold(word) == values[-1]
+    # every prefix was kept: reading one back forms nothing new
+    assert fold(word[:4000]) == values[4000]
+    assert len(calls) == len(word)
 
 
 def _random_entry(rng, kind):

@@ -13,7 +13,13 @@ from helpers import (
     random_word_operator,
     tangency_table_by_products,
 )
-from logdiff.arrangement import Arrangement, builtin_arrangement, rank2_basis, saito_check
+from logdiff.arrangement import (
+    Arrangement,
+    SaitoBasis,
+    builtin_arrangement,
+    rank2_basis,
+    saito_check,
+)
 from logdiff.exprparse import parse_diffop, parse_poly
 from logdiff.linalg import sym_indices
 from logdiff.polyring import LinearForm, Poly, coordinates, divides_power
@@ -291,6 +297,20 @@ def test_decompose_zero_input():
     dec = decompose(DiffOp.zero(2), arr, basis)
     assert dec.words == ()
     assert reassemble(dec) == DiffOp.zero(2)
+
+
+def test_decompose_checks_the_certificate():
+    boolean2, basis = fixture_basis("boolean2")
+    triple2, _ = builtin_arrangement("triple2")
+    u = D("x*y*d1*d2", 2)
+    # certified for the Boolean pair, offered with the three-line arrangement
+    with pytest.raises(ValueError, match="certified"):
+        decompose(u, triple2, basis)
+    # the right Jacobian but a wrong certified scalar
+    wrong = SaitoBasis(basis.thetas, 2 * basis.scalar, basis.degrees)
+    with pytest.raises(ValueError, match="certified"):
+        decompose(u, boolean2, wrong)
+    assert reassemble(decompose(u, boolean2, basis)) == u
 
 
 def test_decompose_mixed_product():
