@@ -12,12 +12,16 @@ loose: ``^``, unary ``-``, ``*``, binary ``+``/``-``)::
 Exponents above ``MAX_EXPONENT``, nesting (open parentheses plus pending
 unary minus signs) deeper than ``MAX_NESTING``, any sum, product or step
 of a power with more than ``MAX_TERMS`` terms (counted over all
-coefficients), and any product or step of a power whose two factors'
-term counts multiply to more than ``MAX_TERM_PAIRS`` are rejected with a
+coefficients), and any product or step of a power that multiplies more
+than ``MAX_TERM_PAIRS`` pairs of terms are rejected with a
 ``ParseError``: powers are computed by repeated multiplication, the parser
 recurses once per nesting level, the term check after every step stops
 an expansion before it grows large, and the pair check before every
-multiplication stops one expensive product before it starts.
+multiplication stops one expensive product before it starts.  A term of
+f d^beta meets a term of g d^gamma once per derivative d^delta g that the
+Leibniz rule forms, prod_j (min(beta_j, deg_j g) + 1) times; that is once
+for a polynomial f d^0 or a constant g, so a polynomial product counts
+the plain product of its factors' term counts.
 
 Names are ``x1 .. xl`` for variables and ``d1 .. dl`` for partials, with
 ``x``, ``y``, ``z`` accepted as aliases of ``x1``, ``x2``, ``x3`` when the
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import prod
 from operator import attrgetter
 
 from .polyring import Poly, Scalar
@@ -37,6 +42,7 @@ from .weyl import DiffOp
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*^()/]))")
 _ALIASES = {"x": 1, "y": 2, "z": 3}
+_NAME = re.compile(r"([xd])(\d+)")
 MAX_EXPONENT = 1000
 # Each level costs at most five Python frames, well inside the default
 # recursion limit of 1000 even when the caller is already deep.
@@ -83,6 +89,25 @@ def _size(value: DiffOp) -> int:
     return sum(map(len, map(_terms, value.terms.values())))
 
 
+def _term_pairs(left: DiffOp, right: DiffOp) -> int:
+    """Pairs of terms that left * right multiplies together.
+
+    A term of f d^beta meets each term of g d^gamma once for every
+    derivative d^delta g that the Leibniz rule forms, delta_j <= min(beta_j,
+    deg_j g): prod_j (min(beta_j, deg_j g) + 1) times.  That is once when
+    f d^beta is a polynomial or g a constant, the two shortcuts of
+    ``DiffOp.__mul__``, and then the count is the plain number of pairs.
+    When the plain number alone exceeds MAX_TERM_PAIRS it is returned
+    as it is, so counting never walks more than MAX_TERM_PAIRS pairs.
+    """
+    pairs = _size(left) * _size(right)
+    if pairs > MAX_TERM_PAIRS:
+        return pairs
+    rights = [(len(g.terms), g.degrees()) for g in right.terms.values()]
+    return sum(len(f.terms) * size * prod(min(b, d) + 1 for b, d in zip(beta, degrees))
+               for beta, f in left.terms.items() for size, degrees in rights)
+
+
 class _Parser:
     """Recursive descent over the token list; builds DiffOp values directly."""
 
@@ -91,7 +116,10 @@ class _Parser:
         self.pos = 0
         self.depth = 0
         self.nvars = nvars
+        self.one = (0,) * nvars
         self.allow_partials = allow_partials
+        # Each distinct name is resolved once per parse; errors are not kept.
+        self.names: dict[str, DiffOp] = {}
 
     def peek(self):
         return self.tokens[self.pos]
@@ -112,11 +140,16 @@ class _Parser:
         return value
 
     def product(self, left: DiffOp, right: DiffOp, at: int) -> DiffOp:
-        # Every parsed value has at most MAX_TERMS terms, so a right factor
-        # of at most MAX_TERM_PAIRS // MAX_TERMS terms (the usual case)
-        # cannot exceed the pair limit and the left one need not be counted.
-        size = _size(right)
-        if size > MAX_TERM_PAIRS // MAX_TERMS and size * _size(left) > MAX_TERM_PAIRS:
+        # A term of a polynomial left factor meets each right term once, and
+        # one of f d^beta at most prod_j (beta_j + 1) times (see
+        # _term_pairs).  Every parsed value has at most MAX_TERMS terms, so
+        # a reach of at most MAX_TERM_PAIRS // MAX_TERMS (the usual case)
+        # needs no exact count.
+        reach = _size(right)
+        terms = left.terms
+        if len(terms) != 1 or self.one not in terms:
+            reach *= prod(max(col) + 1 for col in zip(*terms))
+        if reach > MAX_TERM_PAIRS // MAX_TERMS and _term_pairs(left, right) > MAX_TERM_PAIRS:
             raise ParseError(f"product has more than {MAX_TERM_PAIRS} term pairs", at)
         return self.bounded(left * right, at)
 
@@ -209,24 +242,33 @@ class _Parser:
         raise ParseError(f"unexpected token {tok!r}", at)
 
     def name_atom(self, name: str, at: int) -> DiffOp:
+        value = self.names.get(name)
+        if value is None:
+            value = self.names[name] = self.resolve(name, at)
+        return value
+
+    def resolve(self, name: str, at: int) -> DiffOp:
+        n = self.nvars
         if name in _ALIASES:
             index = _ALIASES[name]
-            if self.nvars > 3:
+            if n > 3:
                 raise ParseError(f"alias {name!r} is only available for dimension <= 3", at)
-            if index > self.nvars:
-                raise ParseError(f"alias {name!r} exceeds dimension {self.nvars}", at)
-            return DiffOp.from_poly(Poly.variable(self.nvars, index))
-        m = re.fullmatch(r"([xd])(\d+)", name)
-        if m is None:
-            raise ParseError(f"unknown name {name!r}", at)
-        index = int(m.group(2))
-        if not 1 <= index <= self.nvars:
-            raise ParseError(f"index {index} out of range 1..{self.nvars}", at)
-        if m.group(1) == "x":
-            return DiffOp.from_poly(Poly.variable(self.nvars, index))
+            if index > n:
+                raise ParseError(f"alias {name!r} exceeds dimension {n}", at)
+            kind = "x"
+        else:
+            m = _NAME.fullmatch(name)
+            if m is None:
+                raise ParseError(f"unknown name {name!r}", at)
+            kind, index = m.group(1), int(m.group(2))
+            if not 1 <= index <= n:
+                raise ParseError(f"index {index} out of range 1..{n}", at)
+        unit = tuple(1 if i == index else 0 for i in range(1, n + 1))
+        if kind == "x":
+            return DiffOp._make(n, {self.one: Poly._make(n, {unit: 1})})
         if not self.allow_partials:
             raise ParseError("partials are not allowed in a polynomial", at)
-        return DiffOp.partial(self.nvars, index)
+        return DiffOp._make(n, {unit: Poly._make(n, {self.one: 1})})
 
 
 def parse_diffop(text: str, nvars: int) -> DiffOp:

@@ -21,7 +21,7 @@ from typing import Sequence
 from .arrangement import Arrangement, SaitoBasis
 from .linalg import determinant, multiplicity_vector, prefix_fold, sym_indices
 from .polyring import Monomial, NotDivisibleError, Poly, Scalar, divides, exact_divide
-from .weyl import Derivation, DiffOp, in_right_ideal
+from .weyl import Derivation, DiffOp, _bracket_linear, in_right_ideal
 
 
 @dataclass(frozen=True)
@@ -114,23 +114,15 @@ class TangencyRow:
 def _brackets(u: DiffOp, alpha: Sequence[Scalar]) -> list[dict[Monomial, Poly]]:
     """The terms of ad_a^k(u) = [...[u, a], ..., a] for k = 0, 1, ... while nonzero.
 
-    For the linear form a = sum_j alpha_j x_j, [c d^beta, a] = sum_j
-    beta_j alpha_j c d^(beta - e_j): each bracket lowers the order by one,
-    so the list ends by k = ord u.  Its d^gamma coefficient at k is
+    For the linear form a = sum_j alpha_j x_j each bracket
+    (``_bracket_linear``) lowers the order by one, so the list ends by
+    k = ord u.  Its d^gamma coefficient at k is
     k! * sum over |delta| = k of C(gamma + delta, delta) alpha^delta
     c_(gamma + delta).
     """
     levels = [u.terms]
     while True:
-        nxt: dict[Monomial, Poly] = {}
-        for beta, c in levels[-1].items():
-            for j, (b, a) in enumerate(zip(beta, alpha)):
-                if a and b:
-                    gamma = beta[:j] + (b - 1,) + beta[j + 1:]
-                    term = c * (a * b)
-                    acc = nxt.get(gamma)
-                    nxt[gamma] = term if acc is None else acc + term
-        nxt = {gamma: c for gamma, c in nxt.items() if c}
+        nxt = _bracket_linear(levels[-1], alpha)
         if not nxt:
             return levels
         levels.append(nxt)

@@ -4,7 +4,11 @@ An operator is stored as a finite map from partial-derivative exponent
 tuples to nonzero polynomial coefficients, with coefficients on the left:
 ``sum_b f_b d^b``.  Products are normal-ordered through the generalized
 Leibniz rule, so the commutation relation ``d_i * f = f * d_i + df/dx_i``
-holds identically.
+holds identically.  Two products have no Leibniz term to expand and skip
+the rule: a polynomial on the left only multiplies the right's
+coefficients, since no partial has to pass a coefficient; and constant
+coefficients on the right only shift the left's partials, since a
+constant has no derivative.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product as cartesian
 from math import comb, prod
+from operator import add
 from typing import Mapping, Sequence
 
 from .polyring import Monomial, Poly, Scalar, divides
@@ -145,14 +150,40 @@ class DiffOp:
         return DiffOp._make(self.nvars, {b: -c for b, c in self.terms.items()})
 
     def __mul__(self, other) -> DiffOp:
+        """Normal-ordered product; two exact shortcuts come before Leibniz.
+
+        (a) A polynomial f on the left passes no partial, so f * sum
+        g_gamma d^gamma = sum (f g_gamma) d^gamma.  Each f g_gamma is a
+        product of nonzero polynomials, hence nonzero: nothing to drop.
+        (b) Constants c_gamma on the right have no derivatives, so
+        (sum f_beta d^beta)(sum c_gamma d^gamma) = sum c_gamma f_beta
+        d^(beta+gamma).  Different (beta, gamma) can meet at one key and
+        cancel, so the terms are summed and zeros dropped.
+        Every other product runs the Leibniz rule, ``_leibniz_into``.
+        """
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        n = self.nvars
+        one = (0,) * n
+        left = self.terms
+        if len(left) == 1 and one in left:
+            f = left[one]
+            return DiffOp._make(n, {gamma: f * g for gamma, g in other.terms.items()})
         out: dict[Monomial, Poly] = {}
-        left = self.terms.items()
-        for gamma, g in other.terms.items():
-            _leibniz_into(out, left, g, gamma, 0)
-        return DiffOp._make(self.nvars, {b: c for b, c in out.items() if c})
+        if all(len(g.terms) == 1 and one in g.terms for g in other.terms.values()):
+            for gamma, g in other.terms.items():
+                c = g.terms[one]
+                for beta, f in left.items():
+                    key = tuple(map(add, beta, gamma))
+                    term = f if c == 1 else f * c
+                    acc = out.get(key)
+                    out[key] = term if acc is None else acc + term
+        else:
+            items = left.items()
+            for gamma, g in other.terms.items():
+                _leibniz_into(out, items, g, gamma, 0)
+        return DiffOp._make(n, {b: c for b, c in out.items() if c})
 
     def __rmul__(self, other) -> DiffOp:
         # Polynomials and scalars multiply coefficients on the left directly.
@@ -167,7 +198,8 @@ class DiffOp:
 
     def __pow__(self, n: int) -> DiffOp:
         # exprparse._Parser.power repeats this loop so that it can check
-        # the term bound after each step; keep the two in step.
+        # the term-pair bound before each step and the term bound after
+        # it; keep the two in step.
         if not isinstance(n, int) or n < 0:
             raise ValueError("operator power needs a non-negative integer exponent")
         out = DiffOp.one(self.nvars)
@@ -296,22 +328,49 @@ class Derivation:
         return render(self.as_diffop())
 
 
+def _bracket_linear(terms: Mapping[Monomial, Poly],
+                    alpha: Sequence[Scalar]) -> dict[Monomial, Poly]:
+    """The terms of [u, sum_j alpha_j x_j] for an operator u with these terms.
+
+    [c d^beta, sum_j alpha_j x_j] = sum_j beta_j alpha_j c d^(beta - e_j):
+    the only Leibniz terms left take one derivative of the linear form.
+    """
+    out: dict[Monomial, Poly] = {}
+    for beta, c in terms.items():
+        for j, (b, a) in enumerate(zip(beta, alpha)):
+            if a and b:
+                gamma = beta[:j] + (b - 1,) + beta[j + 1:]
+                term = c * (a * b)
+                acc = out.get(gamma)
+                out[gamma] = term if acc is None else acc + term
+    return {gamma: c for gamma, c in out.items() if c}
+
+
 def commutator(u: DiffOp, v) -> DiffOp:
     """[u, v] = uv - vu, with polynomials and scalars coerced.
 
     For a polynomial or scalar f the delta = 0 Leibniz terms of u*f are
     exactly f*u, so only the rest is formed: [u, f] is the sum, over the
     terms a_beta d^beta of u and 0 < delta <= beta, of
-    C(beta, delta) a_beta (d^delta f) d^(beta-delta).
+    C(beta, delta) a_beta (d^delta f) d^(beta-delta).  When f has degree
+    at most 1 that is ``_bracket_linear`` (a constant part commutes).
     """
     w = u._coerce(v)
     if w is None:
         raise TypeError(f"cannot commute a DiffOp with {type(v).__name__}")
     if isinstance(v, DiffOp):
         return u * w - w * u
+    n = u.nvars
+    f = w.value_at_one()
+    if all(sum(m) <= 1 for m in f.terms):
+        alpha = [0] * n
+        for m, c in f.terms.items():
+            if any(m):
+                alpha[m.index(1)] = c
+        return DiffOp._make(n, _bracket_linear(u.terms, alpha))
     out: dict[Monomial, Poly] = {}
-    _leibniz_into(out, u.terms.items(), w.value_at_one(), (0,) * u.nvars, 1)
-    return DiffOp._make(u.nvars, {b: c for b, c in out.items() if c})
+    _leibniz_into(out, u.terms.items(), f, (0,) * n, 1)
+    return DiffOp._make(n, {b: c for b, c in out.items() if c})
 
 
 def iterated_commutator(u: DiffOp, fs: Sequence[Poly]) -> DiffOp:

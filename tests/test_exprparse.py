@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -64,6 +65,25 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as info:
         parse_poly("x @ y", 2)
     assert info.value.position == 2
+
+
+def test_names_are_resolved_per_parse():
+    # one parse resolves each name once; the next parse, in another
+    # dimension or for a polynomial, resolves it again
+    for nvars in (2, 3, 2):
+        x1 = Poly.variable(nvars, 1)
+        d1 = DiffOp.partial(nvars, 1)
+        assert parse_diffop("x1*d1 + x*d1*x1", nvars) == x1 * d1 + x1 * d1 * x1
+        assert parse_poly("x1*x + y", nvars) == x1 * x1 + Poly.variable(nvars, 2)
+    assert parse_diffop("d1", 2) == DiffOp.partial(2, 1)
+    with pytest.raises(ParseError) as info:
+        parse_poly("d1", 2)
+    assert info.value.position == 0
+    # a failing name reports its own position, also after valid names
+    for text, at in (("x1*x1 + d1*d1", 8), ("x2 + x9 + x9", 5), ("z*y + z", 0)):
+        with pytest.raises(ParseError) as info:
+            parse_poly(text, 2)
+        assert info.value.position == at
 
 
 def test_parse_poly_rejects_partials():
@@ -167,6 +187,36 @@ def test_term_pair_limit_boundary():
     with pytest.raises(ParseError, match=f"more than {MAX_TERM_PAIRS} term pairs") as info:
         parse_poly(text, 3)
     assert info.value.position == text.index(") * (") + 2
+
+
+def test_operator_term_pair_limit_boundary():
+    # d1^9*d2^9*d3^9 meets each of the 1,000 terms of g once per derivative
+    # d^delta g, 10^3 of them: exactly MAX_TERM_PAIRS pairs.  Only the
+    # x1^9*x2^9*x3^9 term survives a nonzero delta, so the result is small.
+    assert MAX_TERM_PAIRS == 1000 * 1000
+    g = "x1^9*x2^9*x3^9 + (x4 + 1)^26*(x5 + 1)^36"
+    at_limit = parse_diffop(f"d1^9*d2^9*d3^9 * ({g})", 6)
+    assert sum(len(c.terms) for c in at_limit.terms.values()) == 1000 + 999
+    text = f"d1^9*d2^9*d3^9 * ({g} + x6)"
+    start = time.process_time()
+    with pytest.raises(ParseError, match=f"more than {MAX_TERM_PAIRS} term pairs") as info:
+        parse_diffop(text, 6)
+    assert time.process_time() - start < 0.1
+    assert info.value.position == text.index(" * (") + 1
+    # a one-term right factor too: x1^1000 has 1,001 derivatives for each
+    # of the 1,000 terms of the left factor
+    cube = "(x2 + 1)^9 * (x3 + 1)^9 * (x4 + 1)^9"
+    text = f"{cube} * d1^1000 * x1^1000"
+    start = time.process_time()
+    with pytest.raises(ParseError, match=f"more than {MAX_TERM_PAIRS} term pairs") as info:
+        parse_diffop(text, 4)
+    assert time.process_time() - start < 0.1
+    assert info.value.position == text.rindex("*")
+    # each left term counts its own derivatives: the C(22, 2) terms
+    # d1^a*d2^b of (d1+d2+1)^20 meet the C(22, 2) terms of (x1+x2+1)^20
+    # C(24, 4) * C(22, 2) = 2,454,606 times
+    with pytest.raises(ParseError, match="term pairs"):
+        parse_diffop("(d1+d2+1)^20*(x1+x2+1)^20", 2)
 
 
 def test_term_pair_limit_stops_a_large_product_before_it_starts():

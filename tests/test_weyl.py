@@ -3,9 +3,12 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_diffop, random_poly
-from logdiff.exprparse import parse_diffop, parse_poly
+from logdiff import weyl
+from logdiff.exprparse import parse_diffop, parse_poly, render
 from logdiff.polyring import Poly
 from logdiff.weyl import (
     Derivation,
@@ -90,6 +93,97 @@ def test_leibniz_product_matches_commutation_relation():
             assert coeff and coeff.nvars == 2 and len(beta) == 2
 
 
+def op(nvars, terms):
+    """A DiffOp from {beta: {monomial: coefficient}}, built without the parser."""
+    return DiffOp(nvars, {beta: Poly(nvars, coeff) for beta, coeff in terms.items()})
+
+
+def _no_leibniz(*args):
+    raise AssertionError("a shortcut product ran the Leibniz rule")
+
+
+def test_polynomial_on_the_left_skips_leibniz(monkeypatch):
+    v = op(2, {(1, 0): {(1, 1): 2, (0, 0): -1}, (0, 2): {(2, 0): Fraction(1, 3)},
+               (0, 0): {(0, 1): 5}})
+    lefts = [op(2, {(0, 0): {(0, 0): 3}}), op(2, {(0, 0): {(0, 0): Fraction(-2, 7)}}),
+             op(2, {(0, 0): {(1, 0): 1, (0, 2): Fraction(1, 2), (0, 0): -4}})]
+    expected = [_times_by_commutation(u, v) for u in lefts]
+    monkeypatch.setattr(weyl, "_leibniz_into", _no_leibniz)
+    for u, want in zip(lefts, expected):
+        got = u * v
+        assert got == want and all(got.terms.values())
+        assert u * DiffOp.zero(2) == DiffOp.zero(2)
+
+
+def test_constants_on_the_right_skip_leibniz(monkeypatch):
+    u = op(2, {(1, 0): {(1, 1): 2}, (0, 1): {(2, 0): -1, (0, 0): 1}, (0, 0): {(0, 1): 3}})
+    rights = [op(2, {(0, 0): {(0, 0): 7}}), op(2, {(1, 0): {(0, 0): Fraction(-1, 2)}}),
+              op(2, {(2, 0): {(0, 0): 1}, (0, 1): {(0, 0): Fraction(3, 4)},
+                     (0, 0): {(0, 0): -2}})]
+    expected = [_times_by_commutation(u, v) for v in rights]
+    d1_plus_d2 = op(2, {(1, 0): {(0, 0): 1}, (0, 1): {(0, 0): 1}})
+    d1_minus_d2 = op(2, {(1, 0): {(0, 0): 1}, (0, 1): {(0, 0): -1}})
+    # d1*d2 meets d2*d1 at one key and cancels
+    squares = op(2, {(2, 0): {(0, 0): 1}, (0, 2): {(0, 0): -1}})
+    half = op(2, {(1, 0): {(0, 0): Fraction(1, 2)}, (0, 1): {(0, 0): Fraction(1, 2)}})
+    monkeypatch.setattr(weyl, "_leibniz_into", _no_leibniz)
+    for v, want in zip(rights, expected):
+        assert u * v == want
+    product = d1_plus_d2 * d1_minus_d2
+    assert product == squares and product.terms == squares.terms
+    assert (half * d1_minus_d2).terms == {(2, 0): Poly.constant(2, Fraction(1, 2)),
+                                          (0, 2): Poly.constant(2, Fraction(-1, 2))}
+    assert DiffOp.zero(2) * d1_plus_d2 == DiffOp.zero(2)
+    # both shortcuts apply at once
+    assert op(2, {(0, 0): {(1, 0): 2}}) * d1_minus_d2 == op(
+        2, {(1, 0): {(1, 0): 2}, (0, 1): {(1, 0): -2}})
+
+
+def test_products_outside_the_shortcuts_match_commutation():
+    # a right side with one non-constant coefficient must not take the
+    # constant shortcut, and a left side with d^0 plus other keys must not
+    # take the polynomial one
+    u = op(2, {(1, 1): {(0, 0): 1}, (2, 0): {(0, 1): 3}, (0, 0): {(1, 0): 1}})
+    mixed_right = op(2, {(1, 0): {(0, 0): 2}, (0, 0): {(2, 1): 1}, (0, 1): {(0, 0): -1}})
+    assert u * mixed_right == _times_by_commutation(u, mixed_right)
+    poly_right = op(2, {(0, 0): {(1, 1): 1, (0, 0): 1}})
+    assert u * poly_right == _times_by_commutation(u, poly_right)
+    rng = random.Random(62)
+    for _ in range(40):
+        nvars = rng.choice([1, 2])
+        u = random_diffop(rng, nvars, max_order=2, max_degree=2)
+        u = u + random_poly(rng, nvars, max_degree=2, nonzero=True)
+        v = random_diffop(rng, nvars, max_order=2, max_degree=rng.choice([0, 1, 2]))
+        assert u * v == _times_by_commutation(u, v)
+
+
+@st.composite
+def _diffops(draw, nvars, max_order, max_degree):
+    monos = st.tuples(*[st.integers(0, max_degree)] * nvars)
+    betas = st.tuples(*[st.integers(0, max_order)] * nvars)
+    scalars = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    coeffs = st.dictionaries(monos, scalars, max_size=3).map(lambda t: Poly(nvars, t))
+    return DiffOp(nvars, draw(st.dictionaries(betas, coeffs, max_size=3)))
+
+
+@st.composite
+def _operator_pairs(draw):
+    # orders and degrees drawn from 0 upward, so that many pairs have a
+    # polynomial on the left or constants on the right
+    nvars = draw(st.integers(1, 3))
+    u = draw(_diffops(nvars, draw(st.integers(0, 2)), 2))
+    v = draw(_diffops(nvars, 2, draw(st.integers(0, 2))))
+    return u, v
+
+
+@settings(max_examples=150, deadline=None)
+@given(_operator_pairs())
+def test_parsed_product_matches_commutation_hypothesis(pair):
+    u, v = pair
+    text = "(" + render(u) + ") * (" + render(v) + ")"
+    assert parse_diffop(text, u.nvars) == _times_by_commutation(u, v)
+
+
 def test_left_multiplication_by_zero_gives_zero_operator():
     u = D("x*d1 + d2^2", 2)
     for zero in (0, Fraction(0), Poly.zero(2)):
@@ -128,6 +222,29 @@ def test_commutator_with_polynomial_matches_products():
     assert commutator(DiffOp.zero(2), random_poly(rng, 2, nonzero=True)) == DiffOp.zero(2)
     w = random_diffop(rng, 2)
     assert commutator(u, w) == u * w - w * u
+
+
+def test_commutator_with_a_linear_form_skips_leibniz(monkeypatch):
+    # deg f <= 1: only the terms with one derivative of f remain, and a
+    # constant part of f commutes
+    rng = random.Random(63)
+    cases = []
+    for _ in range(30):
+        nvars = rng.choice([1, 2, 3])
+        u = random_diffop(rng, nvars, max_order=3)
+        if rng.random() < 0.5:
+            u = Fraction(rng.randint(1, 5), rng.randint(1, 4)) * u
+        f = Poly(nvars, {tuple(1 if i == j else 0 for i in range(nvars)):
+                         Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                         for j in range(nvars)})
+        cases.append((u, f + rng.randint(-2, 2)))
+    cases.append((D("x1^2*d1^2*d2 + d2", 2), P("x2", 2)))
+    cases.append((DiffOp.zero(2), P("x1 - 3*x2 + 1", 2)))
+    expected = [u * f - f * u for u, f in cases]
+    monkeypatch.setattr(weyl, "_leibniz_into", _no_leibniz)
+    for (u, f), want in zip(cases, expected):
+        got = commutator(u, f)
+        assert got.terms == want.terms
 
 
 def test_iterated_commutator_examples():
