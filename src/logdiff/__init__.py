@@ -10,8 +10,6 @@ from .arrangement import (
     SaitoFailure,
     builtin_arrangement,
     euler_derivation,
-    is_tangent_derivation,
-    is_tangent_derivation_via_q,
     rank2_basis,
     saito_check,
 )
@@ -83,8 +81,6 @@ __all__ = [
     "higher_jacobian",
     "in_right_ideal",
     "is_tangent",
-    "is_tangent_derivation",
-    "is_tangent_derivation_via_q",
     "is_tangent_q",
     "iterated_commutator",
     "jacobian_power_identity",

@@ -13,14 +13,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .linalg import determinant
-from .polyring import (
-    LinearForm,
-    NotDivisibleError,
-    Poly,
-    Scalar,
-    divides,
-    exact_divide,
-)
+from .polyring import LinearForm, NotDivisibleError, Poly, Scalar, exact_divide
+from .tangent import is_tangent
 from .weyl import Derivation
 
 
@@ -59,24 +53,6 @@ class Arrangement:
         return f"Arrangement({[str(f.as_poly()) for f in self.forms]})"
 
 
-def is_tangent_derivation(delta: Derivation, arr: Arrangement) -> bool:
-    """True iff the derivation maps each form into the ideal it generates."""
-    if delta.nvars != arr.dim:
-        raise ValueError("derivation over a different ambient dimension")
-    for form in arr.forms:
-        fp = form.as_poly()
-        if not divides(fp, delta.apply(fp)):
-            return False
-    return True
-
-
-def is_tangent_derivation_via_q(delta: Derivation, arr: Arrangement) -> bool:
-    """Equivalent test through the defining polynomial itself."""
-    if delta.nvars != arr.dim:
-        raise ValueError("derivation over a different ambient dimension")
-    return divides(arr.q, delta.apply(arr.q))
-
-
 def euler_derivation(dim: int) -> Derivation:
     """sum_i x_i d_i; tangent to every central arrangement."""
     return Derivation(tuple(Poly.variable(dim, i) for i in range(1, dim + 1)))
@@ -111,9 +87,11 @@ class SaitoFailure:
 def saito_check(arr: Arrangement, thetas: Sequence[Derivation]) -> SaitoBasis | SaitoFailure:
     """Certify a candidate basis of tangent derivations, or report why not.
 
-    Checks, in order: every candidate is tangent; every candidate is
-    homogeneous; the coefficient matrix (theta_i applied to x_j) has
-    determinant equal to a nonzero scalar times the defining polynomial.
+    Checks, in order: every candidate is tangent, which for an order-one
+    operator is the single ``is_tangent`` cell t = 1, a | theta(a) for
+    every form a; every candidate is homogeneous; the coefficient matrix
+    (theta_i applied to x_j) has determinant equal to a nonzero scalar
+    times the defining polynomial.
     """
     thetas = tuple(thetas)
     if len(thetas) != arr.dim:
@@ -121,7 +99,7 @@ def saito_check(arr: Arrangement, thetas: Sequence[Derivation]) -> SaitoBasis | 
     if any(th.nvars != arr.dim for th in thetas):
         raise ValueError("derivation over a different ambient dimension")
     for i, th in enumerate(thetas, start=1):
-        if not is_tangent_derivation(th, arr):
+        if not is_tangent(th.as_diffop(), arr):
             return SaitoFailure("derivation is not tangent to the arrangement", index=i)
     degrees = []
     for i, th in enumerate(thetas, start=1):

@@ -281,20 +281,14 @@ def parse_poly(text: str, nvars: int) -> Poly:
     return _Parser(text, nvars, allow_partials=False).parse().value_at_one()
 
 
-def _var_name(index: int, nvars: int, aliases: bool) -> str:
-    if aliases and nvars <= 3:
-        return "xyz"[index - 1]
-    return f"x{index}"
-
-
-def _term_pieces(mono, beta, coeff: Scalar, nvars: int, aliases: bool) -> tuple[bool, str]:
+def _term_pieces(mono, beta, coeff: Scalar) -> tuple[bool, str]:
     """Render one distributed term; returns (is_negative, body without sign)."""
     pieces = []
     for i, e in enumerate(mono, start=1):
         if e == 1:
-            pieces.append(_var_name(i, nvars, aliases))
+            pieces.append(f"x{i}")
         elif e > 1:
-            pieces.append(f"{_var_name(i, nvars, aliases)}^{e}")
+            pieces.append(f"x{i}^{e}")
     for i, e in enumerate(beta, start=1):
         if e == 1:
             pieces.append(f"d{i}")
@@ -309,27 +303,25 @@ def _term_pieces(mono, beta, coeff: Scalar, nvars: int, aliases: bool) -> tuple[
     return negative, f"{mag}*" + "*".join(pieces)
 
 
-def render(value: Poly | DiffOp, aliases: bool = False) -> str:
+def render(value: Poly | DiffOp) -> str:
     """Canonical text: graded-lex descending terms, highest order first.
 
     Round trips exactly through the matching parse function.
     """
     if isinstance(value, Poly):
         items = [(m, (0,) * value.nvars, c) for m, c in value.sorted_terms()]
-        nvars = value.nvars
     elif isinstance(value, DiffOp):
         items = []
         for beta in sorted(value.terms, key=lambda b: (sum(b), b), reverse=True):
             for m, c in value.terms[beta].sorted_terms():
                 items.append((m, beta, c))
-        nvars = value.nvars
     else:
         raise TypeError(f"cannot render {type(value).__name__}")
     if not items:
         return "0"
     parts = []
     for n, (mono, beta, coeff) in enumerate(items):
-        negative, body = _term_pieces(mono, beta, coeff, nvars, aliases)
+        negative, body = _term_pieces(mono, beta, coeff)
         if n == 0:
             parts.append(f"-{body}" if negative else body)
         else:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .linalg import determinant, multiplicity_product, prefix_fold, sym_indices
 from .polyring import Poly
-from .weyl import Derivation, DiffOp, commutator
+from .weyl import Derivation, DiffOp, commutator, word_fold
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,7 @@ def product_family(ops: Sequence[DiffOp | Derivation], power: int) -> OpFamily:
     nvars = ops[0].nvars
     if len(ops) != nvars:
         raise ValueError("need one operator per variable")
-    fold = prefix_fold(DiffOp.one(nvars), lambda w, i: w * ops[i - 1])
-    return OpFamily(nvars, power, tuple(map(fold, sym_indices(nvars, power))))
+    return OpFamily(nvars, power, tuple(map(word_fold(ops), sym_indices(nvars, power))))
 
 
 def commutator_value_matrix(fs: Sequence[Poly], fam: OpFamily) -> list[list[Poly]]:

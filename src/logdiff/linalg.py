@@ -72,12 +72,6 @@ def _one_like(x):
     return 1
 
 
-def _is_zero(x) -> bool:
-    if isinstance(x, Poly):
-        return not x
-    return x == 0
-
-
 def _exact_div(a, b):
     if isinstance(a, Poly):
         return exact_divide(a, b)
@@ -149,7 +143,7 @@ def _det_cofactor(m: list[list], n: int):
     sign = 1
     for j in range(n):
         entry = m[0][j]
-        if not _is_zero(entry):
+        if entry:
             minor = [row[:j] + row[j + 1:] for row in m[1:]]
             term = entry * _det_cofactor(minor, n - 1)
             if sign < 0:
@@ -166,9 +160,9 @@ def _det_bareiss(a: list[list], n: int):
     sign = 1
     prev = None
     for k in range(n - 1):
-        if _is_zero(a[k][k]):
+        if not a[k][k]:
             for i in range(k + 1, n):
-                if not _is_zero(a[i][k]):
+                if a[i][k]:
                     a[k], a[i] = a[i], a[k]
                     sign = -sign
                     break
@@ -236,7 +230,7 @@ def sym_power_matrix(m: Matrix, power: int) -> list[list]:
     # Row i of m as (unit exponent vector of y_j, nonzero m[i][j]) pairs.
     forms = [
         [(tuple(int(k == j) for k in range(dim)), x)
-         for j, x in enumerate(row) if not _is_zero(x)]
+         for j, x in enumerate(row) if x]
         for row in m
     ]
 

@@ -11,7 +11,7 @@ import random
 from typing import Sequence
 
 from .polyring import Monomial, Poly
-from .weyl import Derivation, DiffOp
+from .weyl import Derivation, DiffOp, word_fold
 
 
 def random_monomial(rng: random.Random, nvars: int, max_degree: int) -> Monomial:
@@ -45,8 +45,6 @@ def random_word(rng: random.Random, thetas: Sequence[Derivation], nvars: int,
     """A nonzero polynomial times a product of at most ``max_len`` of the
     ``thetas``, taken in weakly increasing index order."""
     length = rng.randint(0, max_len)
-    letters = sorted(rng.randint(1, len(thetas)) for _ in range(length))
-    op = DiffOp.from_poly(random_poly(rng, nvars, 2, nonzero=True))
-    for i in letters:
-        op = op * thetas[i - 1].as_diffop()
-    return op
+    letters = tuple(sorted(rng.randint(1, len(thetas)) for _ in range(length)))
+    coeff = random_poly(rng, nvars, 2, nonzero=True)
+    return coeff * word_fold([th.as_diffop() for th in thetas])(letters)

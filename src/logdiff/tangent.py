@@ -16,12 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .arrangement import Arrangement, SaitoBasis
-from .linalg import determinant, multiplicity_vector, prefix_fold, sym_indices
+from .linalg import determinant, multiplicity_vector, sym_indices
 from .polyring import Monomial, NotDivisibleError, Poly, Scalar, divides, exact_divide
-from .weyl import Derivation, DiffOp, _bracket_linear, in_right_ideal
+from .weyl import Derivation, DiffOp, _bracket_linear, in_right_ideal, word_fold
+
+if TYPE_CHECKING:
+    # Annotations only: ``arrangement`` imports ``is_tangent`` from here.
+    from .arrangement import Arrangement, SaitoBasis
 
 
 @dataclass(frozen=True)
@@ -58,13 +61,10 @@ class Decomposition:
 class DecompositionError(Exception):
     """Structured failure: the operator is not a word combination at a level.
 
-    ``index`` names the word whose coefficient failed to divide; it is None
-    when every division succeeded but subtracting the words did not lower
-    the order.
+    ``index`` names the word whose coefficient failed to divide.
     """
 
-    def __init__(self, message: str, level: int,
-                 index: tuple[int, ...] | None = None):
+    def __init__(self, message: str, level: int, index: tuple[int, ...]):
         super().__init__(message)
         self.level = level
         self.index = index
@@ -183,16 +183,11 @@ def tangency_table(u: DiffOp, arr: Arrangement, t_max: int) -> list[TangencyRow]
     return list(_tangency_rows(u, arr, t_max))
 
 
-def _word_fold(ops: Sequence[DiffOp]):
-    """fold(word) is the product of ops along the word, shared by prefix."""
-    return prefix_fold(DiffOp.one(ops[0].nvars), lambda w, i: w * ops[i - 1])
-
-
 def reassemble(dec: Decomposition) -> DiffOp:
     """Expand the word sum back into one normally ordered operator."""
     if not dec.generators:
         raise ValueError("decomposition carries no generators")
-    word_op = _word_fold([g.as_diffop() for g in dec.generators])
+    word_op = word_fold([g.as_diffop() for g in dec.generators])
     out = DiffOp.zero(dec.generators[0].nvars)
     for w in dec.words:
         out = out + w.coeff * word_op(w.word)
@@ -219,7 +214,7 @@ def transport(u: DiffOp, arr: Arrangement) -> Decomposition:
         Derivation(tuple(arr.q if j == i else Poly.zero(n) for j in range(n)))
         for i in range(n)
     )
-    word_op = _word_fold([g.as_diffop() for g in generators])
+    word_op = word_fold([g.as_diffop() for g in generators])
     words = []
     cur = u
     e = comb(u.order + 1, 2)
@@ -267,19 +262,29 @@ def decompose(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> Decomposition:
     Substituting xi = adj(Theta) y turns Theta xi into lambda * Q * y, so
     the coefficient of y^K in the substituted symbol is (lambda Q)^p * c_K.
     lambda is the certified ``basis.scalar``; det Theta, read off adj(Theta),
-    must equal lambda * Q, or a ValueError is raised.  Exact division extracts c_K; subtracting the recovered words must
-    strictly drop the order.  Failure of either step is reported as a
-    DecompositionError naming the level, and the index when a division
-    fails: that is the certificate that u is not a word combination.  The
-    c_K are the same rational functions that Cramer's rule reads off the
-    higher Jacobians, so a failed division names the same first index on
-    either route.
+    must equal lambda * Q, or a ValueError is raised.  Exact division
+    extracts c_K.  A division that fails is reported as a
+    DecompositionError naming the level and the index: that is the
+    certificate that u is not a word combination.  The c_K are the same
+    rational functions that Cramer's rule reads off the higher Jacobians,
+    so a failed division names the same first index on either route.
+
+    Once every division at level p succeeds, subtracting the recovered
+    words always drops the order, so that step is an assertion and not a
+    negative result.  After the substitution, the order-p symbol of the
+    remainder is sum_K (N_K - (lambda Q)^p c_K) y^K, where N_K is the y^K
+    coefficient that was divided, and every term is zero once
+    N_K = (lambda Q)^p c_K.  The substitution xi = adj(Theta) y is
+    injective on polynomials in xi, because det adj(Theta) =
+    (lambda Q)^(n-1) is nonzero, so the remainder's order-p symbol is
+    itself zero.
 
     A successful decomposition certifies tangency, so no separate test
     runs: it reassembles to u exactly, and every word is a product of
-    tangent derivations, so u is tangent.  Conversely, by Saito's theorem and the decomposition theorem
-    every tangent operator over a free arrangement is a word combination
-    in a certified basis, so a tangent u never fails.
+    tangent derivations, so u is tangent.  Conversely, by Saito's theorem
+    and the decomposition theorem every tangent operator over a free
+    arrangement is a word combination in a certified basis, so a tangent u
+    never fails.
     """
     n = arr.dim
     if u.nvars != n:
@@ -308,7 +313,7 @@ def decompose(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> Decomposition:
     ]
     powers = [[Poly.one(m)] for _ in range(n)]
     no_y = (0,) * n
-    word_op = _word_fold([th.as_diffop() for th in thetas])
+    word_op = word_fold([th.as_diffop() for th in thetas])
 
     words: list[Word] = []
     cur = u
@@ -347,12 +352,7 @@ def decompose(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> Decomposition:
         nxt = cur
         for coeff, k in level_words:
             nxt = nxt - coeff * word_op(k)
-        if nxt and nxt.order >= p:
-            raise DecompositionError(
-                f"level {p}: subtracting the recovered words did not lower the "
-                "order; the operator is not a word combination at this level",
-                level=p,
-            )
+        assert not nxt or nxt.order < p, "decompose must drop the order"
         words.extend(Word(coeff, k) for coeff, k in level_words)
         cur = nxt
     if cur:

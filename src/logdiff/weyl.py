@@ -20,6 +20,7 @@ from math import comb, prod
 from operator import add
 from typing import Mapping, Sequence
 
+from .linalg import prefix_fold
 from .polyring import Monomial, Poly, Scalar, divides
 
 
@@ -234,6 +235,17 @@ class DiffOp:
         return f"DiffOp({self!s}, nvars={self.nvars})"
 
 
+def word_fold(ops: Sequence[DiffOp]):
+    """fold(word) is the product ops[i1] * ... * ops[ik] along the 1-based
+    word (i1, ..., ik), and 1 for the empty word.
+
+    Every word product in the package goes through here.  Words that share
+    a prefix share its product (``linalg.prefix_fold``), for as long as the
+    fold is kept.
+    """
+    return prefix_fold(DiffOp.one(ops[0].nvars), lambda w, i: w * ops[i - 1])
+
+
 def _leibniz_into(out: dict[Monomial, Poly], left, g: Poly, gamma: Monomial,
                   skip: int) -> None:
     """Add (sum over ``left`` of f d^beta) * g d^gamma into ``out``.
@@ -297,14 +309,10 @@ class Derivation:
         for i, c in enumerate(self.coeffs):
             if c:
                 terms[tuple(1 if j == i else 0 for j in range(n))] = c
-        return DiffOp(n, terms)
+        return DiffOp._make(n, terms)
 
     def apply(self, f: Poly) -> Poly:
-        out = Poly.zero(self.nvars)
-        for i, c in enumerate(self.coeffs, start=1):
-            if c:
-                out = out + c * f.diff(i)
-        return out
+        return self.as_diffop().apply(f)
 
     def homogeneous_degree(self) -> int | None:
         """Common degree of the nonzero coefficients, or None.

@@ -195,8 +195,9 @@ def decompose_by_jacobians(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> De
     basis product family makes the Jacobian equal (multiplicity product) *
     scalar^E * Q^E times that coefficient, with E = C(p+dim-1, dim).  Exact
     division extracts it, and subtracting the recovered words must strictly
-    drop the order.  Failures raise DecompositionError with the same level
-    and index as ``decompose``.
+    drop the order, which it always does once every division succeeds.  A
+    failed division raises DecompositionError with the same level and index
+    as ``decompose``.
     """
     n = arr.dim
     fs = coordinates(n)
@@ -233,8 +234,7 @@ def decompose_by_jacobians(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> De
         nxt = cur
         for coeff, _k, op in level_words:
             nxt = nxt - coeff * op
-        if nxt and nxt.order >= p:
-            raise DecompositionError("order did not drop", level=p)
+        assert not nxt or nxt.order < p, "the Jacobian route must drop the order"
         words.extend(Word(coeff, k) for coeff, k, _op in level_words)
         cur = nxt
     if cur:

@@ -6,10 +6,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import logdiff.cli
-from logdiff.arrangement import builtin_arrangement
+import logdiff.tangent
+from logdiff.arrangement import builtin_arrangement, euler_derivation
 from logdiff.cli import main
 from logdiff.exprparse import render
 from logdiff.sampling import random_order_one_op, random_poly, random_word
+from logdiff.tangent import is_tangent
 
 
 def run(capsys, *argv):
@@ -191,6 +193,73 @@ def test_tangent_table_pass(capsys):
     assert "tangent up to t_max = 5" in out
 
 
+def test_tangent_default_cutoff_pass_golden(capsys):
+    # (x1*d1)^2 = x1^2*d1^2 + x1*d1 has order 2, so the table runs t = 1, 2
+    code, out, err = run(
+        capsys, "tangent", "--arrangement", "builtin:boolean1", "--op", "x1*d1*x1*d1",
+    )
+    assert (code, err) == (0, "")
+    assert out == "form 1 (x1): t=1 pass, t=2 pass\noverall: tangent\n"
+
+
+def test_tangent_default_cutoff_failure_golden(capsys):
+    code, out, err = run(
+        capsys, "tangent", "--arrangement", "builtin:triple2",
+        "--op", "x1^2*d1^2 + x2^2*d2^2",
+    )
+    assert (code, err) == (1, "")
+    assert out == (
+        "form 1 (x1): t=1 pass, t=2 pass\n"
+        "form 2 (x2): t=1 pass, t=2 pass\n"
+        "form 3 (x1 + x2): t=1 FAIL, t=2 FAIL\n"
+        "  witness at t=1: coefficient 2*x2^2 of d2 not divisible by (x1 + x2)^1\n"
+        "  witness at t=2: coefficient 2*x1^2 + 2*x2^2 of 1 not divisible by (x1 + x2)^2\n"
+        "overall: not tangent\n"
+    )
+
+
+def test_tangent_default_cutoff_verdict_is_is_tangent(capsys):
+    rng = random.Random(73)
+    verdicts = set()
+    for name in ("boolean2", "triple2", "generic3"):
+        arr, thetas = builtin_arrangement(name)
+        ops = [random_word(rng, thetas or [euler_derivation(arr.dim)], arr.dim, 3)
+               for _ in range(6)]
+        ops += [random_order_one_op(rng, arr.dim, 2) for _ in range(6)]
+        for u in ops:
+            code, out, _ = run(capsys, "tangent", "--arrangement", f"builtin:{name}",
+                               "--op", render(u))
+            verdict = is_tangent(u, arr)
+            assert code == (0 if verdict else 1)
+            assert out.endswith("overall: tangent\n" if verdict else "overall: not tangent\n")
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_tangent_tmax_limit(capsys):
+    code, out, _ = run(
+        capsys, "tangent", "--arrangement", "builtin:boolean1", "--op", "x*d1", "--tmax", "64",
+    )
+    assert code == 0 and out.endswith("overall: tangent up to t_max = 64\n")
+    code, out, err = run(
+        capsys, "tangent", "--arrangement", "builtin:boolean1", "--op", "x*d1", "--tmax", "65",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --tmax 65 exceeds the limit 64\n"
+
+
+def test_tangent_default_cutoff_limit(capsys):
+    code, out, _ = run(
+        capsys, "tangent", "--arrangement", "builtin:boolean1", "--op", "x^64*d1^64",
+    )
+    assert code == 0 and out.endswith(", t=64 pass\noverall: tangent\n")
+    code, out, err = run(
+        capsys, "tangent", "--arrangement", "builtin:boolean1", "--op", "x^65*d1^65",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: the exact cutoff max(order, 1) = 65 exceeds the limit 64\n"
+
+
 def test_tangent_deeply_nested_operator(capsys):
     code, _, err = run(
         capsys, "tangent", "--arrangement", "builtin:boolean1",
@@ -210,6 +279,18 @@ def test_decompose_internal_error_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: reassembly does not match the input\n"
+
+
+def test_decompose_order_drop_is_an_invariant(capsys, monkeypatch):
+    # a wrong quotient leaves the top order in place: a bug, not a negative
+    divide = logdiff.tangent.exact_divide
+    monkeypatch.setattr(logdiff.tangent, "exact_divide", lambda a, b: divide(a, b) * 2)
+    code, out, err = run(
+        capsys, "decompose", "--arrangement", "builtin:boolean1", "--op", "x1^2*d1^2",
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: decompose must drop the order\n"
 
 
 def test_tangent_term_limit_is_a_parse_error(capsys):

@@ -247,7 +247,6 @@ def test_term_limit_stops_a_power_early():
 def test_render_examples():
     u = parse_diffop("x1*d1 + 1", 1)
     assert render(u) == "x1*d1 + 1"
-    assert render(u, aliases=True) == "x*d1 + 1"
     assert render(Poly.zero(2)) == "0"
     assert render(DiffOp.zero(2)) == "0"
 
@@ -280,6 +279,7 @@ def test_round_trip_polynomials_with_aliases():
     for _ in range(200):
         nvars = rng.randint(1, 3)
         f = random_poly(rng, nvars, max_degree=3)
-        for aliases in (False, True):
-            text = render(f, aliases=aliases)
-            assert parse_poly(text, nvars) == f
+        text = render(f)
+        assert parse_poly(text, nvars) == f
+        aliased = text.replace("x1", "x").replace("x2", "y").replace("x3", "z")
+        assert parse_poly(aliased, nvars) == f

@@ -22,7 +22,7 @@ from logdiff.arrangement import (
 )
 from logdiff.exprparse import parse_diffop, parse_poly
 from logdiff.linalg import sym_indices
-from logdiff.polyring import LinearForm, Poly, coordinates, divides_power
+from logdiff.polyring import LinearForm, Poly, coordinates, divides, divides_power
 from logdiff.tangent import (
     Decomposition,
     DecompositionError,
@@ -205,6 +205,40 @@ _scaled_lines = Arrangement([LinearForm((1, 0)), LinearForm((2, -1)),
        st.integers(1, 5))
 def test_tangency_table_equals_products_hypothesis(u, arr, t_max):
     assert tangency_table(u, arr, t_max) == tangency_table_by_products(u, arr, t_max)
+
+
+def _polys(n):
+    return st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * n), st.integers(-3, 3), max_size=3,
+    ).map(lambda d: Poly(n, d))
+
+
+@pytest.mark.parametrize("fixture", [
+    *[lambda name=name: builtin_arrangement(name)[0]
+      for name in ("boolean1", "boolean2", "boolean3", "triple2", "generic3")],
+    lambda: four_lines_basis()[0],
+    lambda: a3_basis()[0],
+], ids=["boolean1", "boolean2", "boolean3", "triple2", "generic3", "four_lines", "A3"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_derivation_tangency_is_operator_tangency(fixture, data):
+    # f * Euler + sum_i g_i * Q * d_i is tangent; adding a raw derivation
+    # usually is not.  Tangency at order one must equal the definition,
+    # a | delta(a) for every form a, and the whole-Q route at t = 1.
+    arr = fixture()
+    n = arr.dim
+    f, *gs = data.draw(st.lists(_polys(n), min_size=n + 1, max_size=n + 1))
+    raw = data.draw(st.lists(_polys(n), min_size=n, max_size=n))
+    add_raw = data.draw(st.booleans())
+    delta = Derivation(tuple(
+        f * Poly.variable(n, j + 1) + gs[j] * arr.q + (raw[j] if add_raw else Poly.zero(n))
+        for j in range(n)
+    ))
+    u = delta.as_diffop()
+    literal = all(divides(a.as_poly(), delta.apply(a.as_poly())) for a in arr.forms)
+    assert is_tangent(u, arr) == literal == is_tangent_q(u, arr, 1)
+    if not add_raw:
+        assert literal
 
 
 def test_tangency_cutoff_is_exact():
