@@ -210,8 +210,8 @@ class _Parser:
             if exp > MAX_EXPONENT:
                 raise ParseError(f"exponent {exp} exceeds the limit {MAX_EXPONENT}", at)
             self.advance()
-            value = DiffOp.one(self.nvars)
-            for _ in range(exp):
+            value = base if exp else DiffOp.one(self.nvars)
+            for _ in range(exp - 1):
                 value = self.product(value, base, at)
             return value
         return base

@@ -210,23 +210,13 @@ def prefix_fold(start, step):
     return fold
 
 
-def sym_power_matrix(m: Matrix, power: int) -> list[list]:
-    """The induced matrix on the degree-``power`` symmetric power.
-
-    Entry (I, J) is the permanent of the power x power matrix whose (a, b)
-    entry is m[i_a][j_b]; rows and columns follow the ``sym_indices`` order.
-    Row I is read off the product over a of the linear forms
-    sum_j m[i_a][j] y_j: the permanent counts each way of giving the
-    factors the columns of J once per reordering of equal columns, so
-    entry (I, J) is the coefficient of y^mult(J) times the product of the
-    multiplicity factorials of J.
+def _form_product_fold(m: Matrix):
+    """fold(k) is the product over i in the 1-based tuple k of the linear
+    forms sum_j m[i-1][j] y_j, as a dict from exponent vectors of y to
+    coefficients.  Rows of ``sym_power_matrix`` and the substituted
+    symbols of ``tangent.decompose`` are both read off it.
     """
-    dim = _square_size(m)
-    idxs = sym_indices(dim, power)
-    one = _one_like(m[0][0])
-    if power == 0:
-        return [[one]]
-    zero = _zero_like(m[0][0])
+    dim = len(m)
     # Row i of m as (unit exponent vector of y_j, nonzero m[i][j]) pairs.
     forms = [
         [(tuple(int(k == j) for k in range(dim)), x)
@@ -243,7 +233,24 @@ def sym_power_matrix(m: Matrix, power: int) -> list[list]:
                 out[key] = c * x if acc is None else acc + c * x
         return out
 
-    fold = prefix_fold({(0,) * dim: one}, times_form)
+    return prefix_fold({(0,) * dim: _one_like(m[0][0])}, times_form)
+
+
+def sym_power_matrix(m: Matrix, power: int) -> list[list]:
+    """The induced matrix on the degree-``power`` symmetric power.
+
+    Entry (I, J) is the permanent of the power x power matrix whose (a, b)
+    entry is m[i_a][j_b]; rows and columns follow the ``sym_indices`` order.
+    Row I is read off the product over a of the linear forms
+    sum_j m[i_a][j] y_j (``_form_product_fold``): the permanent counts each
+    way of giving the factors the columns of J once per reordering of equal
+    columns, so entry (I, J) is the coefficient of y^mult(J) times the
+    product of the multiplicity factorials of J.
+    """
+    dim = _square_size(m)
+    idxs = sym_indices(dim, power)
+    zero = _zero_like(m[0][0])
+    fold = _form_product_fold(m)
     cols = []
     for j in idxs:
         mult = multiplicity_vector(j, dim)

@@ -8,10 +8,9 @@ as long as the draw order below stays fixed.
 from __future__ import annotations
 
 import random
-from typing import Sequence
 
 from .polyring import Monomial, Poly
-from .weyl import Derivation, DiffOp, word_fold
+from .weyl import DiffOp
 
 
 def random_monomial(rng: random.Random, nvars: int, max_degree: int) -> Monomial:
@@ -40,11 +39,12 @@ def random_order_one_op(rng: random.Random, nvars: int, max_degree: int) -> Diff
     return op
 
 
-def random_word(rng: random.Random, thetas: Sequence[Derivation], nvars: int,
+def random_word(rng: random.Random, word_op, nletters: int, nvars: int,
                 max_len: int) -> DiffOp:
     """A nonzero polynomial times a product of at most ``max_len`` of the
-    ``thetas``, taken in weakly increasing index order."""
+    ``nletters`` generators of the ``weyl.word_fold`` ``word_op``, taken in
+    weakly increasing index order."""
     length = rng.randint(0, max_len)
-    letters = tuple(sorted(rng.randint(1, len(thetas)) for _ in range(length)))
+    letters = tuple(sorted(rng.randint(1, nletters) for _ in range(length)))
     coeff = random_poly(rng, nvars, 2, nonzero=True)
-    return coeff * word_fold([th.as_diffop() for th in thetas])(letters)
+    return coeff * word_op(letters)

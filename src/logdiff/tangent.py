@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import TYPE_CHECKING, Sequence
 
-from .linalg import determinant, multiplicity_vector, sym_indices
+from .linalg import _form_product_fold, determinant, multiplicity_vector, sym_indices
 from .polyring import Monomial, NotDivisibleError, Poly, Scalar, divides, exact_divide
 from .weyl import Derivation, DiffOp, _bracket_linear, in_right_ideal, word_fold
 
@@ -261,8 +261,12 @@ def decompose(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> Decomposition:
     part is sum_K c_K theta^K has symbol sum_K c_K (Theta xi)^K.
     Substituting xi = adj(Theta) y turns Theta xi into lambda * Q * y, so
     the coefficient of y^K in the substituted symbol is (lambda Q)^p * c_K.
-    lambda is the certified ``basis.scalar``; det Theta, read off adj(Theta),
-    must equal lambda * Q, or a ValueError is raised.  Exact division
+    Level p is thus read off rows of Sym^p(adj Theta): the top term
+    a_beta d^beta becomes a_beta times the product of the linear forms
+    xi_j = sum_i adj(Theta)_ji y_i over the letters of beta, expanded by
+    the fold that builds ``sym_power_matrix`` rows.  lambda is the
+    certified ``basis.scalar``; det Theta, read off adj(Theta), must equal
+    lambda * Q, or a ValueError is raised.  Exact division
     extracts c_K.  A division that fails is reported as a
     DecompositionError naming the level and the index: that is the
     certificate that u is not a word combination.  The c_K are the same
@@ -304,35 +308,21 @@ def decompose(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> Decomposition:
             "basis Jacobian is not the certified nonzero scalar times the defining polynomial"
         )
 
-    # xi_j = sum_i adj(Theta)_ji * y_i, as polynomials in x1..xl, y1..yl.
-    m = 2 * n
-    ys = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
-    xi = [
-        Poly(m, {mono + ys[i]: c for i in range(n) for mono, c in adj[j][i].terms.items()})
-        for j in range(n)
-    ]
-    powers = [[Poly.one(m)] for _ in range(n)]
-    no_y = (0,) * n
+    xi_fold = _form_product_fold(adj)
     word_op = word_fold([th.as_diffop() for th in thetas])
 
     words: list[Word] = []
     cur = u
     while cur and cur.order >= 1:
         p = cur.order
-        symbol = Poly.zero(m)
+        numerators: dict[tuple[int, ...], Poly] = {}
         for beta, a in cur.terms.items():
             if sum(beta) != p:
                 continue
-            term = Poly(m, {mono + no_y: c for mono, c in a.terms.items()})
-            for j, e in enumerate(beta):
-                while len(powers[j]) <= e:
-                    powers[j].append(powers[j][-1] * xi[j])
-                if e:
-                    term = term * powers[j][e]
-            symbol = symbol + term
-        numerators: dict[tuple[int, ...], dict] = {}
-        for mono, c in symbol.terms.items():
-            numerators.setdefault(mono[n:], {})[mono[:n]] = c
+            letters = tuple(j for j, e in enumerate(beta, start=1) for _ in range(e))
+            for mult, c in xi_fold(letters).items():
+                acc = numerators.get(mult)
+                numerators[mult] = a * c if acc is None else acc + a * c
         divisor = lam_q ** p
         level_words: list[tuple[Poly, tuple[int, ...]]] = []
         for k in sym_indices(n, p):
@@ -340,7 +330,7 @@ def decompose(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> Decomposition:
             if not numer:
                 continue
             try:
-                coeff = exact_divide(Poly(n, numer), divisor)
+                coeff = exact_divide(numer, divisor)
             except NotDivisibleError:
                 raise DecompositionError(
                     f"level {p}, index {k}: symbol coefficient is not divisible "

@@ -203,8 +203,8 @@ class DiffOp:
         # it; keep the two in step.
         if not isinstance(n, int) or n < 0:
             raise ValueError("operator power needs a non-negative integer exponent")
-        out = DiffOp.one(self.nvars)
-        for _ in range(n):
+        out = self if n else DiffOp.one(self.nvars)
+        for _ in range(n - 1):
             out = out * self
         return out
 

@@ -16,7 +16,7 @@ from logdiff.linalg import determinant, multiplicity_product, permanent, sym_ind
 from logdiff.polyring import NotDivisibleError, Poly, coordinates, exact_divide, simplify_scalar
 from logdiff.sampling import random_monomial, random_word
 from logdiff.tangent import Decomposition, DecompositionError, TangencyRow, Word
-from logdiff.weyl import Derivation, DiffOp, iterated_commutator
+from logdiff.weyl import Derivation, DiffOp, iterated_commutator, word_fold
 
 
 def random_poly(rng: random.Random, nvars: int, max_degree: int = 2,
@@ -43,9 +43,10 @@ def random_derivation(rng: random.Random, nvars: int, max_degree: int = 2) -> De
 def random_word_operator(rng: random.Random, thetas, nvars: int,
                          max_len: int = 3, max_words: int = 3) -> DiffOp:
     """A sum of words: polynomial coefficients times products of generators."""
+    word_op = word_fold([th.as_diffop() for th in thetas])
     op = DiffOp.zero(nvars)
     for _ in range(rng.randint(1, max_words)):
-        op = op + random_word(rng, thetas, nvars, max_len)
+        op = op + random_word(rng, word_op, len(thetas), nvars, max_len)
     return op
 
 

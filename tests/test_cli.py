@@ -12,6 +12,7 @@ from logdiff.cli import main
 from logdiff.exprparse import render
 from logdiff.sampling import random_order_one_op, random_poly, random_word
 from logdiff.tangent import is_tangent
+from logdiff.weyl import word_fold
 
 
 def run(capsys, *argv):
@@ -223,8 +224,9 @@ def test_tangent_default_cutoff_verdict_is_is_tangent(capsys):
     verdicts = set()
     for name in ("boolean2", "triple2", "generic3"):
         arr, thetas = builtin_arrangement(name)
-        ops = [random_word(rng, thetas or [euler_derivation(arr.dim)], arr.dim, 3)
-               for _ in range(6)]
+        gens = thetas or [euler_derivation(arr.dim)]
+        word_op = word_fold([g.as_diffop() for g in gens])
+        ops = [random_word(rng, word_op, len(gens), arr.dim, 3) for _ in range(6)]
         ops += [random_order_one_op(rng, arr.dim, 2) for _ in range(6)]
         for u in ops:
             code, out, _ = run(capsys, "tangent", "--arrangement", f"builtin:{name}",
@@ -397,8 +399,9 @@ def test_verify_draws_are_pinned():
         got.append(render(random_poly(rng, 3, 2, nonzero=True)))
         got.append(render(random_order_one_op(rng, 2, 2)))
     _, thetas = builtin_arrangement("triple2")
+    word_op = word_fold([th.as_diffop() for th in thetas])
     for _ in range(3):
-        got.append(render(random_word(rng, thetas, 2, 2)))
+        got.append(render(random_word(rng, word_op, len(thetas), 2, 2)))
     assert got == [
         "1",
         "4*x1^2 - 4*x2^2 - 2*x3^2",

@@ -48,6 +48,17 @@ def test_unit_is_neutral():
         assert DiffOp.one(2) * u == u
 
 
+@pytest.mark.parametrize("text", ["1", "d2", "x1*d1 - x2^2*d2 + 3"])
+def test_operator_power_matches_parsed_power(text):
+    u = D(text, 2)
+    for n in range(5):
+        assert u ** n == D(f"({text})^{n}", 2)
+    assert u ** 1 == u
+    for bad in (-1, 2.0, Fraction(2)):
+        with pytest.raises(ValueError):
+            u ** bad
+
+
 def test_product_order_bound():
     rng = random.Random(2)
     for _ in range(20):
