@@ -47,7 +47,6 @@ from .weyl import (
     Derivation,
     DiffOp,
     commutator,
-    in_right_ideal,
     iterated_commutator,
     principal_symbol,
     value_at_one_expansion,
@@ -79,7 +78,6 @@ __all__ = [
     "euler_derivation",
     "exact_divide",
     "higher_jacobian",
-    "in_right_ideal",
     "is_tangent",
     "is_tangent_q",
     "iterated_commutator",

@@ -2,14 +2,19 @@
 
 Tangency is membership in every idealizer: u is tangent when u * f^t lands
 in f^t * Diff for each defining form f (or for the full defining
-polynomial) and every power t >= 1.  The powers up to max(ord u, 1)
-already decide it (see ``is_tangent``).  Over a free arrangement any
-tangent operator is a polynomial combination of products of basis tangent
-derivations; ``decompose`` computes that combination level by level, reading
-each level's coefficients off the principal symbol after substituting the
-adjugate of the basis coefficient matrix, and ``transport`` realizes the
-weaker statement that a large enough power of the defining polynomial
-pushes an arbitrary operator into such words.
+polynomial) and every power t >= 1.  Both routes decide it from brackets,
+with no operator product: u * f^t = sum_k C(t, k) f^(t-k) ad_f^k(u) with
+ad_f(v) = [v, f], and ad_f^k(u) vanishes beyond k = ord u, so the powers
+up to max(ord u, 1) already decide it.  ``is_tangent`` brackets with each
+linear form, ``is_tangent_q`` with the whole defining polynomial.
+
+Over a free arrangement any tangent operator is a polynomial combination
+of products of basis tangent derivations; ``decompose`` computes that
+combination level by level, reading each level's coefficients off the
+principal symbol after substituting the adjugate of the basis coefficient
+matrix, and ``transport`` realizes the weaker statement that a large
+enough power of the defining polynomial pushes an arbitrary operator into
+such words.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .linalg import _form_product_fold, determinant, multiplicity_vector, sym_indices
 from .polyring import Monomial, NotDivisibleError, Poly, Scalar, divides, exact_divide
-from .weyl import Derivation, DiffOp, _bracket_linear, in_right_ideal, word_fold
+from .weyl import Derivation, DiffOp, _bracket_linear, commutator, word_fold
 
 if TYPE_CHECKING:
     # Annotations only: ``arrangement`` imports ``is_tangent`` from here.
@@ -88,17 +93,36 @@ def is_tangent(u: DiffOp, arr: Arrangement) -> bool:
 def is_tangent_q(u: DiffOp, arr: Arrangement, t_max: int) -> bool:
     """Truncated tangency through powers of the defining polynomial Q.
 
-    This is the independent whole-Q route: it forms u * Q^t for t in
-    1..t_max and tests membership in Q^t * Diff.  The cutoff t_max =
-    max(ord u, 1) is exact here too, by the same triangular argument as
-    ``is_tangent``, because d^delta(Q^t) = sum_{j <= |delta|} (t)_j
-    Q^(t-j) P_{delta,j} with P independent of t.
+    True when u * Q^t lies in Q^t * Diff for t = 1..t_max.  No operator
+    product is formed.  With ad_Q(v) = [v, Q], right multiplication by Q
+    is left multiplication by Q plus ad_Q, and the two commute, so
+    u * Q^t = sum_k C(t, k) Q^(t-k) ad_Q^k(u).  The d^gamma coefficient of
+    u * Q^t is sum_k C(t, k) Q^(t-k) B_k with B_k that of ad_Q^k(u), which
+    does not depend on t.  The matrix (C(t, k)) is lower triangular with
+    ones on the diagonal, so the cells 1..t all pass exactly when Q^k
+    divides B_k for every gamma and every k <= t.  Each bracket lowers the
+    order, so ad_Q^k(u) = 0 beyond k = ord u, the first zero bracket
+    settles every later cell, and t_max = max(ord u, 1) is exact.
+
+    This route stays independent of ``is_tangent``: it brackets with the
+    whole Q through the general Leibniz rule of ``weyl.commutator`` and
+    divides by powers of Q, where ``is_tangent`` brackets with one linear
+    form at a time and divides by powers of that form.
     """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
     if u.nvars != arr.dim:
         raise ValueError("operator over a different ambient dimension")
-    return all(in_right_ideal(u * arr.q ** t, arr.q, t) for t in range(1, t_max + 1))
+    q = arr.q
+    bracket, power = u, Poly.one(arr.dim)
+    for _ in range(t_max):
+        bracket = commutator(bracket, q)
+        if not bracket:
+            return True
+        power = power * q
+        if not all(divides(power, c) for c in bracket.terms.values()):
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from operator import add
 from typing import Mapping, Sequence
 
 from .linalg import prefix_fold
-from .polyring import Monomial, Poly, Scalar, divides
+from .polyring import Monomial, Poly, Scalar
 
 
 class DiffOp:
@@ -432,18 +432,3 @@ def principal_symbol(u: DiffOp) -> Poly:
                 terms[mono + beta] = c
     return Poly(2 * n, terms)
 
-
-def in_right_ideal(u: DiffOp, f: Poly, t: int) -> bool:
-    """True iff u lies in f**t * Diff, i.e. f**t divides every coefficient.
-
-    Operators form a free left module over the polynomial ring on the
-    normal-form basis, so membership is coefficientwise divisibility.
-    """
-    if not f:
-        raise ValueError("divisor must be nonzero")
-    if t < 0:
-        raise ValueError("power must be non-negative")
-    if t == 0:
-        return True
-    ft = f ** t
-    return all(divides(ft, coeff) for coeff in u.terms.values())

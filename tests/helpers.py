@@ -13,7 +13,14 @@ from logdiff import sampling
 from logdiff.arrangement import Arrangement, SaitoBasis
 from logdiff.jacobian import OpFamily, commutator_value_matrix, product_family
 from logdiff.linalg import determinant, multiplicity_product, permanent, sym_indices
-from logdiff.polyring import NotDivisibleError, Poly, coordinates, exact_divide, simplify_scalar
+from logdiff.polyring import (
+    NotDivisibleError,
+    Poly,
+    coordinates,
+    divides,
+    exact_divide,
+    simplify_scalar,
+)
 from logdiff.sampling import random_monomial, random_word
 from logdiff.tangent import Decomposition, DecompositionError, TangencyRow, Word
 from logdiff.weyl import Derivation, DiffOp, iterated_commutator, word_fold
@@ -186,6 +193,42 @@ def tangency_table_by_products(u: DiffOp, arr: Arrangement, t_max: int) -> list[
                     break
             rows.append(TangencyRow(i, t, witness is None, witness))
     return rows
+
+
+def in_right_ideal(u: DiffOp, f: Poly, t: int) -> bool:
+    """True iff u lies in f**t * Diff, i.e. f**t divides every coefficient.
+
+    Operators form a free left module over the polynomial ring on the
+    normal-form basis, so membership is coefficientwise divisibility.
+    """
+    if not f:
+        raise ValueError("divisor must be nonzero")
+    if t < 0:
+        raise ValueError("power must be non-negative")
+    if t == 0:
+        return True
+    ft = f ** t
+    return all(divides(ft, coeff) for coeff in u.terms.values())
+
+
+def is_tangent_q_by_products(u: DiffOp, arr: Arrangement, t_max: int) -> bool:
+    """Reference route for ``is_tangent_q``: form each u * Q^t as an
+    operator product and test it for membership in Q^t * Diff.
+
+    Carries u * Q^t and Q^t forward from t - 1, one multiplication by the
+    defining polynomial Q each, for t = 1..t_max.
+    """
+    if t_max < 1:
+        raise ValueError("t_max must be at least 1")
+    if u.nvars != arr.dim:
+        raise ValueError("operator over a different ambient dimension")
+    q = arr.q
+    prod, qt = u, Poly.one(arr.dim)
+    for _ in range(t_max):
+        prod, qt = prod * q, qt * q
+        if not in_right_ideal(prod, qt, 1):
+            return False
+    return True
 
 
 def decompose_by_jacobians(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> Decomposition:

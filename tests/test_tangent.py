@@ -8,15 +8,19 @@ from hypothesis import strategies as st
 
 from helpers import (
     decompose_by_jacobians,
+    is_tangent_q_by_products,
     random_diffop,
     random_poly,
     random_word_operator,
     tangency_table_by_products,
 )
+from logdiff import sampling, tangent
 from logdiff.arrangement import (
+    _BUILTIN_NAMES,
     Arrangement,
     SaitoBasis,
     builtin_arrangement,
+    euler_derivation,
     rank2_basis,
     saito_check,
 )
@@ -35,7 +39,7 @@ from logdiff.tangent import (
     tangency_table,
     transport,
 )
-from logdiff.weyl import Derivation, DiffOp, iterated_commutator
+from logdiff.weyl import Derivation, DiffOp, commutator, iterated_commutator, word_fold
 from logdiff.jacobian import OpFamily, higher_jacobian
 
 
@@ -143,6 +147,11 @@ def test_tangency_arguments_are_checked():
             table(D("d1", 2), arr, 0)
         with pytest.raises(ValueError, match="dimension"):
             table(D("d1", 1), arr, 1)
+    for route in (is_tangent_q, is_tangent_q_by_products):
+        with pytest.raises(ValueError, match="t_max"):
+            route(D("d1", 2), arr, 0)
+        with pytest.raises(ValueError, match="dimension"):
+            route(D("d1", 1), arr, 1)
     with pytest.raises(ValueError, match="dimension"):
         is_tangent(D("d1", 1), arr)
 
@@ -257,6 +266,70 @@ def test_tangency_cutoff_is_exact():
             assert is_tangent_q(u, arr, cut) == is_tangent_q(u, arr, p + 3) == exact, str(u)
             seen.add(exact)
     assert seen == {True, False}
+
+
+def _tangent_generators(name):
+    """The certified basis of a free builtin; for the non-free one, the
+    Euler derivation and the Q * d_j, all tangent."""
+    arr, thetas = builtin_arrangement(name)
+    if thetas is None:
+        n = arr.dim
+        thetas = (euler_derivation(n), *(
+            Derivation(tuple(arr.q if j == i else Poly.zero(n) for j in range(n)))
+            for i in range(n)))
+    return arr, thetas
+
+
+@pytest.mark.parametrize("name", _BUILTIN_NAMES)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_tangency_routes_agree(name, data):
+    # per-form brackets, whole-Q brackets and whole-Q products agree on a
+    # word in tangent generators (tangent), on that word plus c * d^beta
+    # (not tangent: the d^(beta - e_j) coefficient of c * d^beta * a is the
+    # nonzero constant c * beta_j * alpha_j), and on Q^s times the latter
+    arr, thetas = _tangent_generators(name)
+    n = arr.dim
+    rng = data.draw(st.randoms(use_true_random=False))
+    word_op = word_fold([th.as_diffop() for th in thetas])
+    w = sampling.random_word(rng, word_op, len(thetas), n, 3)
+    beta = data.draw(st.tuples(*[st.integers(0, 2)] * n).filter(any))
+    c = data.draw(st.sampled_from([1, -2, Fraction(3, 2)]))
+    control = w + DiffOp(n, {beta: Poly.constant(n, c)})
+    scaled = arr.q ** data.draw(st.integers(1, 2)) * control
+    for u, expected in ((w, True), (control, False), (scaled, None)):
+        cut = max(u.order or 0, 1)
+        verdict = is_tangent(u, arr)
+        assert is_tangent_q(u, arr, cut) == is_tangent_q_by_products(u, arr, cut) == verdict
+        assert expected is None or verdict == expected, str(u)
+        for t_max in range(1, (u.order or 0) + 3):
+            assert is_tangent_q(u, arr, t_max) == is_tangent_q_by_products(u, arr, t_max), (
+                str(u), t_max)
+
+
+def test_is_tangent_q_work_is_bounded_by_the_order(monkeypatch):
+    # the verdict at t_max = 10**6 comes from at most ord u + 1 brackets
+    brackets = []
+
+    def counting(u, v):
+        brackets.append(u)
+        return commutator(u, v)
+
+    monkeypatch.setattr(tangent, "commutator", counting)
+    arr, thetas = builtin_arrangement("triple2")
+    euler, second = (th.as_diffop() for th in thetas)
+    u = euler * second * second
+    assert u.order == 3
+    assert is_tangent_q(u, arr, 10**6)
+    assert len(brackets) <= 4
+    brackets.clear()
+    assert not is_tangent_q(u + D("d1^2", 2), arr, 10**6)
+    assert len(brackets) == 1
+    brackets.clear()
+    # x * d1^2 passes t = 1 and fails at t = 2
+    line, _ = builtin_arrangement("boolean1")
+    assert not is_tangent_q(D("x*d1^2", 1), line, 10**6)
+    assert len(brackets) == 2
 
 
 # -- transport ----------------------------------------------------------------------

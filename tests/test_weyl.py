@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_diffop, random_poly
+from helpers import in_right_ideal, random_diffop, random_poly
 from logdiff import weyl
 from logdiff.exprparse import parse_diffop, parse_poly, render
 from logdiff.polyring import Poly
@@ -14,7 +14,6 @@ from logdiff.weyl import (
     Derivation,
     DiffOp,
     commutator,
-    in_right_ideal,
     iterated_commutator,
     principal_symbol,
     value_at_one_expansion,
