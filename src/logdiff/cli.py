@@ -24,7 +24,7 @@ from functools import cache
 from math import comb
 from typing import Sequence
 
-from .arrangement import Arrangement, builtin_arrangement, saito_check
+from .arrangement import Arrangement, SaitoBasis, SaitoFailure, builtin_arrangement, saito_check
 from .exprparse import ParseError, parse_diffop, render
 from .jacobian import OpFamily, higher_jacobian, jacobian_power_identity
 from .linalg import sym_indices, sym_power_det_identity_holds
@@ -127,13 +127,18 @@ def _parse_op(text: str, dim: int) -> DiffOp:
         raise CliError(f"operator {_quote(text)}: {exc}") from None
 
 
-def cmd_check_free(args) -> int:
+def _certify(args) -> tuple[Arrangement, SaitoBasis | SaitoFailure]:
+    """Load ``--arrangement`` and its basis and run the Saito check."""
     arr, builtin_thetas = _load_arrangement(args.arrangement)
     thetas = _resolve_basis(args, arr, builtin_thetas)
     try:
-        result = saito_check(arr, thetas)
+        return arr, saito_check(arr, thetas)
     except ValueError as exc:
         raise CliError(str(exc)) from None
+
+
+def cmd_check_free(args) -> int:
+    _, result = _certify(args)
     if result.ok:
         print(f"free, lambda = {result.scalar}, degrees = {list(result.degrees)}")
         return 0
@@ -189,12 +194,7 @@ def cmd_tangent(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    arr, builtin_thetas = _load_arrangement(args.arrangement)
-    thetas = _resolve_basis(args, arr, builtin_thetas)
-    try:
-        result = saito_check(arr, thetas)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    arr, result = _certify(args)
     if not result.ok:
         raise CliError(f"candidate basis fails the Saito check: {result.reason}")
     op = _parse_op(args.op, arr.dim)
@@ -225,6 +225,8 @@ def _report(name: str, details: str, trials: int, seed: int, failures: list[str]
 
 
 def _verify_sym_power(args) -> int:
+    if args.arrangement or args.basis:
+        raise CliError("--lemma sym-power takes neither --arrangement nor --basis")
     rng = random.Random(args.seed)
     failures = []
     for trial in range(args.trials):
@@ -240,6 +242,10 @@ def _verify_jacobian_power(args) -> int:
     if args.arrangement:
         arr, fixture_thetas = _load_arrangement(args.arrangement)
         dim = arr.dim
+    if args.basis:
+        fixture_thetas = _load_basis_file(args.basis, dim)
+    if fixture_thetas is not None and len(fixture_thetas) != dim:
+        raise CliError(f"need exactly {dim} derivations, got {len(fixture_thetas)}")
     rng = random.Random(args.seed)
     fs = coordinates(dim)
     failures = []
@@ -298,7 +304,9 @@ def cmd_verify(args) -> int:
     return _verify_divisibility(args)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="logdiff",
         description="Exact computations with differential operators tangent "
@@ -340,15 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    """``build_parser()``, built on first use and shared by later calls."""
-    return build_parser()
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

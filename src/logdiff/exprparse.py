@@ -40,7 +40,11 @@ from operator import attrgetter
 from .polyring import Poly, Scalar
 from .weyl import DiffOp
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*^()/]))")
+# Whitespace between tokens is skipped; any other character the grammar
+# has no token for matches ``bad``.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*^()/])|(?P<bad>\S))"
+)
 _ALIASES = {"x": 1, "y": 2, "z": 3}
 _NAME = re.compile(r"([xd])(\d+)")
 MAX_EXPONENT = 1000
@@ -62,21 +66,12 @@ class ParseError(ValueError):
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
     out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
-        if m.lastgroup == "int":
-            out.append(("int", int(m.group("int")), m.start("int")))
-        elif m.lastgroup == "name":
-            out.append(("name", m.group("name"), m.start("name")))
-        else:
-            out.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        tok = m.group(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {tok!r}", m.start(kind))
+        out.append((kind, int(tok) if kind == "int" else tok, m.start(kind)))
     out.append(("end", None, len(text)))
     return out
 
@@ -153,12 +148,6 @@ class _Parser:
             raise ParseError(f"product has more than {MAX_TERM_PAIRS} term pairs", at)
         return self.bounded(left * right, at)
 
-    def expect_op(self, symbol: str):
-        kind, value, at = self.peek()
-        if kind != "op" or value != symbol:
-            raise ParseError(f"expected {symbol!r}", at)
-        return self.advance()
-
     def parse(self) -> DiffOp:
         value = self.expr()
         kind, tok, at = self.peek()
@@ -232,20 +221,19 @@ class _Parser:
                 value = Fraction(tok, den)
             return DiffOp.from_poly(Poly.constant(self.nvars, value))
         if kind == "name":
-            return self.name_atom(tok, at)
+            value = self.names.get(tok)
+            if value is None:
+                value = self.names[tok] = self.resolve(tok, at)
+            return value
         if kind == "op" and tok == "(":
             self.enter(at)
             value = self.expr()
-            self.expect_op(")")
+            kind, tok, at = self.advance()
+            if kind != "op" or tok != ")":
+                raise ParseError("expected ')'", at)
             self.depth -= 1
             return value
         raise ParseError(f"unexpected token {tok!r}", at)
-
-    def name_atom(self, name: str, at: int) -> DiffOp:
-        value = self.names.get(name)
-        if value is None:
-            value = self.names[name] = self.resolve(name, at)
-        return value
 
     def resolve(self, name: str, at: int) -> DiffOp:
         n = self.nvars

@@ -75,10 +75,6 @@ def _one_like(x):
 def _exact_div(a, b):
     if isinstance(a, Poly):
         return exact_divide(a, b)
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        if r == 0:
-            return q
     return simplify_scalar(Fraction(a) / Fraction(b))
 
 

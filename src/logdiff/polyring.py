@@ -203,8 +203,6 @@ class Poly:
                     out[key] = get(key, 0) + ca * cb
             return Poly._make(self.nvars, _canon(out))
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return Poly.zero(self.nvars)
             return Poly._make(self.nvars, _canon({m: c * other for m, c in self.terms.items()}))
         return NotImplemented
 
@@ -229,13 +227,7 @@ class Poly:
         """Partial derivative with respect to ``x<index>`` (1-based)."""
         if not 1 <= index <= self.nvars:
             raise ValueError(f"variable index {index} out of range 1..{self.nvars}")
-        i = index - 1
-        out: dict[Monomial, Scalar] = {}
-        for m, c in self.terms.items():
-            e = m[i]
-            if e:
-                out[m[:i] + (e - 1,) + m[i + 1:]] = c * e
-        return Poly._make(self.nvars, _canon(out))
+        return self.diff_multi(tuple(int(i == index) for i in range(1, self.nvars + 1)))
 
     def diff_multi(self, exponents: Sequence[int]) -> Poly:
         """Apply the mixed partial d^e1/dx1^e1 ... in one pass."""

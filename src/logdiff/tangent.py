@@ -319,9 +319,6 @@ def decompose(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> Decomposition:
         raise ValueError("operator over a different ambient dimension")
     thetas = basis.thetas
 
-    if not u:
-        return Decomposition((), thetas)
-
     # The certificate says det Theta = lambda * Q; Laplace along the first
     # row of Theta reads det Theta off the cofactors in adj(Theta).
     theta = [list(th.coeffs) for th in thetas]

@@ -12,7 +12,7 @@ from logdiff.cli import main
 from logdiff.exprparse import render
 from logdiff.sampling import random_order_one_op, random_poly, random_word
 from logdiff.tangent import is_tangent
-from logdiff.weyl import word_fold
+from logdiff.weyl import Derivation, word_fold
 
 
 def run(capsys, *argv):
@@ -361,6 +361,57 @@ def test_verify_divisibility(capsys):
     )
     assert code == 0
     assert "passed=10 failed=0" in out
+
+
+def test_verify_jacobian_power_reads_the_basis_file(tmp_path, capsys, monkeypatch):
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps(["x1*d1 + x2*d2", "x2*d1 - x1*d2"]))
+    seen = []
+    monkeypatch.setattr(logdiff.cli, "jacobian_power_identity",
+                        lambda fs, ops, power: seen.append(ops) or True)
+    code, out, _ = run(
+        capsys, "verify", "--lemma", "jacobian-power",
+        "--p", "2", "--trials", "2", "--basis", str(basis),
+    )
+    assert code == 0
+    assert "l=2 p=2 trials=2" in out
+    # trial 0 takes the file's derivations, later trials draw random ones
+    assert [render(th.as_diffop()) for th in seen[0]] == ["x1*d1 + x2*d2", "x2*d1 - x1*d2"]
+    assert len(seen) == 2 and not isinstance(seen[1][0], Derivation)
+
+
+@pytest.mark.parametrize("basis_text, message", [
+    (None, "cannot read"),
+    ("[", "not valid JSON"),
+    ('["d1^2", "d2"]', "basis entry 1"),
+    ('["x1*d1"]', "need exactly 2 derivations, got 1"),
+])
+def test_verify_jacobian_power_rejects_a_bad_basis_file(tmp_path, capsys, basis_text, message):
+    basis = tmp_path / "basis.json"
+    if basis_text is not None:
+        basis.write_text(basis_text)
+    for dims in (["--l", "2"], ["--arrangement", "builtin:boolean2"]):
+        code, out, err = run(
+            capsys, "verify", "--lemma", "jacobian-power", *dims,
+            "--trials", "1", "--basis", str(basis),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--arrangement", "builtin:nosuch"),
+    ("--arrangement", "builtin:boolean2"),
+    ("--basis", "/nonexistent.json"),
+])
+def test_verify_sym_power_rejects_options_it_does_not_read(capsys, option, value):
+    code, out, err = run(
+        capsys, "verify", "--lemma", "sym-power", "--trials", "1", option, value,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 @pytest.mark.parametrize("lemma", ["sym-power", "jacobian-power"])

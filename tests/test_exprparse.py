@@ -65,6 +65,21 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as info:
         parse_poly("x @ y", 2)
     assert info.value.position == 2
+    # empty and blank text, a stray character after whitespace, a non-ASCII
+    # letter, and a missing ')' at the end of the text
+    for text, message, at in (
+        ("", "unexpected token None", 0),
+        ("   ", "unexpected token None", 3),
+        ("x1 $ 2", "unexpected character '$'", 3),
+        ("\u00e9", "unexpected character '\u00e9'", 0),
+        ("(x1 + x2 ", "expected ')'", 9),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse_diffop(text, 2)
+        assert str(info.value) == f"{message} (at position {at})"
+        assert info.value.position == at
+    # tabs, newlines and trailing whitespace separate tokens like spaces
+    assert parse_diffop("x1\t*\n d1  ", 2) == parse_diffop("x1*d1", 2)
 
 
 def test_names_are_resolved_per_parse():

@@ -409,14 +409,16 @@ def test_decompose_zero_input():
 def test_decompose_checks_the_certificate():
     boolean2, basis = fixture_basis("boolean2")
     triple2, _ = builtin_arrangement("triple2")
-    u = D("x*y*d1*d2", 2)
-    # certified for the Boolean pair, offered with the three-line arrangement
-    with pytest.raises(ValueError, match="certified"):
-        decompose(u, triple2, basis)
-    # the right Jacobian but a wrong certified scalar
     wrong = SaitoBasis(basis.thetas, 2 * basis.scalar, basis.degrees)
-    with pytest.raises(ValueError, match="certified"):
-        decompose(u, boolean2, wrong)
+    u = D("x*y*d1*d2", 2)
+    # the zero operator is checked like any other
+    for op in (u, DiffOp.zero(2)):
+        # certified for the Boolean pair, offered with the three-line arrangement
+        with pytest.raises(ValueError, match="certified"):
+            decompose(op, triple2, basis)
+        # the right Jacobian but a wrong certified scalar
+        with pytest.raises(ValueError, match="certified"):
+            decompose(op, boolean2, wrong)
     assert reassemble(decompose(u, boolean2, basis)) == u
 
 
