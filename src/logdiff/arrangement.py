@@ -10,8 +10,13 @@ nonzero scalar multiple of the defining polynomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cache
+from itertools import combinations
+from math import prod
 from typing import Sequence
 
+from .exprparse import _quote, parse_diffop
 from .linalg import determinant
 from .polyring import LinearForm, NotDivisibleError, Poly, Scalar, exact_divide
 from .tangent import is_tangent
@@ -30,19 +35,13 @@ class Arrangement:
         dim = forms[0].nvars
         if any(f.nvars != dim for f in forms):
             raise ValueError("forms over mixed ambient dimensions")
-        for i in range(len(forms)):
-            for j in range(i + 1, len(forms)):
-                if forms[i].proportional_to(forms[j]):
-                    raise ValueError(
-                        f"forms {i + 1} and {j + 1} are proportional; "
-                        "the defining polynomial would not be reduced"
-                    )
-        q = Poly.one(dim)
-        for f in forms:
-            q = q * f.as_poly()
+        for (i, a), (j, b) in combinations(enumerate(forms, start=1), 2):
+            if a.proportional_to(b):
+                raise ValueError(f"forms {i} and {j} are proportional; "
+                                 "the defining polynomial would not be reduced")
         self.dim = dim
         self.forms = forms
-        self.q = q
+        self.q = prod((f.as_poly() for f in forms), start=Poly.one(dim))
 
     @property
     def size(self) -> int:
@@ -65,10 +64,7 @@ class SaitoBasis:
     thetas: tuple[Derivation, ...]
     scalar: Scalar
     degrees: tuple[int, ...]
-
-    @property
-    def ok(self) -> bool:
-        return True
+    ok = True
 
 
 @dataclass(frozen=True)
@@ -78,10 +74,7 @@ class SaitoFailure:
     reason: str
     index: int | None = None
     determinant: Poly | None = None
-
-    @property
-    def ok(self) -> bool:
-        return False
+    ok = False
 
 
 def saito_check(arr: Arrangement, thetas: Sequence[Derivation]) -> SaitoBasis | SaitoFailure:
@@ -138,39 +131,61 @@ def rank2_basis(arr: Arrangement) -> tuple[Derivation, Derivation]:
     )
 
 
-_BUILTIN_NAMES = ("boolean1", "boolean2", "boolean3", "triple2", "generic3")
+# The named fixtures, as specs in the arrangement-file format.
+_BUILTINS = {
+    "boolean1": {"dim": 1, "forms": [[1]], "basis": ["x1*d1"]},
+    "boolean2": {"dim": 2, "forms": [[1, 0], [0, 1]], "basis": ["x1*d1", "x2*d2"]},
+    "boolean3": {"dim": 3, "forms": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                 "basis": ["x1*d1", "x2*d2", "x3*d3"]},
+    "triple2": {"dim": 2, "forms": [[1, 0], [0, 1], [1, 1]],
+                "basis": ["x1*d1 + x2*d2", "x1^2*d1 - x2^2*d2"]},
+    "generic3": {"dim": 3, "forms": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]},
+}
 
 
+@cache
 def builtin_arrangement(name: str) -> tuple[Arrangement, tuple[Derivation, ...] | None]:
     """Named fixtures: Boolean arrangements, the three-line plane, and the
     non-free generic four-plane arrangement in three variables.
 
     Returns the arrangement and, when it is one of the known free fixtures,
-    a basis that passes ``saito_check``.
+    a basis that passes ``saito_check``.  Each is built once per process.
     """
-    if name in ("boolean1", "boolean2", "boolean3"):
-        dim = int(name[-1])
-        forms = [LinearForm(tuple(1 if j == i else 0 for j in range(dim))) for i in range(dim)]
-        thetas = tuple(
-            Derivation(tuple(
-                Poly.variable(dim, i + 1) if j == i else Poly.zero(dim)
-                for j in range(dim)
-            ))
-            for i in range(dim)
-        )
-        return Arrangement(forms), thetas
-    if name == "triple2":
-        forms = [LinearForm((1, 0)), LinearForm((0, 1)), LinearForm((1, 1))]
-        x2 = Poly.variable(2, 1) ** 2
-        y2 = Poly.variable(2, 2) ** 2
-        thetas = (euler_derivation(2), Derivation((x2, -y2)))
-        return Arrangement(forms), thetas
-    if name == "generic3":
-        forms = [
-            LinearForm((1, 0, 0)),
-            LinearForm((0, 1, 0)),
-            LinearForm((0, 0, 1)),
-            LinearForm((1, 1, 1)),
-        ]
-        return Arrangement(forms), None
-    raise ValueError(f"unknown builtin arrangement {name!r}; choose from {_BUILTIN_NAMES}")
+    if name not in _BUILTINS:
+        raise ValueError(f"unknown builtin arrangement {name!r}; choose from {tuple(_BUILTINS)}")
+    return _load_spec(_BUILTINS[name])
+
+
+def _load_spec(spec) -> tuple[Arrangement, tuple[Derivation, ...] | None]:
+    """``(arrangement, basis or None)`` from a spec ``{"dim", "forms", "basis"?}``.
+
+    Builtins and arrangement files are both specs; ``ValueError`` says what
+    breaks the format.
+    """
+    if not isinstance(spec, dict) or "dim" not in spec or "forms" not in spec:
+        raise ValueError("expected an object with 'dim' and 'forms'")
+    dim, rows = spec["dim"], spec["forms"]
+    if type(dim) is not int or dim < 1:
+        raise ValueError(f"'dim' must be a positive integer, got {dim!r}")
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("'forms' must be a list of coefficient lists")
+    try:
+        arr = Arrangement([LinearForm(tuple(Fraction(str(c)) for c in row)) for row in rows])
+    except ZeroDivisionError as exc:
+        raise ValueError(str(exc)) from None
+    if arr.dim != dim:
+        raise ValueError(f"forms have {arr.dim} coefficients but dim is {dim}")
+    return arr, (_load_basis(spec["basis"], dim) if "basis" in spec else None)
+
+
+def _load_basis(texts, dim: int) -> tuple[Derivation, ...]:
+    """Derivations from a list of operator strings; ``ValueError`` if not."""
+    if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+        raise ValueError("'basis' must be a list of operator strings")
+    thetas = []
+    for i, text in enumerate(texts, start=1):
+        try:
+            thetas.append(Derivation.from_diffop(parse_diffop(text, dim)))
+        except ValueError as exc:
+            raise ValueError(f"basis entry {i} ({_quote(text)}): {exc}") from None
+    return tuple(thetas)

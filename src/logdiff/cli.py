@@ -10,7 +10,8 @@ Exit codes: 0 success, 1 mathematical negative, 2 usage or parse error,
 Arrangements come from JSON files ``{"dim": l, "forms": [[coeff, ...],
 ...], "basis": ["op text", ...]}`` or from the named fixtures
 ``builtin:boolean1``, ``builtin:boolean2``, ``builtin:boolean3``,
-``builtin:triple2``, ``builtin:generic3``.
+``builtin:triple2``, ``builtin:generic3``, which are specs in the same
+format; ``arrangement._load_spec`` builds both.
 """
 
 from __future__ import annotations
@@ -19,16 +20,16 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 from functools import cache
 from math import comb
 from typing import Sequence
 
-from .arrangement import Arrangement, SaitoBasis, SaitoFailure, builtin_arrangement, saito_check
-from .exprparse import ParseError, parse_diffop, render
+from .arrangement import (Arrangement, SaitoBasis, SaitoFailure, _load_basis, _load_spec,
+                          builtin_arrangement, saito_check)
+from .exprparse import ParseError, _quote, parse_diffop, render
 from .jacobian import OpFamily, higher_jacobian, jacobian_power_identity
 from .linalg import sym_indices, sym_power_det_identity_holds
-from .polyring import LinearForm, Poly, coordinates, divides_power
+from .polyring import Poly, coordinates, divides_power
 from .sampling import random_order_one_op, random_word
 from .tangent import (
     DecompositionError,
@@ -44,72 +45,34 @@ class CliError(Exception):
     """Input could not be loaded or validated; maps to exit code 2."""
 
 
-def _load_json(path: str):
+def _load_json(path: str, load):
+    """``load`` applied to the JSON in ``path``; any error exits 2, naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            data = json.load(handle)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise CliError(f"{path} is not valid JSON: {exc}") from None
-
-
-# Operator text longer than this is quoted as a prefix ending in "...";
-# the parse error already gives the position.
-QUOTE_CHARS = 40
-
-
-def _quote(text: str) -> str:
-    return repr(text if len(text) <= QUOTE_CHARS else text[:QUOTE_CHARS] + "...")
-
-
-def _parse_basis_texts(texts, dim: int, where: str) -> tuple[Derivation, ...]:
-    if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
-        raise CliError(f"{where} must be a list of operator strings")
-    thetas = []
-    for i, text in enumerate(texts, start=1):
-        try:
-            op = parse_diffop(text, dim)
-            thetas.append(Derivation.from_diffop(op))
-        except (ParseError, ValueError) as exc:
-            raise CliError(f"basis entry {i} ({_quote(text)}): {exc}") from None
-    return tuple(thetas)
+    try:
+        return load(data)
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}") from None
 
 
 def _load_arrangement(source: str) -> tuple[Arrangement, tuple[Derivation, ...] | None]:
-    if source.startswith("builtin:"):
-        try:
-            return builtin_arrangement(source[len("builtin:"):])
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-    data = _load_json(source)
-    if not isinstance(data, dict) or "dim" not in data or "forms" not in data:
-        raise CliError(f"{source}: expected an object with 'dim' and 'forms'")
-    dim, rows = data["dim"], data["forms"]
-    if type(dim) is not int or dim < 1:
-        raise CliError(f"{source}: 'dim' must be a positive integer, got {dim!r}")
-    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-        raise CliError(f"{source}: 'forms' must be a list of coefficient lists")
+    if not source.startswith("builtin:"):
+        return _load_json(source, _load_spec)
     try:
-        forms = [
-            LinearForm(tuple(Fraction(str(c)) for c in row))
-            for row in rows
-        ]
-        arr = Arrangement(forms)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"{source}: {exc}") from None
-    if arr.dim != dim:
-        raise CliError(f"{source}: forms have {arr.dim} coefficients but dim is {dim}")
-    thetas = (_parse_basis_texts(data["basis"], dim, f"{source}: 'basis'")
-              if "basis" in data else None)
-    return arr, thetas
+        return builtin_arrangement(source[len("builtin:"):])
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
 
 
 def _load_basis_file(path: str, dim: int) -> tuple[Derivation, ...]:
-    data = _load_json(path)
-    if isinstance(data, dict):
-        data = data.get("basis")
-    return _parse_basis_texts(data, dim, f"{path}: the basis")
+    # a list of operator strings, or an object whose "basis" is one
+    return _load_json(path, lambda data: _load_basis(
+        data.get("basis") if isinstance(data, dict) else data, dim))
 
 
 def _resolve_basis(args, arr, builtin_thetas) -> tuple[Derivation, ...]:
@@ -227,20 +190,29 @@ def _report(name: str, details: str, trials: int, seed: int, failures: list[str]
 def _verify_sym_power(args) -> int:
     if args.arrangement or args.basis:
         raise CliError("--lemma sym-power takes neither --arrangement nor --basis")
+    dim = args.l or 2
     rng = random.Random(args.seed)
     failures = []
     for trial in range(args.trials):
-        m = [[rng.randint(-5, 5) for _ in range(args.l)] for _ in range(args.l)]
+        m = [[rng.randint(-5, 5) for _ in range(dim)] for _ in range(dim)]
         if not sym_power_det_identity_holds(m, args.p):
             failures.append(f"trial {trial}: matrix {m}")
-    return _report("sym-power", f"l={args.l} p={args.p}", args.trials, args.seed, failures)
+    return _report("sym-power", f"l={dim} p={args.p}", args.trials, args.seed, failures)
+
+
+def _verify_arrangement(args) -> tuple[Arrangement, tuple[Derivation, ...] | None]:
+    """Load ``--arrangement``; an explicit ``--l`` must be its dimension."""
+    arr, thetas = _load_arrangement(args.arrangement)
+    if args.l not in (None, arr.dim):
+        raise CliError(f"--l {args.l} does not match the dimension {arr.dim} of {args.arrangement}")
+    return arr, thetas
 
 
 def _verify_jacobian_power(args) -> int:
-    dim = args.l
+    dim = args.l or 2
     fixture_thetas = None
     if args.arrangement:
-        arr, fixture_thetas = _load_arrangement(args.arrangement)
+        arr, fixture_thetas = _verify_arrangement(args)
         dim = arr.dim
     if args.basis:
         fixture_thetas = _load_basis_file(args.basis, dim)
@@ -264,7 +236,7 @@ def _verify_jacobian_power(args) -> int:
 def _verify_divisibility(args) -> int:
     if not args.arrangement:
         raise CliError("--lemma divisibility needs --arrangement (with a basis)")
-    arr, builtin_thetas = _load_arrangement(args.arrangement)
+    arr, builtin_thetas = _verify_arrangement(args)
     thetas = _resolve_basis(args, arr, builtin_thetas)
     rng = random.Random(args.seed)
     fs = coordinates(arr.dim)
@@ -289,7 +261,8 @@ def _verify_divisibility(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.l < 1:
+    # --l is None unless given, for _verify_arrangement; the default is 2.
+    if args.l is not None and args.l < 1:
         raise CliError("--l must be at least 1")
     if args.p < 0:
         raise CliError("--p must be non-negative")
@@ -337,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="seeded randomized checks of the core identities")
     p.add_argument("--lemma", required=True,
                    choices=["sym-power", "jacobian-power", "divisibility"])
-    p.add_argument("--l", type=int, default=2, help="ambient dimension")
+    p.add_argument("--l", type=int,
+                   help="ambient dimension (default 2); with --arrangement, its dimension")
     p.add_argument("--p", type=int, default=2, help="power / level")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)

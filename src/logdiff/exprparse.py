@@ -64,6 +64,15 @@ class ParseError(ValueError):
         self.position = position
 
 
+# Operator text longer than this is quoted as a prefix ending in "...";
+# the parse error already gives the position.
+QUOTE_CHARS = 40
+
+
+def _quote(text: str) -> str:
+    return repr(text if len(text) <= QUOTE_CHARS else text[:QUOTE_CHARS] + "...")
+
+
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
     out = []
     for m in _TOKEN.finditer(text):

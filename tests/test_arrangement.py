@@ -5,6 +5,7 @@ import pytest
 
 from helpers import random_derivation
 from logdiff.arrangement import (
+    _BUILTINS,
     Arrangement,
     SaitoBasis,
     SaitoFailure,
@@ -13,7 +14,7 @@ from logdiff.arrangement import (
     rank2_basis,
     saito_check,
 )
-from logdiff.exprparse import parse_diffop, parse_poly
+from logdiff.exprparse import parse_poly, render
 from logdiff.polyring import LinearForm, Poly, exact_divide
 from logdiff.tangent import is_tangent, is_tangent_q
 from logdiff.weyl import Derivation
@@ -219,8 +220,31 @@ def test_rank2_basis_needs_two_variables():
 
 
 def test_builtin_names():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         builtin_arrangement("nope")
+    assert str(info.value) == ("unknown builtin arrangement 'nope'; choose from "
+                               "('boolean1', 'boolean2', 'boolean3', 'triple2', 'generic3')")
     arr, thetas = builtin_arrangement("generic3")
     assert thetas is None
     assert arr.q == P("x*y*z*(x+y+z)", 3)
+
+
+def test_builtins_are_pinned():
+    # forms stay integer tuples and bases render as they always have
+    got = {}
+    for name in _BUILTINS:
+        arr, thetas = builtin_arrangement(name)
+        assert all(type(c) is int for f in arr.forms for c in f.coeffs)
+        got[name] = ([f.coeffs for f in arr.forms],
+                     thetas and [render(th.as_diffop()) for th in thetas])
+    assert got == {
+        "boolean1": ([(1,)], ["x1*d1"]),
+        "boolean2": ([(1, 0), (0, 1)], ["x1*d1", "x2*d2"]),
+        "boolean3": ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], ["x1*d1", "x2*d2", "x3*d3"]),
+        "triple2": ([(1, 0), (0, 1), (1, 1)], ["x1*d1 + x2*d2", "x1^2*d1 - x2^2*d2"]),
+        "generic3": ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], None),
+    }
+
+
+def test_builtins_are_built_once():
+    assert builtin_arrangement("triple2") is builtin_arrangement("triple2")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import logdiff.cli
 import logdiff.tangent
-from logdiff.arrangement import builtin_arrangement, euler_derivation
+from logdiff.arrangement import _BUILTINS, builtin_arrangement, euler_derivation
 from logdiff.cli import main
 from logdiff.exprparse import render
 from logdiff.sampling import random_order_one_op, random_poly, random_word
@@ -98,6 +98,19 @@ def test_unknown_builtin(capsys):
     code, _, err = run(capsys, "check-free", "--arrangement", "builtin:nope")
     assert code == 2
     assert "unknown builtin" in err
+    assert err == ("error: unknown builtin arrangement 'nope'; choose from "
+                   "('boolean1', 'boolean2', 'boolean3', 'triple2', 'generic3')\n")
+
+
+@pytest.mark.parametrize("name", _BUILTINS)
+def test_builtin_spec_as_a_file(tmp_path, capsys, name):
+    # every builtin is a spec in the arrangement-file format, read by the
+    # same loader, so its file gives the builtin's verdict word for word
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_BUILTINS[name]))
+    from_file = run(capsys, "check-free", "--arrangement", str(path))
+    assert from_file == run(capsys, "check-free", "--arrangement", f"builtin:{name}")
+    assert from_file[0] == (2 if name == "generic3" else 0)
 
 
 # -- decompose ----------------------------------------------------------------
@@ -419,6 +432,22 @@ def test_verify_rejects_dimension_zero(capsys, lemma):
     code, _, err = run(capsys, "verify", "--lemma", lemma, "--l", "0", "--trials", "1")
     assert code == 2
     assert "error: --l must be at least 1" in err
+
+
+@pytest.mark.parametrize("lemma", ["jacobian-power", "divisibility"])
+@pytest.mark.parametrize("dim", ["2", "5"])
+def test_verify_l_must_match_the_arrangement(capsys, lemma, dim):
+    code, out, err = run(
+        capsys, "verify", "--lemma", lemma, "--arrangement", "builtin:boolean3",
+        "--l", dim, "--trials", "1",
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: --l {dim} does not match the dimension 3 of builtin:boolean3\n"
+    code, out, _ = run(
+        capsys, "verify", "--lemma", lemma, "--arrangement", "builtin:boolean3",
+        "--l", "3", "--trials", "1",
+    )
+    assert code == 0 and "passed=1 failed=0" in out
 
 
 def test_verify_divisibility_needs_arrangement(capsys):

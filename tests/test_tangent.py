@@ -16,9 +16,10 @@ from helpers import (
 )
 from logdiff import sampling, tangent
 from logdiff.arrangement import (
-    _BUILTIN_NAMES,
+    _BUILTINS,
     Arrangement,
     SaitoBasis,
+    _load_spec,
     builtin_arrangement,
     euler_derivation,
     rank2_basis,
@@ -68,12 +69,13 @@ def four_lines_basis():
 
 def a3_basis():
     # the braid arrangement: forms x_i and x_i - x_j, basis sum_i x_i^k d_i
-    forms = [LinearForm(tuple(1 if k == i else 0 for k in range(3))) for i in range(3)]
-    forms += [LinearForm(tuple(1 if k == i else -1 if k == j else 0 for k in range(3)))
-              for i in range(3) for j in range(i + 1, 3)]
-    arr = Arrangement(forms)
-    thetas = [Derivation(tuple(Poly.variable(3, i) ** k for i in (1, 2, 3)))
-              for k in (1, 2, 3)]
+    arr, thetas = _load_spec({
+        "dim": 3,
+        "forms": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, -1, 0], [1, 0, -1], [0, 1, -1]],
+        "basis": ["x1*d1 + x2*d2 + x3*d3",
+                  "x1^2*d1 + x2^2*d2 + x3^2*d3",
+                  "x1^3*d1 + x2^3*d2 + x3^3*d3"],
+    })
     basis = saito_check(arr, thetas)
     assert basis.ok and basis.scalar == -1 and basis.degrees == (1, 2, 3)
     return arr, basis
@@ -280,7 +282,7 @@ def _tangent_generators(name):
     return arr, thetas
 
 
-@pytest.mark.parametrize("name", _BUILTIN_NAMES)
+@pytest.mark.parametrize("name", _BUILTINS)
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_tangency_routes_agree(name, data):
