@@ -92,7 +92,7 @@ def saito_check(arr: Arrangement, thetas: Sequence[Derivation]) -> SaitoBasis | 
     if any(th.nvars != arr.dim for th in thetas):
         raise ValueError("derivation over a different ambient dimension")
     for i, th in enumerate(thetas, start=1):
-        if not is_tangent(th.as_diffop(), arr):
+        if not is_tangent(th, arr):
             return SaitoFailure("derivation is not tangent to the arrangement", index=i)
     degrees = []
     for i, th in enumerate(thetas, start=1):

@@ -69,18 +69,22 @@ def _load_arrangement(source: str) -> tuple[Arrangement, tuple[Derivation, ...] 
         raise CliError(str(exc)) from None
 
 
-def _load_basis_file(path: str, dim: int) -> tuple[Derivation, ...]:
-    # a list of operator strings, or an object whose "basis" is one
-    return _load_json(path, lambda data: _load_basis(
-        data.get("basis") if isinstance(data, dict) else data, dim))
+def _resolve_basis(args, dim: int, thetas, required: bool = True) -> tuple[Derivation, ...] | None:
+    """The ``--basis`` file, else the arrangement's own ``thetas``.
 
-
-def _resolve_basis(args, arr, builtin_thetas) -> tuple[Derivation, ...]:
+    The file is a list of operator strings, or an object whose "basis" is
+    one.  A basis from either source must hold exactly ``dim``
+    derivations; with none, a ``required`` basis is a usage error.
+    """
     if args.basis:
-        return _load_basis_file(args.basis, arr.dim)
-    if builtin_thetas is not None:
-        return builtin_thetas
-    raise CliError("no candidate basis: pass --basis or use a builtin with one")
+        thetas = _load_json(args.basis, lambda data: _load_basis(
+            data.get("basis") if isinstance(data, dict) else data, dim))
+    if thetas is None:
+        if required:
+            raise CliError("no candidate basis: pass --basis or use a builtin with one")
+    elif len(thetas) != dim:
+        raise CliError(f"need exactly {dim} derivations, got {len(thetas)}")
+    return thetas
 
 
 def _parse_op(text: str, dim: int) -> DiffOp:
@@ -92,8 +96,8 @@ def _parse_op(text: str, dim: int) -> DiffOp:
 
 def _certify(args) -> tuple[Arrangement, SaitoBasis | SaitoFailure]:
     """Load ``--arrangement`` and its basis and run the Saito check."""
-    arr, builtin_thetas = _load_arrangement(args.arrangement)
-    thetas = _resolve_basis(args, arr, builtin_thetas)
+    arr, thetas = _load_arrangement(args.arrangement)
+    thetas = _resolve_basis(args, arr.dim, thetas)
     try:
         return arr, saito_check(arr, thetas)
     except ValueError as exc:
@@ -214,10 +218,7 @@ def _verify_jacobian_power(args) -> int:
     if args.arrangement:
         arr, fixture_thetas = _verify_arrangement(args)
         dim = arr.dim
-    if args.basis:
-        fixture_thetas = _load_basis_file(args.basis, dim)
-    if fixture_thetas is not None and len(fixture_thetas) != dim:
-        raise CliError(f"need exactly {dim} derivations, got {len(fixture_thetas)}")
+    fixture_thetas = _resolve_basis(args, dim, fixture_thetas, required=False)
     rng = random.Random(args.seed)
     fs = coordinates(dim)
     failures = []
@@ -236,12 +237,12 @@ def _verify_jacobian_power(args) -> int:
 def _verify_divisibility(args) -> int:
     if not args.arrangement:
         raise CliError("--lemma divisibility needs --arrangement (with a basis)")
-    arr, builtin_thetas = _verify_arrangement(args)
-    thetas = _resolve_basis(args, arr, builtin_thetas)
+    arr, thetas = _verify_arrangement(args)
+    thetas = _resolve_basis(args, arr.dim, thetas)
     rng = random.Random(args.seed)
     fs = coordinates(arr.dim)
     exponent = comb(args.p + arr.dim - 1, arr.dim)
-    word_op = word_fold([th.as_diffop() for th in thetas])
+    word_op = word_fold(thetas)
     failures = []
     for trial in range(args.trials):
         entries = tuple(

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .linalg import determinant, multiplicity_product, prefix_fold, sym_indices
 from .polyring import Poly
-from .weyl import Derivation, DiffOp, commutator, word_fold
+from .weyl import DiffOp, commutator, word_fold
 
 
 @dataclass(frozen=True)
@@ -41,13 +41,8 @@ class OpFamily:
         return sym_indices(self.nvars, self.power)
 
 
-def _as_ops(ops: Sequence[DiffOp | Derivation]) -> list[DiffOp]:
-    return [op.as_diffop() if isinstance(op, Derivation) else op for op in ops]
-
-
-def product_family(ops: Sequence[DiffOp | Derivation], power: int) -> OpFamily:
+def product_family(ops: Sequence[DiffOp], power: int) -> OpFamily:
     """The family whose entry at (i1..ip) is the product ops[i1]...ops[ip]."""
-    ops = _as_ops(ops)
     if not ops:
         raise ValueError("need at least one operator")
     nvars = ops[0].nvars
@@ -74,14 +69,13 @@ def higher_jacobian(fs: Sequence[Poly], fam: OpFamily) -> Poly:
     return determinant(commutator_value_matrix(fs, fam))
 
 
-def jacobian_power_identity(fs: Sequence[Poly], ops: Sequence[DiffOp | Derivation], power: int) -> bool:
+def jacobian_power_identity(fs: Sequence[Poly], ops: Sequence[DiffOp], power: int) -> bool:
     """Exact check that the Jacobian of the product family collapses.
 
     For operators of order at most one the higher Jacobian of the product
     family equals the multiplicity product times the ordinary Jacobian
     raised to C(power+dim-1, dim).
     """
-    ops = _as_ops(ops)
     if any(op.order is not None and op.order > 1 for op in ops):
         raise ValueError("every operator must have order at most one")
     dim = len(ops)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import TYPE_CHECKING, Sequence
 
-from .linalg import _form_product_fold, determinant, multiplicity_vector, sym_indices
+from .linalg import _form_product_fold, determinant
 from .polyring import Monomial, NotDivisibleError, Poly, Scalar, divides, exact_divide
 from .weyl import Derivation, DiffOp, _bracket_linear, commutator, word_fold
 
@@ -211,7 +211,7 @@ def reassemble(dec: Decomposition) -> DiffOp:
     """Expand the word sum back into one normally ordered operator."""
     if not dec.generators:
         raise ValueError("decomposition carries no generators")
-    word_op = word_fold([g.as_diffop() for g in dec.generators])
+    word_op = word_fold(dec.generators)
     out = DiffOp.zero(dec.generators[0].nvars)
     for w in dec.words:
         out = out + w.coeff * word_op(w.word)
@@ -238,7 +238,7 @@ def transport(u: DiffOp, arr: Arrangement) -> Decomposition:
         Derivation(tuple(arr.q if j == i else Poly.zero(n) for j in range(n)))
         for i in range(n)
     )
-    word_op = word_fold([g.as_diffop() for g in generators])
+    word_op = word_fold(generators)
     words = []
     cur = u
     e = comb(u.order + 1, 2)
@@ -250,7 +250,7 @@ def transport(u: DiffOp, arr: Arrangement) -> Decomposition:
         for beta in sorted(cur.terms, key=lambda b: (sum(b), b), reverse=True):
             if sum(beta) != p:
                 continue
-            word = tuple(i for i in range(1, n + 1) for _ in range(beta[i - 1]))
+            word = _letters(beta)
             coeff = cur.terms[beta]
             words.append(Word(qe * coeff, word))
             nxt = nxt - coeff * word_op(word)
@@ -259,6 +259,12 @@ def transport(u: DiffOp, arr: Arrangement) -> Decomposition:
     if cur:
         words.append(Word(arr.q ** e * cur.value_at_one(), ()))
     return Decomposition(tuple(words), generators)
+
+
+def _letters(exponents: Sequence[int]) -> tuple[int, ...]:
+    """The weakly increasing 1-based letters with these multiplicities:
+    (2, 0, 1) gives (1, 1, 3)."""
+    return tuple(j for j, e in enumerate(exponents, start=1) for _ in range(e))
 
 
 def _adjugate(m: list[list[Poly]]) -> list[list[Poly]]:
@@ -330,7 +336,7 @@ def decompose(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> Decomposition:
         )
 
     xi_fold = _form_product_fold(adj)
-    word_op = word_fold([th.as_diffop() for th in thetas])
+    word_op = word_fold(thetas)
 
     words: list[Word] = []
     cur = u
@@ -340,16 +346,17 @@ def decompose(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> Decomposition:
         for beta, a in cur.terms.items():
             if sum(beta) != p:
                 continue
-            letters = tuple(j for j, e in enumerate(beta, start=1) for _ in range(e))
-            for mult, c in xi_fold(letters).items():
+            for mult, c in xi_fold(_letters(beta)).items():
                 acc = numerators.get(mult)
                 numerators[mult] = a * c if acc is None else acc + a * c
         divisor = lam_q ** p
         level_words: list[tuple[Poly, tuple[int, ...]]] = []
-        for k in sym_indices(n, p):
-            numer = numerators.get(multiplicity_vector(k, n))
+        # Descending multiplicity vectors are ascending ``sym_indices``.
+        for mult in sorted(numerators, reverse=True):
+            numer = numerators[mult]
             if not numer:
                 continue
+            k = _letters(mult)
             try:
                 coeff = exact_divide(numer, divisor)
             except NotDivisibleError:

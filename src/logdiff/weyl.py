@@ -13,7 +13,6 @@ constant has no derivative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product as cartesian
 from math import comb, prod
@@ -45,40 +44,41 @@ class DiffOp:
         self.nvars = nvars
         self.terms = clean
 
-    @classmethod
-    def _make(cls, nvars: int, terms: dict[Monomial, Poly]) -> DiffOp:
+    @staticmethod
+    def _make(nvars: int, terms: dict[Monomial, Poly]) -> DiffOp:
         """Wrap an already canonical map without validating it.
 
         Internal results only: every key is a length-``nvars`` tuple of
         non-negative ints and every value a nonzero Poly in ``nvars``
         variables.  The map is owned by the new operator.
         """
-        out = object.__new__(cls)
+        out = object.__new__(DiffOp)
         out.nvars = nvars
         out.terms = terms
         return out
 
     # -- constructors -----------------------------------------------------
+    # Static, so that they build a plain DiffOp on a subclass too.
 
-    @classmethod
-    def zero(cls, nvars: int) -> DiffOp:
-        return cls(nvars)
+    @staticmethod
+    def zero(nvars: int) -> DiffOp:
+        return DiffOp(nvars)
 
-    @classmethod
-    def one(cls, nvars: int) -> DiffOp:
-        return cls.from_poly(Poly.one(nvars))
+    @staticmethod
+    def one(nvars: int) -> DiffOp:
+        return DiffOp.from_poly(Poly.one(nvars))
 
-    @classmethod
-    def from_poly(cls, f: Poly) -> DiffOp:
-        return cls._make(f.nvars, {(0,) * f.nvars: f} if f else {})
+    @staticmethod
+    def from_poly(f: Poly) -> DiffOp:
+        return DiffOp._make(f.nvars, {(0,) * f.nvars: f} if f else {})
 
-    @classmethod
-    def partial(cls, nvars: int, index: int) -> DiffOp:
+    @staticmethod
+    def partial(nvars: int, index: int) -> DiffOp:
         """The operator d<index> (1-based index)."""
         if not 1 <= index <= nvars:
             raise ValueError(f"partial index {index} out of range 1..{nvars}")
         beta = tuple(1 if i == index - 1 else 0 for i in range(nvars))
-        return cls(nvars, {beta: Poly.one(nvars)})
+        return DiffOp(nvars, {beta: Poly.one(nvars)})
 
     # -- queries ------------------------------------------------------------
 
@@ -232,7 +232,7 @@ class DiffOp:
         return render(self)
 
     def __repr__(self) -> str:
-        return f"DiffOp({self!s}, nvars={self.nvars})"
+        return f"{type(self).__name__}({self!s}, nvars={self.nvars})"
 
 
 def word_fold(ops: Sequence[DiffOp]):
@@ -275,24 +275,28 @@ def _leibniz_into(out: dict[Monomial, Poly], left, g: Poly, gamma: Monomial,
             out[key] = term if acc is None else acc + term
 
 
-@dataclass(frozen=True)
-class Derivation:
-    """A first-order operator with no constant part: sum_i coeffs[i] * d_i."""
+class Derivation(DiffOp):
+    """A first-order operator with no constant part: sum_i coeffs[i] * d_i.
 
-    coeffs: tuple[Poly, ...]
+    A derivation is the DiffOp it stands for, so it goes wherever an
+    operator does; sums, products and brackets of derivations are plain
+    DiffOps.  ``coeffs`` keeps every coefficient, zeros included, as the
+    rows of the Saito matrix.
+    """
 
-    def __post_init__(self):
-        coeffs = tuple(self.coeffs)
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Sequence[Poly]):
+        coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("derivation needs at least one coefficient")
         n = coeffs[0].nvars
         if len(coeffs) != n or any(c.nvars != n for c in coeffs):
             raise ValueError("derivation needs one coefficient per variable")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def nvars(self) -> int:
-        return len(self.coeffs)
+        self.nvars = n
+        self.terms = {tuple(int(j == i) for j in range(n)): c
+                      for i, c in enumerate(coeffs) if c}
+        self.coeffs = coeffs
 
     @classmethod
     def from_diffop(cls, u: DiffOp) -> Derivation:
@@ -301,18 +305,7 @@ class Derivation:
             if sum(beta) != 1:
                 raise ValueError("operator is not a derivation")
             coeffs[beta.index(1)] = c
-        return cls(tuple(coeffs))
-
-    def as_diffop(self) -> DiffOp:
-        n = self.nvars
-        terms = {}
-        for i, c in enumerate(self.coeffs):
-            if c:
-                terms[tuple(1 if j == i else 0 for j in range(n))] = c
-        return DiffOp._make(n, terms)
-
-    def apply(self, f: Poly) -> Poly:
-        return self.as_diffop().apply(f)
+        return cls(coeffs)
 
     def homogeneous_degree(self) -> int | None:
         """Common degree of the nonzero coefficients, or None.
@@ -329,11 +322,6 @@ class Derivation:
         if len(degs) != 1:
             return None
         return degs.pop()
-
-    def __str__(self) -> str:
-        from .exprparse import render
-
-        return render(self.as_diffop())
 
 
 def _bracket_linear(terms: Mapping[Monomial, Poly],

@@ -50,7 +50,7 @@ def random_derivation(rng: random.Random, nvars: int, max_degree: int = 2) -> De
 def random_word_operator(rng: random.Random, thetas, nvars: int,
                          max_len: int = 3, max_words: int = 3) -> DiffOp:
     """A sum of words: polynomial coefficients times products of generators."""
-    word_op = word_fold([th.as_diffop() for th in thetas])
+    word_op = word_fold(thetas)
     op = DiffOp.zero(nvars)
     for _ in range(rng.randint(1, max_words)):
         op = op + random_word(rng, word_op, len(thetas), nvars, max_len)

@@ -60,18 +60,18 @@ def test_cofactor_identity():
 def test_euler_is_always_tangent():
     for name in ("boolean1", "boolean2", "boolean3", "triple2", "generic3"):
         arr, _ = builtin_arrangement(name)
-        assert is_tangent(euler_derivation(arr.dim).as_diffop(), arr)
+        assert is_tangent(euler_derivation(arr.dim), arr)
 
 
 def test_plain_partial_is_not_tangent():
     arr, _ = builtin_arrangement("boolean1")
-    assert not is_tangent(Derivation((Poly.one(1),)).as_diffop(), arr)
+    assert not is_tangent(Derivation((Poly.one(1),)), arr)
 
 
 def test_three_line_degree_two_derivation():
     arr, _ = builtin_arrangement("triple2")
     delta = derivation(["x^2", "-y^2"], 2)
-    assert is_tangent(delta.as_diffop(), arr)
+    assert is_tangent(delta, arr)
     # divisibility made explicit on the third form
     assert delta.apply(P("x+y", 2)) == P("(x-y)*(x+y)", 2)
 
@@ -83,12 +83,12 @@ def test_per_form_test_agrees_with_q_test():
         hits = 0
         for _ in range(40):
             delta = random_derivation(rng, arr.dim)
-            a = is_tangent(delta.as_diffop(), arr)
-            b = is_tangent_q(delta.as_diffop(), arr, 1)
+            a = is_tangent(delta, arr)
+            b = is_tangent_q(delta, arr, 1)
             assert a == b
             hits += a
         # the Euler direction guarantees at least one positive case
-        assert is_tangent_q(euler_derivation(arr.dim).as_diffop(), arr, 1)
+        assert is_tangent_q(euler_derivation(arr.dim), arr, 1)
 
 
 def test_q_scaled_partials_are_tangent():
@@ -97,7 +97,7 @@ def test_q_scaled_partials_are_tangent():
         n = arr.dim
         for i in range(n):
             coeffs = tuple(arr.q if j == i else Poly.zero(n) for j in range(n))
-            assert is_tangent(Derivation(coeffs).as_diffop(), arr)
+            assert is_tangent(Derivation(coeffs), arr)
 
 
 def test_euler_derivation_values():
@@ -152,7 +152,7 @@ def test_saito_rejects_inhomogeneous_candidate():
     arr, thetas = builtin_arrangement("boolean2")
     bad = derivation(["x + x^2", "0"], 2)
     # make it tangent but inhomogeneous: (x + x^2) d1 fixes both axes
-    assert is_tangent(bad.as_diffop(), arr)
+    assert is_tangent(bad, arr)
     result = saito_check(arr, (bad, thetas[1]))
     assert isinstance(result, SaitoFailure)
     assert "homogeneous" in result.reason
@@ -236,7 +236,7 @@ def test_builtins_are_pinned():
         arr, thetas = builtin_arrangement(name)
         assert all(type(c) is int for f in arr.forms for c in f.coeffs)
         got[name] = ([f.coeffs for f in arr.forms],
-                     thetas and [render(th.as_diffop()) for th in thetas])
+                     thetas and [render(th) for th in thetas])
     assert got == {
         "boolean1": ([(1,)], ["x1*d1"]),
         "boolean2": ([(1, 0), (0, 1)], ["x1*d1", "x2*d2"]),

@@ -238,7 +238,7 @@ def test_tangent_default_cutoff_verdict_is_is_tangent(capsys):
     for name in ("boolean2", "triple2", "generic3"):
         arr, thetas = builtin_arrangement(name)
         gens = thetas or [euler_derivation(arr.dim)]
-        word_op = word_fold([g.as_diffop() for g in gens])
+        word_op = word_fold(gens)
         ops = [random_word(rng, word_op, len(gens), arr.dim, 3) for _ in range(6)]
         ops += [random_order_one_op(rng, arr.dim, 2) for _ in range(6)]
         for u in ops:
@@ -389,7 +389,7 @@ def test_verify_jacobian_power_reads_the_basis_file(tmp_path, capsys, monkeypatc
     assert code == 0
     assert "l=2 p=2 trials=2" in out
     # trial 0 takes the file's derivations, later trials draw random ones
-    assert [render(th.as_diffop()) for th in seen[0]] == ["x1*d1 + x2*d2", "x2*d1 - x1*d2"]
+    assert [render(th) for th in seen[0]] == ["x1*d1 + x2*d2", "x2*d1 - x1*d2"]
     assert len(seen) == 2 and not isinstance(seen[1][0], Derivation)
 
 
@@ -411,6 +411,31 @@ def test_verify_jacobian_power_rejects_a_bad_basis_file(tmp_path, capsys, basis_
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("command", [
+    ["check-free"],
+    ["decompose", "--op", "x1*d1"],
+    ["verify", "--lemma", "jacobian-power", "--trials", "1"],
+    ["verify", "--lemma", "divisibility", "--trials", "1"],
+])
+@pytest.mark.parametrize("texts", [
+    ["x1*d1 + x2*d2"],
+    ["x1*d1 + x2*d2", "x1^2*d1 - x2^2*d2", "x1*x2*d1"],
+])
+def test_every_basis_consumer_rejects_a_basis_of_the_wrong_length(tmp_path, capsys,
+                                                                   command, texts):
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps(texts))
+    spec = tmp_path / "arr.json"
+    spec.write_text(json.dumps({"dim": 2, "forms": [[1, 0], [0, 1], [1, 1]], "basis": texts}))
+    # from --basis, and from the arrangement file's own basis
+    for source in (["--arrangement", "builtin:triple2", "--basis", str(basis)],
+                   ["--arrangement", str(spec)]):
+        code, out, err = run(capsys, *command, *source)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: need exactly 2 derivations, got {len(texts)}\n"
 
 
 @pytest.mark.parametrize("option, value", [
@@ -479,7 +504,7 @@ def test_verify_draws_are_pinned():
         got.append(render(random_poly(rng, 3, 2, nonzero=True)))
         got.append(render(random_order_one_op(rng, 2, 2)))
     _, thetas = builtin_arrangement("triple2")
-    word_op = word_fold([th.as_diffop() for th in thetas])
+    word_op = word_fold(thetas)
     for _ in range(3):
         got.append(render(random_word(rng, word_op, len(thetas), 2, 2)))
     assert got == [

@@ -44,7 +44,7 @@ def test_product_family_single_variable():
 def test_product_family_power_one_is_the_tuple():
     arr, thetas = builtin_arrangement("boolean2")
     fam = product_family(thetas, 1)
-    assert fam.entries == tuple(th.as_diffop() for th in thetas)
+    assert fam.entries == tuple(thetas)
 
 
 def test_product_family_constant_coefficients():
@@ -100,8 +100,8 @@ def test_s_linearity_in_each_entry():
     for _ in range(6):
         idx = rng.choice(fam.index_tuples)
         a = random_poly(rng, 2)
-        w1 = thetas[0].as_diffop() * thetas[rng.randint(0, 1)].as_diffop()
-        w2 = thetas[1].as_diffop() * thetas[rng.randint(0, 1)].as_diffop()
+        w1 = thetas[0] * thetas[rng.randint(0, 1)]
+        w2 = thetas[1] * thetas[rng.randint(0, 1)]
         combined = higher_jacobian(fs, substitute_entry(fam, a * w1 + w2, idx))
         split = (a * higher_jacobian(fs, substitute_entry(fam, w1, idx))
                  + higher_jacobian(fs, substitute_entry(fam, w2, idx)))
@@ -150,7 +150,7 @@ def test_commutator_value_matrix_matches_unshared_routes():
 
 def test_product_family_entries_are_left_to_right_products():
     arr, thetas = builtin_arrangement("triple2")
-    ops = [th.as_diffop() for th in thetas]
+    ops = thetas
     for power in (0, 1, 2, 3):
         fam = product_family(thetas, power)
         for idx, entry in zip(sym_indices(2, power), fam.entries):
@@ -177,7 +177,7 @@ def test_permanent_expansion_for_derivation_words():
         fs = [random_poly(rng, nvars) for _ in range(p)]
         word = DiffOp.one(nvars)
         for d in deltas:
-            word = word * d.as_diffop()
+            word = word * d
         lhs = iterated_commutator(word, fs).value_at_one()
         rhs = permanent([[deltas[a].apply(fs[b]) for b in range(p)] for a in range(p)])
         assert lhs == rhs

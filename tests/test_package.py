@@ -28,3 +28,12 @@ def test_imports_only_the_standard_library():
             for name in names:
                 top = name.partition(".")[0]
                 assert top in sys.stdlib_module_names or top == "logdiff", f"{path.name}: {name}"
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 1
+    source = blocks[0].split("```", 1)[0]
+    exec(compile(source, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "(1, 1) 1\n(1,) -1\n"

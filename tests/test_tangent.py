@@ -26,7 +26,7 @@ from logdiff.arrangement import (
     saito_check,
 )
 from logdiff.exprparse import parse_diffop, parse_poly
-from logdiff.linalg import sym_indices
+from logdiff.linalg import multiplicity_vector, sym_indices
 from logdiff.polyring import LinearForm, Poly, coordinates, divides, divides_power
 from logdiff.tangent import (
     Decomposition,
@@ -114,7 +114,7 @@ def test_euler_and_constants_always_pass():
 
     for name in ("boolean2", "triple2", "generic3"):
         arr, _ = builtin_arrangement(name)
-        assert is_tangent_q(euler_derivation(arr.dim).as_diffop(), arr, 5)
+        assert is_tangent_q(euler_derivation(arr.dim), arr, 5)
         assert is_tangent_q(DiffOp.one(arr.dim), arr, 3)
         assert is_tangent(DiffOp.zero(arr.dim), arr)
         assert all(r.ok for r in tangency_table(DiffOp.zero(arr.dim), arr, 3))
@@ -245,9 +245,8 @@ def test_derivation_tangency_is_operator_tangency(fixture, data):
         f * Poly.variable(n, j + 1) + gs[j] * arr.q + (raw[j] if add_raw else Poly.zero(n))
         for j in range(n)
     ))
-    u = delta.as_diffop()
     literal = all(divides(a.as_poly(), delta.apply(a.as_poly())) for a in arr.forms)
-    assert is_tangent(u, arr) == literal == is_tangent_q(u, arr, 1)
+    assert is_tangent(delta, arr) == literal == is_tangent_q(delta, arr, 1)
     if not add_raw:
         assert literal
 
@@ -293,7 +292,7 @@ def test_tangency_routes_agree(name, data):
     arr, thetas = _tangent_generators(name)
     n = arr.dim
     rng = data.draw(st.randoms(use_true_random=False))
-    word_op = word_fold([th.as_diffop() for th in thetas])
+    word_op = word_fold(thetas)
     w = sampling.random_word(rng, word_op, len(thetas), n, 3)
     beta = data.draw(st.tuples(*[st.integers(0, 2)] * n).filter(any))
     c = data.draw(st.sampled_from([1, -2, Fraction(3, 2)]))
@@ -319,7 +318,7 @@ def test_is_tangent_q_work_is_bounded_by_the_order(monkeypatch):
 
     monkeypatch.setattr(tangent, "commutator", counting)
     arr, thetas = builtin_arrangement("triple2")
-    euler, second = (th.as_diffop() for th in thetas)
+    euler, second = thetas
     u = euler * second * second
     assert u.order == 3
     assert is_tangent_q(u, arr, 10**6)
@@ -491,7 +490,7 @@ def test_decompose_agrees_with_jacobian_route(fixture, max_order, trials):
 def test_decompose_a3_order_four():
     # the Jacobian route needs C(6, 2) = 15 determinants of size 15 here
     arr, basis = a3_basis()
-    u = DiffOp.from_poly(Poly.variable(3, 1)) * basis.thetas[0].as_diffop() ** 4
+    u = DiffOp.from_poly(Poly.variable(3, 1)) * basis.thetas[0] ** 4
     dec = decompose(u, arr, basis)
     assert reassemble(dec) == u
 
@@ -510,6 +509,17 @@ def test_decompose_failure_names_level_and_index():
     with pytest.raises(DecompositionError) as info:
         decompose(D("x*d1^2", 1), arr, basis)
     assert (info.value.level, info.value.index) == (2, (1, 1))
+
+
+def test_decompose_walks_indices_in_sym_indices_order():
+    # decompose divides in descending order of the multiplicity vectors;
+    # that is ascending sym_indices, so the first failing index is the
+    # one the Jacobian route names
+    for n in range(1, 6):
+        for p in range(7):
+            vectors = sorted((multiplicity_vector(k, n) for k in sym_indices(n, p)),
+                             reverse=True)
+            assert [tangent._letters(v) for v in vectors] == sym_indices(n, p)
 
 
 def test_decompose_levels_strictly_drop():

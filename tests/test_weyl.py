@@ -415,9 +415,52 @@ def test_right_multiple_of_coprime_factor_preserves_membership():
 
 def test_derivation_round_trip_and_apply():
     d = Derivation((P("x^2", 2), P("-y^2", 2)))
-    op = d.as_diffop()
-    assert Derivation.from_diffop(op) == d
+    op = D("x1^2*d1 - x2^2*d2", 2)
+    assert type(op) is DiffOp
+    assert Derivation.from_diffop(op) == d == op
+    assert Derivation.from_diffop(op).coeffs == d.coeffs
     assert d.apply(P("x+y", 2)) == P("x^2 - y^2", 2)
+
+
+def test_derivation_is_its_operator():
+    d = Derivation((P("x^2", 2), Poly.zero(2)))
+    assert isinstance(d, DiffOp)
+    assert d.nvars == 2 and d.order == 1
+    assert d.terms == {(1, 0): P("x^2", 2)}
+    assert d.coeffs == (P("x^2", 2), Poly.zero(2))
+    text = str(d)
+    assert text == render(d) == "x1^2*d1"
+    assert repr(d) == "Derivation(x1^2*d1, nvars=2)"
+    assert repr(parse_diffop(text, 2)) == "DiffOp(x1^2*d1, nvars=2)"
+    assert parse_diffop(text, 2) == d
+    assert Derivation.from_diffop(parse_diffop(text, 2)) == d
+
+
+def test_equal_derivations_hash_equally():
+    a = Derivation((P("x", 2), P("y", 2)))
+    b = Derivation.from_diffop(D("x1*d1 + x2*d2", 2))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert hash(a) == hash(D("x1*d1 + x2*d2", 2))
+    assert len({a, b, D("x1*d1 + x2*d2", 2)}) == 1
+    assert a != Derivation((P("x", 2), P("-y", 2)))
+
+
+def test_derivation_arithmetic_gives_plain_operators():
+    a = Derivation((P("x", 2), P("y", 2)))
+    b = Derivation((P("x^2", 2), P("-y^2", 2)))
+    results = [a * b, a + b, a - b, -a, P("x", 2) * a, 2 * a, a ** 2,
+               commutator(a, b), commutator(a, P("x", 2))]
+    assert all(type(r) is DiffOp for r in results)
+    assert a * b == D("x1*d1 + x2*d2", 2) * D("x1^2*d1 - x2^2*d2", 2)
+    # [E, b] = (deg b - 1) b for the Euler derivation E and homogeneous b
+    assert commutator(a, b) == b
+
+
+def test_diffop_constructors_build_plain_operators():
+    built = [Derivation.zero(2), Derivation.one(2), Derivation.from_poly(P("x", 2)),
+             Derivation.partial(2, 1)]
+    assert [type(u) for u in built] == [DiffOp] * 4
+    assert built == [DiffOp.zero(2), DiffOp.one(2), D("x1", 2), D("d1", 2)]
 
 
 def test_derivation_rejects_higher_order():
