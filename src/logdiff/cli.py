@@ -30,7 +30,7 @@ from .exprparse import ParseError, _quote, parse_diffop, render
 from .jacobian import OpFamily, higher_jacobian, jacobian_power_identity
 from .linalg import sym_indices, sym_power_det_identity_holds
 from .polyring import Poly, coordinates, divides_power
-from .sampling import random_order_one_op, random_word
+from .sampling import random_int_matrix, random_order_one_op, random_word
 from .tangent import (
     DecompositionError,
     decompose,
@@ -121,6 +121,12 @@ def cmd_check_free(args) -> int:
 # t_max = 64 and 102 MB at 200.
 MAX_TMAX = 64
 
+# Every verify trial builds an l x l matrix and N x N matrices, N = C(p+l-1,
+# p), the number of degree-p monomials in l variables: sym-power at --l 5
+# --p 8 (N = 495) runs for more than a minute, and at --p 3000 (N = 3001)
+# it ran out of 1.5 GB of memory.
+MAX_VERIFY_SIZE = 64
+
 
 def cmd_tangent(args) -> int:
     arr, _ = _load_arrangement(args.arrangement)
@@ -191,14 +197,22 @@ def _report(name: str, details: str, trials: int, seed: int, failures: list[str]
     return 0 if not failures else 1
 
 
+def _check_verify_size(dim: int, p: int) -> None:
+    # dim first: it bounds the cost of comb.
+    if dim > MAX_VERIFY_SIZE or comb(p + dim - 1, p) > MAX_VERIFY_SIZE:
+        raise CliError(f"l = {dim}, p = {p}: max(l, C(p+l-1, p)) exceeds the limit "
+                       f"{MAX_VERIFY_SIZE}")
+
+
 def _verify_sym_power(args) -> int:
     if args.arrangement or args.basis:
         raise CliError("--lemma sym-power takes neither --arrangement nor --basis")
     dim = args.l or 2
+    _check_verify_size(dim, args.p)
     rng = random.Random(args.seed)
     failures = []
     for trial in range(args.trials):
-        m = [[rng.randint(-5, 5) for _ in range(dim)] for _ in range(dim)]
+        m = random_int_matrix(rng, dim)
         if not sym_power_det_identity_holds(m, args.p):
             failures.append(f"trial {trial}: matrix {m}")
     return _report("sym-power", f"l={dim} p={args.p}", args.trials, args.seed, failures)
@@ -218,6 +232,7 @@ def _verify_jacobian_power(args) -> int:
     if args.arrangement:
         arr, fixture_thetas = _verify_arrangement(args)
         dim = arr.dim
+    _check_verify_size(dim, args.p)
     fixture_thetas = _resolve_basis(args, dim, fixture_thetas, required=False)
     rng = random.Random(args.seed)
     fs = coordinates(dim)
@@ -238,6 +253,7 @@ def _verify_divisibility(args) -> int:
     if not args.arrangement:
         raise CliError("--lemma divisibility needs --arrangement (with a basis)")
     arr, thetas = _verify_arrangement(args)
+    _check_verify_size(arr.dim, args.p)
     thetas = _resolve_basis(args, arr.dim, thetas)
     rng = random.Random(args.seed)
     fs = coordinates(arr.dim)

@@ -6,6 +6,11 @@ values are stored as plain ``int`` (``hash``/``==`` compatible with
 ``Fraction`` and much faster).  Nothing in this module touches floating
 point.
 
+An operator ``sum_b f_b d^b`` (``weyl.DiffOp``) is the same kind of map,
+from partial-derivative exponent tuples to nonzero polynomials, so both
+classes inherit sums, negation, truth, equality, hashing and printing
+from one base, ``_Terms``; each keeps its own products and powers.
+
 Variables are positional and 1-based in the public API: ``x1 .. xl``.
 """
 
@@ -39,11 +44,13 @@ def _grlex(m: Monomial) -> tuple[int, Monomial]:
 
 
 def _canon(terms: dict[Monomial, Scalar]) -> dict[Monomial, Scalar]:
-    """Drop zero coefficients and store integral Fractions as int.
+    """Drop zero coefficients, scalar or polynomial, and store integral
+    Fractions as int.
 
     Arithmetic on int and Fraction only ever yields exactly those two
     types, so ``type(c) is Fraction`` suffices (``isinstance`` against the
-    numeric ABCs costs far more per coefficient).
+    numeric ABCs costs far more per coefficient); a polynomial coefficient
+    of an operator is never a Fraction and passes through unchanged.
     """
     return {
         m: c.numerator if type(c) is Fraction and c.denominator == 1 else c
@@ -51,7 +58,76 @@ def _canon(terms: dict[Monomial, Scalar]) -> dict[Monomial, Scalar]:
     }
 
 
-class Poly:
+class _Terms:
+    """A finite map ``terms`` from exponent tuples of length ``nvars`` to
+    nonzero coefficients, with the operations that only add coefficients.
+
+    Subclasses supply ``_make(nvars, terms)``, which wraps a canonical map
+    in a result, and ``_coerce(other)``, which returns ``other`` as an
+    instance over the same ``nvars``, None for a type it does not take,
+    or raises ValueError for another dimension.
+    """
+
+    __slots__ = ("nvars", "terms")
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        out = dict(self.terms)
+        get = out.get
+        for m, c in other.terms.items():
+            s = get(m)
+            out[m] = c if s is None else s + c
+        return self._make(self.nvars, _canon(out))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        out = dict(self.terms)
+        get = out.get
+        for m, c in other.terms.items():
+            s = get(m)
+            out[m] = -c if s is None else s - c
+        return self._make(self.nvars, _canon(out))
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other - self
+
+    def __neg__(self):
+        return self._make(self.nvars, {m: -c for m, c in self.terms.items()})
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        try:
+            other = self._coerce(other)
+        except ValueError:
+            return False
+        if other is None:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.nvars, frozenset(self.terms.items())))
+
+    def __str__(self) -> str:
+        from .exprparse import render
+
+        return render(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self!s}, nvars={self.nvars})"
+
+
+class Poly(_Terms):
     """Immutable multivariate polynomial with exact rational coefficients.
 
     ``terms`` maps exponent tuples of length ``nvars`` to nonzero scalars;
@@ -59,7 +135,7 @@ class Poly:
     immutable after construction and are safe to share.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ()
 
     def __init__(self, nvars: int, terms: Mapping[Monomial, Scalar] | None = None):
         if nvars < 1:
@@ -160,37 +236,6 @@ class Poly:
             return Poly.constant(self.nvars, other)
         return None
 
-    def __add__(self, other) -> Poly:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.terms)
-        get = out.get
-        for m, c in other.terms.items():
-            out[m] = get(m, 0) + c
-        return Poly._make(self.nvars, _canon(out))
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> Poly:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.terms)
-        get = out.get
-        for m, c in other.terms.items():
-            out[m] = get(m, 0) - c
-        return Poly._make(self.nvars, _canon(out))
-
-    def __rsub__(self, other) -> Poly:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self) -> Poly:
-        return Poly._make(self.nvars, {m: -c for m, c in self.terms.items()})
-
     def __mul__(self, other) -> Poly:
         if isinstance(other, Poly):
             self._check_same_ring(other)
@@ -241,29 +286,6 @@ class Poly:
             if factor:
                 out[tuple(map(sub, m, exponents))] = c * factor
         return Poly._make(self.nvars, _canon(out))
-
-    # -- protocol ----------------------------------------------------------
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Poly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = Poly.constant(self.nvars, other)
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def __str__(self) -> str:
-        from .exprparse import render
-
-        return render(self)
-
-    def __repr__(self) -> str:
-        return f"Poly({self!s}, nvars={self.nvars})"
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,11 @@ def random_poly(rng: random.Random, nvars: int, max_degree: int,
     return p
 
 
+def random_int_matrix(rng: random.Random, dim: int) -> list[list[int]]:
+    """A dim x dim matrix of integers in [-5, 5], drawn row by row."""
+    return [[rng.randint(-5, 5) for _ in range(dim)] for _ in range(dim)]
+
+
 def random_order_one_op(rng: random.Random, nvars: int, max_degree: int) -> DiffOp:
     """A random operator f_0 + sum_i f_i d_i."""
     op = DiffOp.from_poly(random_poly(rng, nvars, max_degree))

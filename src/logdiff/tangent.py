@@ -254,7 +254,8 @@ def transport(u: DiffOp, arr: Arrangement) -> Decomposition:
             coeff = cur.terms[beta]
             words.append(Word(qe * coeff, word))
             nxt = nxt - coeff * word_op(word)
-        assert not nxt or nxt.order < p, "transport must drop the order"
+        if nxt and nxt.order >= p:
+            raise AssertionError("transport must drop the order")
         cur = nxt
     if cur:
         words.append(Word(arr.q ** e * cur.value_at_one(), ()))
@@ -304,8 +305,9 @@ def decompose(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> Decomposition:
     so a failed division names the same first index on either route.
 
     Once every division at level p succeeds, subtracting the recovered
-    words always drops the order, so that step is an assertion and not a
-    negative result.  After the substitution, the order-p symbol of the
+    words always drops the order, so that step is an invariant check (an
+    AssertionError, raised under ``python -O`` too) and not a negative
+    result.  After the substitution, the order-p symbol of the
     remainder is sum_K (N_K - (lambda Q)^p c_K) y^K, where N_K is the y^K
     coefficient that was divided, and every term is zero once
     N_K = (lambda Q)^p c_K.  The substitution xi = adj(Theta) y is
@@ -370,7 +372,8 @@ def decompose(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> Decomposition:
         nxt = cur
         for coeff, k in level_words:
             nxt = nxt - coeff * word_op(k)
-        assert not nxt or nxt.order < p, "decompose must drop the order"
+        if nxt and nxt.order >= p:
+            raise AssertionError("decompose must drop the order")
         words.extend(Word(coeff, k) for coeff, k in level_words)
         cur = nxt
     if cur:

@@ -20,13 +20,13 @@ from operator import add
 from typing import Mapping, Sequence
 
 from .linalg import prefix_fold
-from .polyring import Monomial, Poly, Scalar
+from .polyring import Monomial, Poly, Scalar, _canon, _Terms
 
 
-class DiffOp:
+class DiffOp(_Terms):
     """Normally ordered differential operator over the polynomial ring."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ()
 
     def __init__(self, nvars: int, terms: Mapping[Monomial, Poly] | None = None):
         if nvars < 1:
@@ -119,37 +119,6 @@ class DiffOp:
             return DiffOp.from_poly(Poly.constant(self.nvars, other))
         return None
 
-    def __add__(self, other) -> DiffOp:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for beta, coeff in other.terms.items():
-            s = out.get(beta)
-            out[beta] = coeff if s is None else s + coeff
-        return DiffOp._make(self.nvars, {b: c for b, c in out.items() if c})
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> DiffOp:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for beta, coeff in other.terms.items():
-            s = out.get(beta)
-            out[beta] = -coeff if s is None else s - coeff
-        return DiffOp._make(self.nvars, {b: c for b, c in out.items() if c})
-
-    def __rsub__(self, other) -> DiffOp:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self) -> DiffOp:
-        return DiffOp._make(self.nvars, {b: -c for b, c in self.terms.items()})
-
     def __mul__(self, other) -> DiffOp:
         """Normal-ordered product; two exact shortcuts come before Leibniz.
 
@@ -184,7 +153,7 @@ class DiffOp:
             items = left.items()
             for gamma, g in other.terms.items():
                 _leibniz_into(out, items, g, gamma, 0)
-        return DiffOp._make(n, {b: c for b, c in out.items() if c})
+        return DiffOp._make(n, _canon(out))
 
     def __rmul__(self, other) -> DiffOp:
         # Polynomials and scalars multiply coefficients on the left directly.
@@ -203,36 +172,11 @@ class DiffOp:
         # it; keep the two in step.
         if not isinstance(n, int) or n < 0:
             raise ValueError("operator power needs a non-negative integer exponent")
-        out = self if n else DiffOp.one(self.nvars)
+        # A plain copy for n = 1, so that a Derivation's power is no Derivation.
+        out = DiffOp._make(self.nvars, dict(self.terms)) if n else DiffOp.one(self.nvars)
         for _ in range(n - 1):
             out = out * self
         return out
-
-    # -- protocol -----------------------------------------------------------
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DiffOp):
-            if not isinstance(other, (Poly, int, Fraction)):
-                return NotImplemented
-            try:
-                other = self._coerce(other)
-            except ValueError:
-                return False
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def __str__(self) -> str:
-        from .exprparse import render
-
-        return render(self)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self!s}, nvars={self.nvars})"
 
 
 def word_fold(ops: Sequence[DiffOp]):
@@ -339,7 +283,7 @@ def _bracket_linear(terms: Mapping[Monomial, Poly],
                 term = c * (a * b)
                 acc = out.get(gamma)
                 out[gamma] = term if acc is None else acc + term
-    return {gamma: c for gamma, c in out.items() if c}
+    return _canon(out)
 
 
 def commutator(u: DiffOp, v) -> DiffOp:
@@ -366,7 +310,7 @@ def commutator(u: DiffOp, v) -> DiffOp:
         return DiffOp._make(n, _bracket_linear(u.terms, alpha))
     out: dict[Monomial, Poly] = {}
     _leibniz_into(out, u.terms.items(), f, (0,) * n, 1)
-    return DiffOp._make(n, {b: c for b, c in out.items() if c})
+    return DiffOp._make(n, _canon(out))
 
 
 def iterated_commutator(u: DiffOp, fs: Sequence[Poly]) -> DiffOp:

@@ -24,6 +24,7 @@ from logdiff.linalg import (
     sym_power_det_identity_holds,
 )
 from logdiff.polyring import Poly, coordinates, divides_power
+from logdiff.sampling import random_int_matrix
 from logdiff.tangent import (
     decompose,
     is_tangent,
@@ -59,7 +60,7 @@ def test_sym_power_determinant_identity():
     for dim in (1, 2, 3):
         for power in (0, 1, 2, 3):
             for trial in range(100):
-                m = [[rng.randint(-5, 5) for _ in range(dim)] for _ in range(dim)]
+                m = random_int_matrix(rng, dim)
                 if not sym_power_det_identity_holds(m, power):
                     failures.append((dim, power, trial, m))
     _report("sym-power determinant identity", failures,

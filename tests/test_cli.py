@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,7 +12,7 @@ from hypothesis import strategies as st
 import logdiff.cli
 import logdiff.tangent
 from logdiff.arrangement import _BUILTINS, builtin_arrangement, euler_derivation
-from logdiff.cli import main
+from logdiff.cli import MAX_VERIFY_SIZE, main
 from logdiff.exprparse import render
 from logdiff.sampling import random_order_one_op, random_poly, random_word
 from logdiff.tangent import is_tangent
@@ -308,6 +312,29 @@ def test_decompose_order_drop_is_an_invariant(capsys, monkeypatch):
     assert err == "internal error: decompose must drop the order\n"
 
 
+def test_decompose_order_drop_is_an_invariant_under_python_o():
+    # the same fault under -O, which strips assert statements
+    script = (
+        "import sys\n"
+        "import logdiff.tangent as t\n"
+        "divide = t.exact_divide\n"
+        "t.exact_divide = lambda a, b: divide(a, b) * 2\n"
+        "from logdiff.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = str(Path(logdiff.cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script,
+         "decompose", "--arrangement", "builtin:boolean1", "--op", "x1^2*d1^2"],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "internal error: decompose must drop the order\n"
+
+
 def test_tangent_term_limit_is_a_parse_error(capsys):
     code, _, err = run(
         capsys, "tangent", "--arrangement", "builtin:boolean3",
@@ -473,6 +500,32 @@ def test_verify_l_must_match_the_arrangement(capsys, lemma, dim):
         "--l", "3", "--trials", "1",
     )
     assert code == 0 and "passed=1 failed=0" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--lemma", "sym-power", "--l", "65", "--p", "0"],
+    ["--lemma", "sym-power", "--l", "5", "--p", "8"],
+    ["--lemma", "sym-power", "--p", "3000"],
+    ["--lemma", "jacobian-power", "--l", "65", "--p", "1"],
+    ["--lemma", "jacobian-power", "--l", "2", "--p", "64"],
+    ["--lemma", "divisibility", "--arrangement", "builtin:boolean3", "--p", "10"],
+])
+def test_verify_rejects_sizes_beyond_the_limit(capsys, monkeypatch, argv):
+    # max(l, N) > 64 with N = C(p+l-1, p) is refused before any trial
+    for kernel in ("sym_power_det_identity_holds", "jacobian_power_identity", "higher_jacobian"):
+        monkeypatch.setattr(logdiff.cli, kernel, None)
+    code, out, err = run(capsys, "verify", *argv, "--trials", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and f"exceeds the limit {MAX_VERIFY_SIZE}" in err
+
+
+def test_verify_accepts_the_size_limit(capsys):
+    assert MAX_VERIFY_SIZE == 64
+    code, out, _ = run(
+        capsys, "verify", "--lemma", "sym-power", "--l", "64", "--p", "0", "--trials", "1",
+    )
+    assert code == 0
+    assert "l=64 p=0 trials=1 seed=0 passed=1 failed=0" in out
 
 
 def test_verify_divisibility_needs_arrangement(capsys):

@@ -20,6 +20,7 @@ from logdiff.linalg import (
     sym_power_matrix,
 )
 from logdiff.polyring import Poly
+from logdiff.sampling import random_int_matrix
 
 
 def P(text, nvars):
@@ -244,7 +245,7 @@ def test_sym_power_det_identity_random_suite():
     for dim in (1, 2, 3):
         for power in (0, 1, 2, 3):
             for _ in range(5):
-                m = [[rng.randint(-5, 5) for _ in range(dim)] for _ in range(dim)]
+                m = random_int_matrix(rng, dim)
                 assert sym_power_det_identity_holds(m, power)
 
 

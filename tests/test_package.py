@@ -1,8 +1,13 @@
 import ast
+import re
+import shlex
 import sys
 from pathlib import Path
 
+import pytest
+
 import logdiff
+from logdiff.cli import main
 
 PACKAGE = Path(logdiff.__file__).parent
 
@@ -30,10 +35,49 @@ def test_imports_only_the_standard_library():
                 assert top in sys.stdlib_module_names or top == "logdiff", f"{path.name}: {name}"
 
 
+README = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+
+
 def test_readme_library_example_runs(capsys):
-    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    blocks = readme.split("```python\n")[1:]
+    blocks = README.split("```python\n")[1:]
     assert len(blocks) == 1
     source = blocks[0].split("```", 1)[0]
     exec(compile(source, "README.md", "exec"), {})
     assert capsys.readouterr().out == "(1, 1) 1\n(1,) -1\n"
+
+
+def _readme_commands():
+    """One ``pytest.param(argv, output lines, exit code)`` for each
+    ``logdiff`` line of the README's ``sh`` blocks.  Documented output
+    follows a command as a ``# -> `` line and then ``#    `` lines; the
+    last may end in ``(exit N)``, and the exit code is 0 without one."""
+    commands = []
+    for block in README.split("```sh\n")[1:]:
+        for line in block.split("```", 1)[0].splitlines():
+            if line.startswith("logdiff "):
+                commands.append([line, [], 0])
+            elif line.startswith(("# -> ", "#    ")):
+                text = line[5:]
+                exit_code = re.search(r"\s+\(exit (\d)\)$", text)
+                if exit_code:
+                    text = text[:exit_code.start()]
+                    commands[-1][2] = int(exit_code.group(1))
+                commands[-1][1].append(text)
+    return [pytest.param(shlex.split(line)[1:], lines, code, id=line)
+            for line, lines, code in commands]
+
+
+def test_readme_command_examples_are_all_found():
+    assert len(_readme_commands()) == README.count("\nlogdiff ") == 9
+
+
+@pytest.mark.parametrize("argv, lines, exit_code", _readme_commands())
+def test_readme_commands_print_what_they_document(capsys, argv, lines, exit_code):
+    assert main(argv) == exit_code
+    out = capsys.readouterr().out.splitlines()
+    for text in lines:
+        if text.endswith("..."):
+            # "..." stands for the rest of the line
+            assert any(line.startswith(text[:-3]) for line in out), text
+        else:
+            assert text in out

@@ -28,6 +28,41 @@ def D(text, nvars):
     return parse_diffop(text, nvars)
 
 
+# -- the sparse-map protocol shared with Poly ---------------------------------------
+
+_SAMPLES = {
+    "Poly": lambda: P("x^2 - 3*y + 1/2", 2),
+    "DiffOp": lambda: D("x1^2*d1*d2 - 3*d2 + 1/2", 2),
+    "Derivation": lambda: Derivation((P("x^2", 2), P("-3", 2))),
+}
+
+
+@pytest.mark.parametrize("kind", list(_SAMPLES))
+def test_sums_equality_hashing_and_repr_are_shared(kind):
+    x = _SAMPLES[kind]()
+    half = Fraction(1, 2)
+    # a scalar on either side of + and -
+    for s in (2, half):
+        assert x + s == s + x and (x + s) - x == s and x - (x + s) == -s
+        assert s - x == -(x - s) and (s - x) + x == s
+    # unary minus, and a zero difference is falsy
+    assert -(-x) == x and not -x + x and not x - x and x
+    # another value, scalar, polynomial or operator, of either dimension:
+    # never equal and never an error, from either side
+    for other in (2, half, P("x", 2), D("d1", 2), P("x", 3), D("d1", 3),
+                  Derivation((P("x", 1),)), "x", None):
+        assert not x == other and x != other
+        assert not other == x and other != x
+    assert x - x == 0 and 0 == x - x and (x - x) + 3 == 3
+    # a polynomial is the operator that multiplies by it, and a derivation
+    # the plain operator with its terms
+    twin = DiffOp(2, x.terms) if isinstance(x, DiffOp) else DiffOp.from_poly(x)
+    assert x == twin and twin == x
+    assert x == x + 0 == 0 + x and hash(x) == hash(x + 0) == hash(-(-x))
+    assert len({x, x + 0, -(-x)}) == 1
+    assert repr(x) == f"{kind}({x}, nvars=2)"
+
+
 # -- products and normal ordering ------------------------------------------------
 
 def test_defining_relation():
@@ -448,7 +483,7 @@ def test_equal_derivations_hash_equally():
 def test_derivation_arithmetic_gives_plain_operators():
     a = Derivation((P("x", 2), P("y", 2)))
     b = Derivation((P("x^2", 2), P("-y^2", 2)))
-    results = [a * b, a + b, a - b, -a, P("x", 2) * a, 2 * a, a ** 2,
+    results = [a * b, a + b, a - b, -a, P("x", 2) * a, 2 * a, a ** 0, a ** 1, a ** 2,
                commutator(a, b), commutator(a, P("x", 2))]
     assert all(type(r) is DiffOp for r in results)
     assert a * b == D("x1*d1 + x2*d2", 2) * D("x1^2*d1 - x2^2*d2", 2)
