@@ -48,7 +48,6 @@ from .weyl import (
     DiffOp,
     commutator,
     iterated_commutator,
-    principal_symbol,
     value_at_one_expansion,
 )
 
@@ -86,7 +85,6 @@ __all__ = [
     "parse_diffop",
     "parse_poly",
     "permanent",
-    "principal_symbol",
     "product_family",
     "rank2_basis",
     "reassemble",

@@ -24,9 +24,13 @@ from .weyl import Derivation
 
 
 class Arrangement:
-    """A central arrangement: forms and defining polynomial."""
+    """A central arrangement: forms and defining polynomial.
 
-    __slots__ = ("dim", "forms", "q")
+    ``_frame`` holds what ``tangent`` keeps of it across calls
+    (``tangent._Frame``), built on first use.
+    """
+
+    __slots__ = ("dim", "forms", "q", "_frame")
 
     def __init__(self, forms: Sequence[LinearForm]):
         forms = tuple(forms)
@@ -42,6 +46,7 @@ class Arrangement:
         self.dim = dim
         self.forms = forms
         self.q = prod((f.as_poly() for f in forms), start=Poly.one(dim))
+        self._frame = None
 
     @property
     def size(self) -> int:
@@ -50,6 +55,10 @@ class Arrangement:
 
     def __repr__(self) -> str:
         return f"Arrangement({[str(f.as_poly()) for f in self.forms]})"
+
+    def __reduce__(self):
+        # Copies and pickles rebuild from the forms; the frame is not data.
+        return Arrangement, (self.forms,)
 
 
 def euler_derivation(dim: int) -> Derivation:

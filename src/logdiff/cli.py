@@ -174,7 +174,10 @@ def cmd_decompose(args) -> int:
     try:
         dec = decompose(op, arr, result)
     except DecompositionError as exc:
-        print(f"not decomposable: {exc}")
+        if args.json:
+            print(json.dumps({"level": exc.level, "index": list(exc.index)}))
+        else:
+            print(f"not decomposable: {exc}")
         return 1
     if reassemble(dec) != op:
         raise AssertionError("reassembly does not match the input")
@@ -313,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arrangement", required=True)
     p.add_argument("--basis")
     p.add_argument("--op", required=True, help="operator text, e.g. 'x1^2*d1^2'")
-    p.add_argument("--json", action="store_true", help="emit the word list as JSON")
+    p.add_argument("--json", action="store_true",
+                   help="emit the word list, or the failing level and index, as JSON")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("tangent", help="tangency table for an operator")

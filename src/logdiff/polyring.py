@@ -17,14 +17,26 @@ Variables are positional and 1-based in the public API: ``x1 .. xl``.
 from __future__ import annotations
 
 import heapq
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
 from math import perm, prod
 from operator import add, neg, sub
 from typing import Mapping, Sequence
 
 Monomial = tuple[int, ...]
 Scalar = int | Fraction
+
+# At index k, the ``struct`` code of the narrowest unsigned field of 1, 2,
+# 4 or 8 bytes that holds a k-byte exponent.
+_FIELD_CODES = "BBHIIQQQQ"
+# ``mul_each`` packs polynomials of at least this many terms.  Below it,
+# choosing the fields and packing cost more than they save: on the products
+# of 600 seed-7 tangent-transport requests, 3-term polynomials took 8.6 ms
+# packed against 5.0 ms plain, 4-term ones 4.2 against 5.7 ms.
+_PACKED_MIN_TERMS = 4
 
 
 class NotDivisibleError(ArithmeticError):
@@ -116,7 +128,17 @@ class _Terms:
         return self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self.terms.items())))
+        # Equal values hash equally across kinds: a map with no key but the
+        # zero exponent (a constant polynomial, an operator of order 0)
+        # equals its coefficient and hashes as it, and the zero map as 0.
+        terms = self.terms
+        if len(terms) <= 1:
+            if not terms:
+                return hash(0)
+            c = terms.get((0,) * self.nvars)
+            if c is not None:
+                return hash(c)
+        return hash((self.nvars, frozenset(terms.items())))
 
     def __str__(self) -> str:
         from .exprparse import render
@@ -286,6 +308,66 @@ class Poly(_Terms):
             if factor:
                 out[tuple(map(sub, m, exponents))] = c * factor
         return Poly._make(self.nvars, _canon(out))
+
+
+@lru_cache(maxsize=64)
+def _layout(codes: str) -> struct.Struct:
+    return struct.Struct(">" + codes)
+
+
+def _packing(f: Poly, gs: Mapping[Monomial, Poly]) -> struct.Struct | None:
+    """The packed monomial layout for f times every g in ``gs``, or None
+    where packing does not pay (f has fewer than ``_PACKED_MIN_TERMS``
+    terms, or every g is zero) or does not fit (a field over 64 bits).
+
+    Field i holds deg_i f + max over g of deg_i g, the largest exponent of
+    x_i in any product, so a monomial product is one int sum with no carry
+    between fields.
+    """
+    if len(f.terms) < _PACKED_MIN_TERMS:
+        return None
+    g_monos = list(chain.from_iterable(g.terms for g in gs.values()))
+    if not g_monos:
+        return None
+    tops = list(map(add, map(max, zip(*f.terms)), map(max, zip(*g_monos))))
+    if max(tops).bit_length() > 64:
+        return None
+    return _layout("".join([_FIELD_CODES[(top.bit_length() + 7) >> 3] for top in tops]))
+
+
+def mul_each(f: Poly, gs: Mapping[Monomial, Poly]) -> dict[Monomial, Poly]:
+    """``{k: f * g for k, g in gs.items()}``: one polynomial times every
+    coefficient of an operator, or of any map to polynomials.
+
+    Where ``_packing`` finds no layout, a monomial f above all, each
+    product is ``Poly.__mul__``.  Otherwise every monomial becomes one int
+    with one unsigned field per variable: f is packed once, every term of
+    every g once, and every result term unpacked once; pairs that meet at
+    one key are summed under the int key, and zero sums dropped.
+    """
+    layout = _packing(f, gs)
+    if layout is None:
+        return {k: f * g for k, g in gs.items()}
+    pack, unpack, size = layout.pack, layout.unpack, layout.size
+    from_bytes = int.from_bytes
+    to_bytes = int.to_bytes
+    packed = [(from_bytes(pack(*m), "big"), c) for m, c in f.terms.items()]
+    n = f.nvars
+    out = {}
+    for k, g in gs.items():
+        acc = {}
+        get = acc.get
+        for mb, cb in g.terms.items():
+            kb = from_bytes(pack(*mb), "big")
+            for ka, ca in packed:
+                key = ka + kb
+                acc[key] = get(key, 0) + ca * cb
+        out[k] = Poly._make(n, {
+            unpack(to_bytes(key, size, "big")):
+                c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            for key, c in acc.items() if c
+        })
+    return out
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,10 @@ such words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from math import comb
-from typing import TYPE_CHECKING, Sequence
+from threading import Lock
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .linalg import _form_product_fold, determinant
 from .polyring import Monomial, NotDivisibleError, Poly, Scalar, divides, exact_divide
@@ -52,15 +53,30 @@ class Word:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """A sum of words over a fixed tuple of generator derivations."""
+    """A sum of words over a fixed tuple of generator derivations.
+
+    ``_word`` is the ``weyl.word_fold`` of the generators that built it, so
+    ``reassemble`` reuses the words ``decompose`` or ``transport`` formed.
+    It is no part of ``==``, ``hash`` or ``repr``; a decomposition built by
+    hand gets a fresh fold of its ``generators``.
+    """
 
     words: tuple[Word, ...]
     generators: tuple[Derivation, ...]
+    _fold: InitVar[Callable | None] = None
+    _word: Callable | None = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, _fold):
         for w in self.words:
             if any(not 1 <= i <= len(self.generators) for i in w.word):
                 raise ValueError("word index out of range for the generators")
+        if _fold is None and self.generators:
+            _fold = word_fold(self.generators)
+        object.__setattr__(self, "_word", _fold)
+
+    def __reduce__(self):
+        # Copies and pickles rebuild from the data; the fold is not data.
+        return Decomposition, (self.words, self.generators)
 
 
 class DecompositionError(Exception):
@@ -107,19 +123,20 @@ def is_tangent_q(u: DiffOp, arr: Arrangement, t_max: int) -> bool:
     This route stays independent of ``is_tangent``: it brackets with the
     whole Q through the general Leibniz rule of ``weyl.commutator`` and
     divides by powers of Q, where ``is_tangent`` brackets with one linear
-    form at a time and divides by powers of that form.
+    form at a time and divides by powers of that form.  The powers Q^k
+    come from the arrangement's frame (``_frame``), which keeps them.
     """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
     if u.nvars != arr.dim:
         raise ValueError("operator over a different ambient dimension")
-    q = arr.q
-    bracket, power = u, Poly.one(arr.dim)
-    for _ in range(t_max):
-        bracket = commutator(bracket, q)
+    frame = _frame(arr)
+    bracket = u
+    for k in range(1, t_max + 1):
+        bracket = commutator(bracket, arr.q)
         if not bracket:
             return True
-        power = power * q
+        power = frame.q_power(k)
         if not all(divides(power, c) for c in bracket.terms.values()):
             return False
     return True
@@ -208,14 +225,58 @@ def tangency_table(u: DiffOp, arr: Arrangement, t_max: int) -> list[TangencyRow]
 
 
 def reassemble(dec: Decomposition) -> DiffOp:
-    """Expand the word sum back into one normally ordered operator."""
+    """Expand the word sum back into one normally ordered operator.
+
+    The words come from the fold the decomposition carries, so words that
+    ``decompose`` or ``transport`` formed are not formed again.
+    """
     if not dec.generators:
         raise ValueError("decomposition carries no generators")
-    word_op = word_fold(dec.generators)
+    word_op = dec._word
     out = DiffOp.zero(dec.generators[0].nvars)
     for w in dec.words:
         out = out + w.coeff * word_op(w.word)
     return out
+
+
+class _Frame:
+    """What ``transport`` and ``is_tangent_q`` keep of one arrangement for
+    its lifetime: the generators Q*d_1 .. Q*d_l, their word fold, and the
+    powers of Q, up to the largest order requested.
+
+    Every value is a function of Q alone, so threads may share a frame: a
+    word formed twice in a race is the same word, and the powers grow
+    under a lock, so that ``powers[k]`` is always Q^k.
+    """
+
+    __slots__ = ("q", "generators", "word", "powers", "_grow")
+
+    def __init__(self, arr: Arrangement):
+        n = arr.dim
+        self.q = arr.q
+        self.generators = tuple(
+            Derivation(tuple(arr.q if j == i else Poly.zero(n) for j in range(n)))
+            for i in range(n)
+        )
+        self.word = word_fold(self.generators)
+        self.powers = [Poly.one(n)]
+        self._grow = Lock()
+
+    def q_power(self, e: int) -> Poly:
+        """Q^e, extending the running list of powers as far as e."""
+        powers = self.powers
+        if e >= len(powers):
+            with self._grow:
+                while len(powers) <= e:
+                    powers.append(powers[-1] * self.q)
+        return powers[e]
+
+
+def _frame(arr: Arrangement) -> _Frame:
+    """The arrangement's frame, built on first use."""
+    if arr._frame is None:
+        arr._frame = _Frame(arr)
+    return arr._frame
 
 
 def transport(u: DiffOp, arr: Arrangement) -> Decomposition:
@@ -228,25 +289,27 @@ def transport(u: DiffOp, arr: Arrangement) -> Decomposition:
     of order p spends p of it, so that level's words carry Q^e; the
     order-0 rest is the empty word.  Reassembling the result gives
     Q^C(p+1,2) * u exactly, where p is the order of u.
+
+    The generators, their words and the powers Q^e and Q^p come from the
+    arrangement's frame (``_frame``), which keeps them for the
+    arrangement's lifetime: the powers of Q up to max(p, C(p, 2)) and the
+    words up to the largest order p requested.  The result carries the
+    frame's word fold, so ``reassemble`` forms none of them again.
     """
     if u.nvars != arr.dim:
         raise ValueError("operator over a different ambient dimension")
     if not u:
         raise ValueError("the zero operator has no transport representation")
-    n = arr.dim
-    generators = tuple(
-        Derivation(tuple(arr.q if j == i else Poly.zero(n) for j in range(n)))
-        for i in range(n)
-    )
-    word_op = word_fold(generators)
+    frame = _frame(arr)
+    word_op = frame.word
     words = []
     cur = u
     e = comb(u.order + 1, 2)
     while cur and cur.order:
         p = cur.order
         e -= p
-        qe = arr.q ** e
-        nxt = arr.q ** p * cur
+        qe = frame.q_power(e)
+        nxt = frame.q_power(p) * cur
         for beta in sorted(cur.terms, key=lambda b: (sum(b), b), reverse=True):
             if sum(beta) != p:
                 continue
@@ -258,8 +321,8 @@ def transport(u: DiffOp, arr: Arrangement) -> Decomposition:
             raise AssertionError("transport must drop the order")
         cur = nxt
     if cur:
-        words.append(Word(arr.q ** e * cur.value_at_one(), ()))
-    return Decomposition(tuple(words), generators)
+        words.append(Word(frame.q_power(e) * cur.value_at_one(), ()))
+    return Decomposition(tuple(words), frame.generators, word_op)
 
 
 def _letters(exponents: Sequence[int]) -> tuple[int, ...]:
@@ -378,7 +441,7 @@ def decompose(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> Decomposition:
         cur = nxt
     if cur:
         words.append(Word(cur.value_at_one(), ()))
-    return Decomposition(tuple(words), thetas)
+    return Decomposition(tuple(words), thetas, word_op)
 
 
 def decomposition_to_json(dec: Decomposition) -> list[dict]:

@@ -6,7 +6,8 @@ tuples to nonzero polynomial coefficients, with coefficients on the left:
 Leibniz rule, so the commutation relation ``d_i * f = f * d_i + df/dx_i``
 holds identically.  Two products have no Leibniz term to expand and skip
 the rule: a polynomial on the left only multiplies the right's
-coefficients, since no partial has to pass a coefficient; and constant
+coefficients, since no partial has to pass a coefficient, and does so
+through the packed kernel ``polyring.mul_each``; and constant
 coefficients on the right only shift the left's partials, since a
 constant has no derivative.
 """
@@ -20,7 +21,7 @@ from operator import add
 from typing import Mapping, Sequence
 
 from .linalg import prefix_fold
-from .polyring import Monomial, Poly, Scalar, _canon, _Terms
+from .polyring import Monomial, Poly, Scalar, _canon, _Terms, mul_each
 
 
 class DiffOp(_Terms):
@@ -123,8 +124,9 @@ class DiffOp(_Terms):
         """Normal-ordered product; two exact shortcuts come before Leibniz.
 
         (a) A polynomial f on the left passes no partial, so f * sum
-        g_gamma d^gamma = sum (f g_gamma) d^gamma.  Each f g_gamma is a
-        product of nonzero polynomials, hence nonzero: nothing to drop.
+        g_gamma d^gamma = sum (f g_gamma) d^gamma, formed by
+        ``polyring.mul_each``.  Each f g_gamma is a product of nonzero
+        polynomials, hence nonzero: nothing to drop.
         (b) Constants c_gamma on the right have no derivatives, so
         (sum f_beta d^beta)(sum c_gamma d^gamma) = sum c_gamma f_beta
         d^(beta+gamma).  Different (beta, gamma) can meet at one key and
@@ -138,8 +140,7 @@ class DiffOp(_Terms):
         one = (0,) * n
         left = self.terms
         if len(left) == 1 and one in left:
-            f = left[one]
-            return DiffOp._make(n, {gamma: f * g for gamma, g in other.terms.items()})
+            return DiffOp._make(n, mul_each(left[one], other.terms))
         out: dict[Monomial, Poly] = {}
         if all(len(g.terms) == 1 and one in g.terms for g in other.terms.values()):
             for gamma, g in other.terms.items():
@@ -160,7 +161,10 @@ class DiffOp(_Terms):
         if isinstance(other, Poly):
             if self.nvars != other.nvars:
                 raise ValueError("mixed ambient dimensions")
-        elif not isinstance(other, (int, Fraction)):
+            if not other:
+                return DiffOp.zero(self.nvars)
+            return DiffOp._make(self.nvars, mul_each(other, self.terms))
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
         if not other:
             return DiffOp.zero(self.nvars)
@@ -344,23 +348,3 @@ def value_at_one_expansion(u: DiffOp, fs: Sequence[Poly]) -> Poly:
         term = inside * u.apply(outside)
         out = out - term if bits % 2 else out + term
     return out
-
-
-def principal_symbol(u: DiffOp) -> Poly:
-    """Top-order part of u as a polynomial in 2l variables.
-
-    Variables 1..l are the coordinates, variables l+1..2l stand for the
-    corresponding partials; the result is homogeneous of degree order(u)
-    in the second block.  Undefined (ValueError) for the zero operator.
-    """
-    p = u.order
-    if p is None:
-        raise ValueError("the zero operator has no principal symbol")
-    n = u.nvars
-    terms: dict[Monomial, Scalar] = {}
-    for beta, coeff in u.terms.items():
-        if sum(beta) == p:
-            for mono, c in coeff.terms.items():
-                terms[mono + beta] = c
-    return Poly(2 * n, terms)
-

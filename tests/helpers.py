@@ -211,6 +211,25 @@ def in_right_ideal(u: DiffOp, f: Poly, t: int) -> bool:
     return all(divides(ft, coeff) for coeff in u.terms.values())
 
 
+def principal_symbol(u: DiffOp) -> Poly:
+    """Top-order part of u as a polynomial in 2l variables.
+
+    Variables 1..l are the coordinates, variables l+1..2l stand for the
+    corresponding partials; the result is homogeneous of degree order(u)
+    in the second block.  Undefined (ValueError) for the zero operator.
+    """
+    p = u.order
+    if p is None:
+        raise ValueError("the zero operator has no principal symbol")
+    n = u.nvars
+    terms = {}
+    for beta, coeff in u.terms.items():
+        if sum(beta) == p:
+            for mono, c in coeff.terms.items():
+                terms[mono + beta] = c
+    return Poly(2 * n, terms)
+
+
 def is_tangent_q_by_products(u: DiffOp, arr: Arrangement, t_max: int) -> bool:
     """Reference route for ``is_tangent_q``: form each u * Q^t as an
     operator product and test it for membership in Q^t * Diff.

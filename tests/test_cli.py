@@ -141,6 +141,16 @@ def test_decompose_json_golden(capsys):
     ]
 
 
+def test_decompose_json_failure_golden(capsys):
+    code, out, err = run(
+        capsys, "decompose",
+        "--arrangement", "builtin:boolean1", "--op", "x*d1^2", "--json",
+    )
+    assert (code, err) == (1, "")
+    assert out == '{"level": 2, "index": [1, 1]}\n'
+    assert json.loads(out) == {"level": 2, "index": [1, 1]}
+
+
 def test_decompose_polynomial(capsys):
     code, out, _ = run(
         capsys, "decompose",

@@ -18,6 +18,25 @@ def test_all_names_resolve_once():
     assert missing == []
 
 
+def test_public_names_are_pinned():
+    # Removing a name is a public API change; principal_symbol, which no
+    # package code called, now lives in tests/helpers.py.
+    assert logdiff.__all__ == [
+        "Arrangement", "Decomposition", "DecompositionError", "Derivation", "DiffOp",
+        "LinearForm", "NotDivisibleError", "OpFamily", "ParseError", "Poly",
+        "SaitoBasis", "SaitoFailure", "Word", "builtin_arrangement", "commutator",
+        "coordinates", "decompose", "decomposition_to_json", "determinant",
+        "divides_power", "euler_derivation", "exact_divide", "higher_jacobian",
+        "is_tangent", "is_tangent_q", "iterated_commutator", "jacobian_power_identity",
+        "multiplicity_product", "parse_diffop", "parse_poly", "permanent",
+        "product_family", "rank2_basis", "reassemble", "render", "saito_check",
+        "sym_indices", "sym_power_det_identity_holds", "sym_power_matrix",
+        "tangency_table", "transport", "value_at_one_expansion",
+    ]
+    assert not hasattr(logdiff, "principal_symbol")
+    assert not hasattr(logdiff.weyl, "principal_symbol")
+
+
 def test_imports_only_the_standard_library():
     # README: no dependency outside the standard library
     modules = sorted(PACKAGE.glob("*.py"))

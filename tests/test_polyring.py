@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import apply_linear_map, eval_poly, exact_divide_by_rescan, random_poly
-from logdiff.exprparse import parse_poly
+from logdiff.exprparse import MAX_EXPONENT, parse_poly
 from logdiff.polyring import (
     LinearForm,
     NotDivisibleError,
@@ -15,6 +15,7 @@ from logdiff.polyring import (
     coordinates,
     divides_power,
     exact_divide,
+    mul_each,
 )
 
 
@@ -230,3 +231,56 @@ def test_integral_fraction_results_are_stored_as_int():
         assert_canonical(result)
     assert (half + half).terms == {(1,): 1, (0,): 3}
     assert exact_divide(Poly(1, {(1,): 3}), Poly(1, {(1,): 2})).terms == {(0,): Fraction(3, 2)}
+
+
+# -- the packed kernel: one polynomial times every coefficient ------------------
+
+@st.composite
+def _mul_each_cases(draw):
+    """(f, {key: g}) over 1-5 variables.  Exponents come from a small range,
+    so that products meet at one monomial and cancel, or up to a top of 2,
+    255 or ``MAX_EXPONENT``, so that fields of one and two bytes both occur.
+    One g may be f with its first term negated: then f * g = r^2 - t^2 for
+    f = t + r, and every cross term cancels."""
+    n = draw(st.integers(1, 5))
+    top = draw(st.sampled_from((2, 255, MAX_EXPONENT)))
+    exps = st.one_of(st.integers(0, 2), st.integers(0, top))
+    coeffs = st.one_of(
+        st.sampled_from((1, -1, 2)),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    )
+    polys = st.dictionaries(st.tuples(*[exps] * n), coeffs, max_size=8).map(
+        lambda d: Poly(n, d))
+    f = draw(polys)
+    gs = draw(st.dictionaries(st.integers(0, 9), polys, max_size=4))
+    if len(f.terms) > 1 and draw(st.booleans()):
+        t = next(iter(f.terms))
+        gs[10] = f - Poly.monomial(n, t, 2 * f.terms[t])
+    return f, gs
+
+
+@settings(max_examples=150)
+@given(_mul_each_cases())
+def test_mul_each_matches_per_coefficient_products(case):
+    f, gs = case
+    got = mul_each(f, gs)
+    assert list(got) == list(gs)
+    for k, g in gs.items():
+        assert got[k] == f * g
+        assert_canonical(got[k])
+
+
+def test_mul_each_cancels_and_keeps_wide_exponents():
+    f = parse_poly("x1 + x2 + x3 + x4", 4)
+    gs = {"conjugate": parse_poly("x1 - x2", 4), "zero": Poly.zero(4)}
+    got = mul_each(f, gs)
+    # (x1 + x2 + ...)(x1 - x2): the two x1*x2 products cancel
+    assert got["conjugate"] == parse_poly("x1^2 - x2^2 + x1*x3 - x2*x3 + x1*x4 - x2*x4", 4)
+    assert not got["zero"].terms
+    # an exponent past 64 bits keeps the plain products
+    gs["wide"] = Poly.monomial(4, (2 ** 64, 0, 0, 1), Fraction(1, 2))
+    wide = mul_each(f, gs)
+    assert wide == got | {"wide": f * gs["wide"]} and len(wide["wide"].terms) == 4
+    for k, g in gs.items():
+        assert wide[k] == f * g
+        assert_canonical(wide[k])

@@ -1,4 +1,8 @@
+import pickle
 import random
+import sys
+import threading
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -375,6 +379,90 @@ def test_transport_round_trip_random():
         assert reassemble(dec) == expected
         # every generator is a scaled partial, every word stays within range
         assert len(dec.generators) == 2
+
+
+def test_frames_are_per_arrangement_and_change_no_result():
+    # transport, reassemble and is_tangent_q interleaved over several
+    # arrangements, two of them distinct objects with equal forms, give the
+    # results of arrangements built fresh for each call
+    triple2, _ = builtin_arrangement("triple2")
+    a3 = a3_basis()[0]
+    twin, other_twin = Arrangement(a3.forms), Arrangement(a3.forms)
+    arrangements = [triple2, a3, twin, other_twin]
+    rng = random.Random(67)
+    calls = []
+    while len(calls) < 24:
+        arr = rng.choice(arrangements)
+        u = random_diffop(rng, arr.dim, max_order=3, max_degree=1)
+        if u:
+            calls.append((arr, u, rng.randint(1, 4)))
+    # the second pass runs against frames that the first one grew
+    for arr, u, t_max in calls + calls[::-1]:
+        fresh = Arrangement(arr.forms)
+        assert is_tangent_q(u, arr, t_max) == is_tangent_q(u, fresh, t_max)
+        dec = transport(u, arr)
+        assert dec == transport(u, Arrangement(arr.forms))
+        assert reassemble(dec) == arr.q ** comb(u.order + 1, 2) * u
+    frames = [arr._frame for arr in arrangements]
+    assert len({id(frame) for frame in frames}) == 4
+    for arr, frame in zip(arrangements, frames):
+        assert frame.q is arr.q
+        assert all(power == arr.q ** k for k, power in enumerate(frame.powers))
+
+
+def test_frame_shared_by_threads():
+    # more threads than cores, switching often, grow fresh frames at once
+    forms = builtin_arrangement("triple2")[0].forms
+    q = Arrangement(forms).q
+    powers = [q ** k for k in range(13)]
+    u = D("x1*d1^2 + 3*d2", 2)
+    errors = []
+
+    def work(arr, seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(8):
+                k = rng.randrange(13)
+                assert tangent._frame(arr).q_power(k) == powers[k]
+                assert reassemble(transport(u, arr)) == powers[3] * u
+        except AssertionError as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(6):
+            arr = Arrangement(forms)
+            threads = [threading.Thread(target=work, args=(arr, seed)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads) and errors == []
+            assert arr._frame.powers == powers[:len(arr._frame.powers)]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_decompositions_built_by_hand_reassemble():
+    # the word fold a decomposition carries is no part of its value
+    arr, _ = builtin_arrangement("triple2")
+    u = D("x1*d1^2 + 3*d2", 2)
+    dec = transport(u, arr)
+    assert dec._word is arr._frame.word
+    for hand in (Decomposition(dec.words, dec.generators),
+                 replace(dec, words=dec.words),
+                 pickle.loads(pickle.dumps(dec))):
+        assert hand._word is not dec._word
+        assert hand == dec and hash(hand) == hash(dec) and repr(hand) == repr(dec)
+        assert reassemble(hand) == reassemble(dec) == arr.q ** 3 * u
+    # a decomposition over other generators reassembles over those
+    _, basis = fixture_basis("triple2")
+    swapped = replace(dec, generators=basis.thetas)
+    assert reassemble(swapped) == reassemble(Decomposition(dec.words, basis.thetas))
+    # an arrangement copies and pickles without its frame
+    back = pickle.loads(pickle.dumps(arr))
+    assert back._frame is None and back.q == arr.q and back.forms == arr.forms
 
 
 # -- decomposition --------------------------------------------------------------------

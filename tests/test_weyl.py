@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import in_right_ideal, random_diffop, random_poly
+from helpers import in_right_ideal, principal_symbol, random_diffop, random_poly
 from logdiff import weyl
 from logdiff.exprparse import parse_diffop, parse_poly, render
 from logdiff.polyring import Poly
@@ -15,7 +15,6 @@ from logdiff.weyl import (
     DiffOp,
     commutator,
     iterated_commutator,
-    principal_symbol,
     value_at_one_expansion,
 )
 
@@ -34,12 +33,14 @@ _SAMPLES = {
     "Poly": lambda: P("x^2 - 3*y + 1/2", 2),
     "DiffOp": lambda: D("x1^2*d1*d2 - 3*d2 + 1/2", 2),
     "Derivation": lambda: Derivation((P("x^2", 2), P("-3", 2))),
+    "DiffOp-order0": lambda: D("x^2 - 3*y + 1/2", 2),
 }
 
 
 @pytest.mark.parametrize("kind", list(_SAMPLES))
 def test_sums_equality_hashing_and_repr_are_shared(kind):
     x = _SAMPLES[kind]()
+    cls = kind.partition("-")[0]
     half = Fraction(1, 2)
     # a scalar on either side of + and -
     for s in (2, half):
@@ -57,10 +58,41 @@ def test_sums_equality_hashing_and_repr_are_shared(kind):
     # a polynomial is the operator that multiplies by it, and a derivation
     # the plain operator with its terms
     twin = DiffOp(2, x.terms) if isinstance(x, DiffOp) else DiffOp.from_poly(x)
-    assert x == twin and twin == x
+    assert x == twin and twin == x and hash(x) == hash(twin)
     assert x == x + 0 == 0 + x and hash(x) == hash(x + 0) == hash(-(-x))
-    assert len({x, x + 0, -(-x)}) == 1
-    assert repr(x) == f"{kind}({x}, nvars=2)"
+    assert len({x, x + 0, -(-x), twin}) == 1
+    if isinstance(x, DiffOp) and x.order == 0:
+        # an operator of order 0 is the polynomial it multiplies by
+        f = x.value_at_one()
+        assert x == f and f == x and hash(x) == hash(f) and len({x, f}) == 1
+    assert repr(x) == f"{cls}({x}, nvars=2)"
+
+
+# Pairs of equal values of different kinds: int, Fraction, Poly, DiffOp
+# and Derivation.  Equal values must hash equally, or a set or dict key
+# holds both.
+_EQUAL_PAIRS = {
+    "constant Poly, int": lambda: (Poly.constant(2, 3), 3),
+    "constant Poly, Fraction": lambda: (P("1/2", 2), Fraction(1, 2)),
+    "constant Poly, integral Fraction": lambda: (Poly.constant(1, Fraction(4, 2)), 2),
+    "zero Poly, int": lambda: (Poly.zero(3), 0),
+    "zero Poly, Fraction": lambda: (Poly.zero(1), Fraction(0)),
+    "Poly, DiffOp": lambda: (P("x^2 - 3*y + 1/2", 2), D("x^2 - 3*y + 1/2", 2)),
+    "constant DiffOp, int": lambda: (D("d1*x1 - x1*d1", 1), 1),
+    "constant DiffOp, Fraction": lambda: (DiffOp.from_poly(P("-1/3", 2)), Fraction(-1, 3)),
+    "zero DiffOp, zero Poly": lambda: (DiffOp.zero(2), Poly.zero(2)),
+    "zero Derivation, int": lambda: (Derivation((P("0", 2), P("0", 2))), 0),
+    "Derivation, DiffOp": lambda: (Derivation((P("x^2", 2), P("-3", 2))),
+                                   D("x1^2*d1 - 3*d2", 2)),
+}
+
+
+@pytest.mark.parametrize("pair", list(_EQUAL_PAIRS))
+def test_equal_values_hash_equally(pair):
+    a, b = _EQUAL_PAIRS[pair]()
+    assert a == b and b == a
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1 and {a: 1}[b] == 1
 
 
 # -- products and normal ordering ------------------------------------------------
