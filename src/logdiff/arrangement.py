@@ -9,6 +9,7 @@ nonzero scalar multiple of the defining polynomial.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -16,7 +17,7 @@ from itertools import combinations
 from math import prod
 from typing import Sequence
 
-from .exprparse import _quote, parse_diffop
+from .exprparse import MAX_DIGITS, _quote, parse_diffop
 from .linalg import determinant
 from .polyring import LinearForm, NotDivisibleError, Poly, Scalar, exact_divide
 from .tangent import is_tangent
@@ -179,12 +180,24 @@ def _load_spec(spec) -> tuple[Arrangement, tuple[Derivation, ...] | None]:
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("'forms' must be a list of coefficient lists")
     try:
-        arr = Arrangement([LinearForm(tuple(Fraction(str(c)) for c in row)) for row in rows])
+        arr = Arrangement([LinearForm(tuple(map(_coefficient, row))) for row in rows])
     except ZeroDivisionError as exc:
         raise ValueError(str(exc)) from None
     if arr.dim != dim:
         raise ValueError(f"forms have {arr.dim} coefficients but dim is {dim}")
     return arr, (_load_basis(spec["basis"], dim) if "basis" in spec else None)
+
+
+_COEFFICIENT = re.compile(rf"[-+]?\d{{1,{MAX_DIGITS}}}(?:/\d{{1,{MAX_DIGITS}}})?")
+
+
+def _coefficient(c) -> Fraction:
+    """A form coefficient of a spec: a number, or a string INT ('/' INT)?
+    with an optional sign as in operator text, so that no spelling such as
+    "1e100000000" builds a huge rational; ``ValueError`` otherwise."""
+    if isinstance(c, str) and not _COEFFICIENT.fullmatch(c):
+        raise ValueError(f"coefficient {_quote(c)} is not an integer or a fraction a/b")
+    return Fraction(str(c))
 
 
 def _load_basis(texts, dim: int) -> tuple[Derivation, ...]:

@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .arrangement import (Arrangement, SaitoBasis, SaitoFailure, _load_basis, _load_spec,
                           builtin_arrangement, saito_check)
-from .exprparse import ParseError, _quote, parse_diffop, render
+from .exprparse import MAX_DIGITS, ParseError, _quote, parse_diffop, render
 from .jacobian import OpFamily, higher_jacobian, jacobian_power_identity
 from .linalg import sym_indices, sym_power_det_identity_holds
 from .polyring import Poly, coordinates, divides_power
@@ -45,14 +45,21 @@ class CliError(Exception):
     """Input could not be loaded or validated; maps to exit code 2."""
 
 
+def _json_int(text: str) -> int:
+    # json.load would call int() on an integer of any length.
+    if len(text.lstrip("-")) > MAX_DIGITS:
+        raise ValueError(f"an integer has more than {MAX_DIGITS} digits")
+    return int(text)
+
+
 def _load_json(path: str, load):
     """``load`` applied to the JSON in ``path``; any error exits 2, naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = json.load(handle, parse_int=_json_int)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise CliError(f"{path} is not valid JSON: {exc}") from None
     try:
         return load(data)
@@ -124,7 +131,8 @@ MAX_TMAX = 64
 # Every verify trial builds an l x l matrix and N x N matrices, N = C(p+l-1,
 # p), the number of degree-p monomials in l variables: sym-power at --l 5
 # --p 8 (N = 495) runs for more than a minute, and at --p 3000 (N = 3001)
-# it ran out of 1.5 GB of memory.
+# it ran out of 1.5 GB of memory.  p is bounded too, as N = 1 at l = 1: sym-power
+# --l 1 --p 200000 took 2.2 s, divisibility on boolean1 --p 1600 7.4 s.
 MAX_VERIFY_SIZE = 64
 
 
@@ -201,9 +209,9 @@ def _report(name: str, details: str, trials: int, seed: int, failures: list[str]
 
 
 def _check_verify_size(dim: int, p: int) -> None:
-    # dim first: it bounds the cost of comb.
-    if dim > MAX_VERIFY_SIZE or comb(p + dim - 1, p) > MAX_VERIFY_SIZE:
-        raise CliError(f"l = {dim}, p = {p}: max(l, C(p+l-1, p)) exceeds the limit "
+    # dim and p first: they bound the cost of comb.
+    if max(dim, p) > MAX_VERIFY_SIZE or comb(p + dim - 1, p) > MAX_VERIFY_SIZE:
+        raise CliError(f"l = {dim}, p = {p}: max(l, p, C(p+l-1, p)) exceeds the limit "
                        f"{MAX_VERIFY_SIZE}")
 
 

@@ -9,15 +9,16 @@ loose: ``^``, unary ``-``, ``*``, binary ``+``/``-``)::
     power  := atom ('^' INT)?
     atom   := INT ('/' INT)? | NAME | '(' expr ')'
 
-Exponents above ``MAX_EXPONENT``, nesting (open parentheses plus pending
-unary minus signs) deeper than ``MAX_NESTING``, any sum, product or step
-of a power with more than ``MAX_TERMS`` terms (counted over all
-coefficients), and any product or step of a power that multiplies more
-than ``MAX_TERM_PAIRS`` pairs of terms are rejected with a
-``ParseError``: powers are computed by repeated multiplication, the parser
-recurses once per nesting level, the term check after every step stops
-an expansion before it grows large, and the pair check before every
-multiplication stops one expensive product before it starts.  A term of
+Integers of more than ``MAX_DIGITS`` digits, exponents above
+``MAX_EXPONENT``, nesting (open parentheses plus pending unary minus
+signs) deeper than ``MAX_NESTING``, any sum, product or step of a power
+with more than ``MAX_TERMS`` terms (counted over all coefficients), and
+any product or step of a power that multiplies more than
+``MAX_TERM_PAIRS`` pairs of terms are rejected with a ``ParseError``:
+powers are computed by repeated multiplication, the parser recurses once
+per nesting level, the term check after every step stops an expansion
+before it grows large, and the pair check before every multiplication
+stops one expensive product before it starts.  A term of
 f d^beta meets a term of g d^gamma once per derivative d^delta g that the
 Leibniz rule forms, prod_j (min(beta_j, deg_j g) + 1) times; that is once
 for a polynomial f d^0 or a constant g, so a polynomial product counts
@@ -54,6 +55,9 @@ MAX_NESTING = 100
 MAX_TERMS = 10_000
 # A product multiplies every term of one factor by every term of the other.
 MAX_TERM_PAIRS = 1_000_000
+# int() refuses decimal strings over the interpreter's limit, 4,300 digits
+# by default and settable down to 640; no setting of it decides at 640.
+MAX_DIGITS = 640
 
 
 class ParseError(ValueError):
@@ -73,14 +77,21 @@ def _quote(text: str) -> str:
     return repr(text if len(text) <= QUOTE_CHARS else text[:QUOTE_CHARS] + "...")
 
 
+def _integer(digits: str, at: int) -> int:
+    if len(digits) > MAX_DIGITS:
+        raise ParseError(f"integer has more than {MAX_DIGITS} digits", at)
+    return int(digits)
+
+
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
     out = []
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
         tok = m.group(kind)
+        at = m.start(kind)
         if kind == "bad":
-            raise ParseError(f"unexpected character {tok!r}", m.start(kind))
-        out.append((kind, int(tok) if kind == "int" else tok, m.start(kind)))
+            raise ParseError(f"unexpected character {tok!r}", at)
+        out.append((kind, _integer(tok, at) if kind == "int" else tok, at))
     out.append(("end", None, len(text)))
     return out
 
@@ -99,8 +110,8 @@ def _term_pairs(left: DiffOp, right: DiffOp) -> int:
     A term of f d^beta meets each term of g d^gamma once for every
     derivative d^delta g that the Leibniz rule forms, delta_j <= min(beta_j,
     deg_j g): prod_j (min(beta_j, deg_j g) + 1) times.  That is once when
-    f d^beta is a polynomial or g a constant, the two shortcuts of
-    ``DiffOp.__mul__``, and then the count is the plain number of pairs.
+    f d^beta is a polynomial or g a constant, and then the count is the
+    plain number of pairs.
     When the plain number alone exceeds MAX_TERM_PAIRS it is returned
     as it is, so counting never walks more than MAX_TERM_PAIRS pairs.
     """
@@ -257,7 +268,7 @@ class _Parser:
             m = _NAME.fullmatch(name)
             if m is None:
                 raise ParseError(f"unknown name {name!r}", at)
-            kind, index = m.group(1), int(m.group(2))
+            kind, index = m.group(1), _integer(m.group(2), at + 1)
             if not 1 <= index <= n:
                 raise ParseError(f"index {index} out of range 1..{n}", at)
         unit = tuple(1 if i == index else 0 for i in range(1, n + 1))

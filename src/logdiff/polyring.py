@@ -21,7 +21,6 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from math import perm, prod
 from operator import add, neg, sub
 from typing import Mapping, Sequence
@@ -32,10 +31,11 @@ Scalar = int | Fraction
 # At index k, the ``struct`` code of the narrowest unsigned field of 1, 2,
 # 4 or 8 bytes that holds a k-byte exponent.
 _FIELD_CODES = "BBHIIQQQQ"
-# ``mul_each`` packs polynomials of at least this many terms.  Below it,
-# choosing the fields and packing cost more than they save: on the products
-# of 600 seed-7 tangent-transport requests, 3-term polynomials took 8.6 ms
-# packed against 5.0 ms plain, 4-term ones 4.2 against 5.7 ms.
+# ``Poly.__mul__`` packs two factors of at least this many terms each.  On
+# the 16,788 products of two factors of two terms or more in seed-7
+# tangent-transport, decompose and verify requests (2-core Xeon VM), packing
+# lost with a 2-term factor (2 by 4 terms: 15.2 ms against 11.5 plain), broke
+# even with a 3-term one and won from 4 by 4 terms on (4.8 against 6.5 ms).
 _PACKED_MIN_TERMS = 4
 
 
@@ -259,24 +259,44 @@ class Poly(_Terms):
         return None
 
     def __mul__(self, other) -> Poly:
-        if isinstance(other, Poly):
-            self._check_same_ring(other)
-            out: dict[Monomial, Scalar] = {}
-            get = out.get
-            items = other.terms.items()
-            for ma, ca in self.terms.items():
-                for mb, cb in items:
-                    key = tuple(map(add, ma, mb))
-                    out[key] = get(key, 0) + ca * cb
-            return Poly._make(self.nvars, _canon(out))
-        if isinstance(other, (int, Fraction)):
+        """The package's one polynomial product, by a kernel chosen from the
+        factors.  A one-term factor shifts and scales the other's terms: no
+        two results meet and none is zero, so nothing is summed or dropped.
+        Factors of ``_PACKED_MIN_TERMS`` terms or more multiply packed
+        monomials (``_packed_product``) while every field fits in 64 bits.
+        All else sums each pair of terms under tuple keys."""
+        if not isinstance(other, Poly):
+            # Poly first: isinstance against Fraction, an ABC, is slow to fail.
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             return Poly._make(self.nvars, _canon({m: c * other for m, c in self.terms.items()}))
-        return NotImplemented
+        self._check_same_ring(other)
+        n = self.nvars
+        a, b = self.terms, other.terms
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:
+            ((ma, ca),) = a.items()
+            return Poly._make(n, {
+                tuple(map(add, ma, mb)):
+                    c.numerator if type(c := ca * cb) is Fraction and c.denominator == 1 else c
+                for mb, cb in b.items()
+            })
+        if min(len(a), len(b)) >= _PACKED_MIN_TERMS:
+            out = _packed_product(self, other)
+            if out is not None:
+                return out
+        acc: dict[Monomial, Scalar] = {}
+        get = acc.get
+        items = b.items()
+        for ma, ca in a.items():
+            for mb, cb in items:
+                key = tuple(map(add, ma, mb))
+                acc[key] = get(key, 0) + ca * cb
+        return Poly._make(n, _canon(acc))
 
     def __rmul__(self, other) -> Poly:
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
+        return self * other
 
     def __pow__(self, n: int) -> Poly:
         if not isinstance(n, int) or n < 0:
@@ -315,59 +335,31 @@ def _layout(codes: str) -> struct.Struct:
     return struct.Struct(">" + codes)
 
 
-def _packing(f: Poly, gs: Mapping[Monomial, Poly]) -> struct.Struct | None:
-    """The packed monomial layout for f times every g in ``gs``, or None
-    where packing does not pay (f has fewer than ``_PACKED_MIN_TERMS``
-    terms, or every g is zero) or does not fit (a field over 64 bits).
-
-    Field i holds deg_i f + max over g of deg_i g, the largest exponent of
-    x_i in any product, so a monomial product is one int sum with no carry
-    between fields.
-    """
-    if len(f.terms) < _PACKED_MIN_TERMS:
-        return None
-    g_monos = list(chain.from_iterable(g.terms for g in gs.values()))
-    if not g_monos:
-        return None
-    tops = list(map(add, map(max, zip(*f.terms)), map(max, zip(*g_monos))))
+def _packed_product(f: Poly, g: Poly) -> Poly | None:
+    """f * g with every monomial packed into one int, or None where a field
+    would pass 64 bits.  Field i is the narrowest unsigned ``struct`` field
+    that holds deg_i f + deg_i g, so a monomial product is one int sum with
+    no carry between fields.  Each term is packed once and each result term
+    unpacked once."""
+    tops = list(map(add, map(max, zip(*f.terms)), map(max, zip(*g.terms))))
     if max(tops).bit_length() > 64:
         return None
-    return _layout("".join([_FIELD_CODES[(top.bit_length() + 7) >> 3] for top in tops]))
-
-
-def mul_each(f: Poly, gs: Mapping[Monomial, Poly]) -> dict[Monomial, Poly]:
-    """``{k: f * g for k, g in gs.items()}``: one polynomial times every
-    coefficient of an operator, or of any map to polynomials.
-
-    Where ``_packing`` finds no layout, a monomial f above all, each
-    product is ``Poly.__mul__``.  Otherwise every monomial becomes one int
-    with one unsigned field per variable: f is packed once, every term of
-    every g once, and every result term unpacked once; pairs that meet at
-    one key are summed under the int key, and zero sums dropped.
-    """
-    layout = _packing(f, gs)
-    if layout is None:
-        return {k: f * g for k, g in gs.items()}
+    layout = _layout("".join([_FIELD_CODES[(top.bit_length() + 7) >> 3] for top in tops]))
     pack, unpack, size = layout.pack, layout.unpack, layout.size
     from_bytes = int.from_bytes
-    to_bytes = int.to_bytes
-    packed = [(from_bytes(pack(*m), "big"), c) for m, c in f.terms.items()]
-    n = f.nvars
-    out = {}
-    for k, g in gs.items():
-        acc = {}
-        get = acc.get
-        for mb, cb in g.terms.items():
-            kb = from_bytes(pack(*mb), "big")
-            for ka, ca in packed:
-                key = ka + kb
-                acc[key] = get(key, 0) + ca * cb
-        out[k] = Poly._make(n, {
-            unpack(to_bytes(key, size, "big")):
-                c.numerator if type(c) is Fraction and c.denominator == 1 else c
-            for key, c in acc.items() if c
-        })
-    return out
+    packed = [(from_bytes(pack(*m), "big"), c) for m, c in g.terms.items()]
+    acc: dict[int, Scalar] = {}
+    get = acc.get
+    for ma, ca in f.terms.items():
+        ka = from_bytes(pack(*ma), "big")
+        for kb, cb in packed:
+            key = ka + kb
+            acc[key] = get(key, 0) + ca * cb
+    return Poly._make(f.nvars, {
+        unpack(key.to_bytes(size, "big")):
+            c.numerator if type(c) is Fraction and c.denominator == 1 else c
+        for key, c in acc.items() if c
+    })
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,10 @@ An operator is stored as a finite map from partial-derivative exponent
 tuples to nonzero polynomial coefficients, with coefficients on the left:
 ``sum_b f_b d^b``.  Products are normal-ordered through the generalized
 Leibniz rule, so the commutation relation ``d_i * f = f * d_i + df/dx_i``
-holds identically.  Two products have no Leibniz term to expand and skip
-the rule: a polynomial on the left only multiplies the right's
-coefficients, since no partial has to pass a coefficient, and does so
-through the packed kernel ``polyring.mul_each``; and constant
-coefficients on the right only shift the left's partials, since a
-constant has no derivative.
+holds identically.  A polynomial on the left passes no partial, so that
+product only multiplies the right's coefficients by it and skips the
+rule.  Every product of coefficients is ``Poly.__mul__``, which picks its
+own kernel.
 """
 
 from __future__ import annotations
@@ -17,11 +15,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice, product as cartesian
 from math import comb, prod
-from operator import add
 from typing import Mapping, Sequence
 
 from .linalg import prefix_fold
-from .polyring import Monomial, Poly, Scalar, _canon, _Terms, mul_each
+from .polyring import Monomial, Poly, Scalar, _canon, _Terms
 
 
 class DiffOp(_Terms):
@@ -121,17 +118,11 @@ class DiffOp(_Terms):
         return None
 
     def __mul__(self, other) -> DiffOp:
-        """Normal-ordered product; two exact shortcuts come before Leibniz.
+        """Normal-ordered product by the Leibniz rule (``_leibniz_into``).
 
-        (a) A polynomial f on the left passes no partial, so f * sum
-        g_gamma d^gamma = sum (f g_gamma) d^gamma, formed by
-        ``polyring.mul_each``.  Each f g_gamma is a product of nonzero
-        polynomials, hence nonzero: nothing to drop.
-        (b) Constants c_gamma on the right have no derivatives, so
-        (sum f_beta d^beta)(sum c_gamma d^gamma) = sum c_gamma f_beta
-        d^(beta+gamma).  Different (beta, gamma) can meet at one key and
-        cancel, so the terms are summed and zeros dropped.
-        Every other product runs the Leibniz rule, ``_leibniz_into``.
+        A polynomial f on the left passes no partial, so f * sum g_gamma
+        d^gamma = sum (f g_gamma) d^gamma with no Leibniz term to expand;
+        each f g_gamma is a product of nonzero polynomials, hence nonzero.
         """
         other = self._coerce(other)
         if other is None:
@@ -140,35 +131,19 @@ class DiffOp(_Terms):
         one = (0,) * n
         left = self.terms
         if len(left) == 1 and one in left:
-            return DiffOp._make(n, mul_each(left[one], other.terms))
+            f = left[one]
+            return DiffOp._make(n, {gamma: f * g for gamma, g in other.terms.items()})
         out: dict[Monomial, Poly] = {}
-        if all(len(g.terms) == 1 and one in g.terms for g in other.terms.values()):
-            for gamma, g in other.terms.items():
-                c = g.terms[one]
-                for beta, f in left.items():
-                    key = tuple(map(add, beta, gamma))
-                    term = f if c == 1 else f * c
-                    acc = out.get(key)
-                    out[key] = term if acc is None else acc + term
-        else:
-            items = left.items()
-            for gamma, g in other.terms.items():
-                _leibniz_into(out, items, g, gamma, 0)
+        items = left.items()
+        for gamma, g in other.terms.items():
+            _leibniz_into(out, items, g, gamma, 0)
         return DiffOp._make(n, _canon(out))
 
     def __rmul__(self, other) -> DiffOp:
-        # Polynomials and scalars multiply coefficients on the left directly.
-        if isinstance(other, Poly):
-            if self.nvars != other.nvars:
-                raise ValueError("mixed ambient dimensions")
-            if not other:
-                return DiffOp.zero(self.nvars)
-            return DiffOp._make(self.nvars, mul_each(other, self.terms))
-        if not isinstance(other, (int, Fraction)):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        if not other:
-            return DiffOp.zero(self.nvars)
-        return DiffOp._make(self.nvars, {b: c * other for b, c in self.terms.items()})
+        return other * self
 
     def __pow__(self, n: int) -> DiffOp:
         # exprparse._Parser.power repeats this loop so that it can check

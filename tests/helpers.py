@@ -137,6 +137,18 @@ def eval_poly(f: Poly, point) -> Fraction:
     return total
 
 
+def mul_by_terms(a: Poly, b: Poly) -> Poly:
+    """Reference route for ``Poly.__mul__``: every pair of terms multiplied
+    as Fractions and summed in one map, which the validating ``Poly``
+    constructor then cleans, with no choice of kernel."""
+    out = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            key = tuple(x + y for x, y in zip(ma, mb))
+            out[key] = out.get(key, Fraction(0)) + Fraction(ca) * Fraction(cb)
+    return Poly(a.nvars, out)
+
+
 def exact_divide_by_rescan(a: Poly, b: Poly) -> Poly:
     """Reference route for ``exact_divide``: rescan the remainder for its
     graded-lex leading term before each quotient term (quadratic in the

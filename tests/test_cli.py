@@ -13,7 +13,7 @@ import logdiff.cli
 import logdiff.tangent
 from logdiff.arrangement import _BUILTINS, builtin_arrangement, euler_derivation
 from logdiff.cli import MAX_VERIFY_SIZE, main
-from logdiff.exprparse import render
+from logdiff.exprparse import MAX_DIGITS, render
 from logdiff.sampling import random_order_one_op, random_poly, random_word
 from logdiff.tangent import is_tangent
 from logdiff.weyl import Derivation, word_fold
@@ -96,6 +96,61 @@ def test_malformed_arrangement_file(tmp_path, capsys, spec, message):
     code, _, err = run(capsys, "check-free", "--arrangement", str(path))
     assert code == 2
     assert err.startswith("error: ") and message in err
+
+
+# The interpreter's own limit on int() of a decimal string, where it has
+# one: as it is, off, and at the lowest value it takes.  No refusal below
+# may depend on it.
+_DIGIT_LIMITS = [None] + ([0, 640] if hasattr(sys, "set_int_max_str_digits") else [])
+
+
+@pytest.fixture(params=_DIGIT_LIMITS, ids=lambda limit: f"int-limit-{limit}")
+def int_digit_limit(request):
+    if request.param is None:
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(request.param)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("command", ["tangent", "decompose"])
+def test_oversized_integer_in_op_is_a_parse_error(capsys, int_digit_limit, command):
+    code, out, err = run(capsys, command, "--arrangement", "builtin:boolean1",
+                         "--op", "9" * 5000 + "*x1*d1")
+    assert (code, out) == (2, "")
+    assert err == (f"error: operator '{'9' * 40}...': integer has more than "
+                   f"{MAX_DIGITS} digits (at position 0)\n")
+    code, out, _ = run(capsys, command, "--arrangement", "builtin:boolean1",
+                       "--op", "9" * MAX_DIGITS + "*x1*d1")
+    assert code == 0 and out
+
+
+def test_oversized_integer_in_arrangement_file(tmp_path, capsys, int_digit_limit):
+    path = tmp_path / "arr.json"
+    path.write_text('{"dim": 1, "forms": [[' + "9" * 5000 + "]]}")
+    code, out, err = run(capsys, "check-free", "--arrangement", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path} is not valid JSON: an integer has more than {MAX_DIGITS} digits\n"
+
+
+@pytest.mark.parametrize("coeff", ["1e100000000", "1.5", " 1", "1_000", "0x10", "inf",
+                                   "9" * (MAX_DIGITS + 1), "1/" + "9" * (MAX_DIGITS + 1)])
+def test_string_coefficients_follow_the_operator_grammar(tmp_path, capsys, coeff):
+    # INT ('/' INT)? with an optional sign, so that no spelling builds a huge
+    # rational; JSON numbers and the signed and fractional spellings still load
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps({"dim": 2, "forms": [[1.5, "-1/2"], ["+3", 0], [coeff, "1"]]}))
+    code, out, err = run(capsys, "check-free", "--arrangement", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: coefficient '") and "is not an integer or a fraction" in err
+    path.write_text(json.dumps({"dim": 2, "forms": [[1.5, "-1/2"], ["+3", 0]],
+                                "basis": ["x1*d1 + x2*d2", "x1*d2"]}))
+    code, out, _ = run(capsys, "check-free", "--arrangement", str(path))
+    assert code == 1 and out.startswith("not free under this candidate")
 
 
 def test_unknown_builtin(capsys):
@@ -519,9 +574,13 @@ def test_verify_l_must_match_the_arrangement(capsys, lemma, dim):
     ["--lemma", "jacobian-power", "--l", "65", "--p", "1"],
     ["--lemma", "jacobian-power", "--l", "2", "--p", "64"],
     ["--lemma", "divisibility", "--arrangement", "builtin:boolean3", "--p", "10"],
+    # at l = 1, N = 1 for every p, so p itself is bounded
+    ["--lemma", "sym-power", "--l", "1", "--p", "65"],
+    ["--lemma", "jacobian-power", "--l", "1", "--p", "65"],
+    ["--lemma", "divisibility", "--arrangement", "builtin:boolean1", "--p", "65"],
 ])
 def test_verify_rejects_sizes_beyond_the_limit(capsys, monkeypatch, argv):
-    # max(l, N) > 64 with N = C(p+l-1, p) is refused before any trial
+    # max(l, p, N) > 64 with N = C(p+l-1, p) is refused before any trial
     for kernel in ("sym_power_det_identity_holds", "jacobian_power_identity", "higher_jacobian"):
         monkeypatch.setattr(logdiff.cli, kernel, None)
     code, out, err = run(capsys, "verify", *argv, "--trials", "1")
@@ -536,6 +595,11 @@ def test_verify_accepts_the_size_limit(capsys):
     )
     assert code == 0
     assert "l=64 p=0 trials=1 seed=0 passed=1 failed=0" in out
+    code, out, _ = run(
+        capsys, "verify", "--lemma", "sym-power", "--l", "1", "--p", "64", "--trials", "1",
+    )
+    assert code == 0
+    assert "l=1 p=64 trials=1 seed=0 passed=1 failed=0" in out
 
 
 def test_verify_divisibility_needs_arrangement(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import random_diffop, random_poly
 from logdiff.exprparse import (
+    MAX_DIGITS,
     MAX_EXPONENT,
     MAX_NESTING,
     MAX_TERM_PAIRS,
@@ -165,6 +166,19 @@ def test_exponent_limit():
         with pytest.raises(ParseError, match="exceeds the limit") as info:
             parse_diffop(text, 1)
         assert info.value.position == text.index("^") + 1
+
+
+def test_integers_are_held_to_max_digits():
+    # literals, denominators, exponents and name indices alike, at the
+    # position of their first digit
+    big = "9" * (MAX_DIGITS + 1)
+    for text, at in ((f"x + {big}", 4), (f"1/{big}*x", 2), (f"x^{big}", 2), (f"x{big}", 1),
+                     (f"d{big}*x", 1), ("9" * 5000, 0)):
+        with pytest.raises(ParseError, match=f"integer has more than {MAX_DIGITS} digits") as info:
+            parse_diffop(text, 1)
+        assert info.value.position == at
+    top = 10 ** MAX_DIGITS - 1
+    assert parse_poly(f"{top}*x - 1/{top}", 1).terms == {(1,): top, (0,): Fraction(-1, top)}
 
 
 def _term_count(op: DiffOp) -> int:

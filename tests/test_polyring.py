@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import apply_linear_map, eval_poly, exact_divide_by_rescan, random_poly
+from helpers import apply_linear_map, eval_poly, exact_divide_by_rescan, mul_by_terms, random_poly
+from logdiff import polyring
 from logdiff.exprparse import MAX_EXPONENT, parse_poly
 from logdiff.polyring import (
     LinearForm,
@@ -15,7 +16,6 @@ from logdiff.polyring import (
     coordinates,
     divides_power,
     exact_divide,
-    mul_each,
 )
 
 
@@ -233,15 +233,19 @@ def test_integral_fraction_results_are_stored_as_int():
     assert exact_divide(Poly(1, {(1,): 3}), Poly(1, {(1,): 2})).terms == {(0,): Fraction(3, 2)}
 
 
-# -- the packed kernel: one polynomial times every coefficient ------------------
+# -- the product kernels: one-term, packed and plain ---------------------------
 
 @st.composite
-def _mul_each_cases(draw):
-    """(f, {key: g}) over 1-5 variables.  Exponents come from a small range,
-    so that products meet at one monomial and cancel, or up to a top of 2,
-    255 or ``MAX_EXPONENT``, so that fields of one and two bytes both occur.
-    One g may be f with its first term negated: then f * g = r^2 - t^2 for
-    f = t + r, and every cross term cancels."""
+def _products(draw):
+    """(f, [g, ...]) over 1-5 variables, so that every kernel of f * g runs:
+    up to 8 terms per factor gives one-term and zero factors, pairs with a
+    factor of 2-3 terms (plain) and pairs of 4 terms or more (packed).
+    Exponents come from a small range, so that products meet at one
+    monomial and cancel, or up to a top of 2, 255 or ``MAX_EXPONENT``, so
+    that fields of one and two bytes both occur.  One g may be f with its
+    first term negated: then f * g = r^2 - t^2 for f = t + r, and every
+    cross term cancels.  One g may carry a 2^64 exponent, which no packed
+    field holds, so that the plain loop runs instead."""
     n = draw(st.integers(1, 5))
     top = draw(st.sampled_from((2, 255, MAX_EXPONENT)))
     exps = st.one_of(st.integers(0, 2), st.integers(0, top))
@@ -252,35 +256,61 @@ def _mul_each_cases(draw):
     polys = st.dictionaries(st.tuples(*[exps] * n), coeffs, max_size=8).map(
         lambda d: Poly(n, d))
     f = draw(polys)
-    gs = draw(st.dictionaries(st.integers(0, 9), polys, max_size=4))
+    gs = draw(st.lists(polys, max_size=4))
     if len(f.terms) > 1 and draw(st.booleans()):
         t = next(iter(f.terms))
-        gs[10] = f - Poly.monomial(n, t, 2 * f.terms[t])
+        gs.append(f - Poly.monomial(n, t, 2 * f.terms[t]))
+    if draw(st.booleans()):
+        gs.append(draw(polys) + Poly.monomial(n, (2 ** 64,) + (0,) * (n - 1), Fraction(1, 2)))
     return f, gs
 
 
 @settings(max_examples=150)
-@given(_mul_each_cases())
-def test_mul_each_matches_per_coefficient_products(case):
+@given(_products())
+def test_products_match_the_term_by_term_route(case):
     f, gs = case
-    got = mul_each(f, gs)
-    assert list(got) == list(gs)
-    for k, g in gs.items():
-        assert got[k] == f * g
-        assert_canonical(got[k])
+    for g in gs:
+        got = f * g
+        assert got == g * f == mul_by_terms(f, g)
+        assert_canonical(got)
 
 
-def test_mul_each_cancels_and_keeps_wide_exponents():
+def test_product_kernels_cancel_and_keep_wide_exponents(monkeypatch):
+    # ``packed`` records each packed attempt: True for a result, False for
+    # a field too wide, after which the plain loop runs
+    packed = []
+    real = polyring._packed_product
+
+    def spy(*args):
+        out = real(*args)
+        packed.append(out is not None)
+        return out
+
+    monkeypatch.setattr(polyring, "_packed_product", spy)
     f = parse_poly("x1 + x2 + x3 + x4", 4)
-    gs = {"conjugate": parse_poly("x1 - x2", 4), "zero": Poly.zero(4)}
-    got = mul_each(f, gs)
-    # (x1 + x2 + ...)(x1 - x2): the two x1*x2 products cancel
-    assert got["conjugate"] == parse_poly("x1^2 - x2^2 + x1*x3 - x2*x3 + x1*x4 - x2*x4", 4)
-    assert not got["zero"].terms
-    # an exponent past 64 bits keeps the plain products
-    gs["wide"] = Poly.monomial(4, (2 ** 64, 0, 0, 1), Fraction(1, 2))
-    wide = mul_each(f, gs)
-    assert wide == got | {"wide": f * gs["wide"]} and len(wide["wide"].terms) == 4
-    for k, g in gs.items():
-        assert wide[k] == f * g
-        assert_canonical(wide[k])
+    # (x1 + x2 + x3 + x4)(x1 - x2 + x3 - x4) = (x1 + x3)^2 - (x2 + x4)^2:
+    # every product of a term from each half cancels
+    assert f * parse_poly("x1 - x2 + x3 - x4", 4) == parse_poly(
+        "x1^2 + 2*x1*x3 + x3^2 - x2^2 - 2*x2*x4 - x4^2", 4)
+    assert packed == [True]
+    half = Poly(4, {(1, 0, 0, 0): Fraction(1, 2), (0, 1, 0, 0): Fraction(-1, 2)})
+    wide = Poly(4, {(2 ** 64, 0, 0, 1): Fraction(1, 2), (0, 0, 0, 1): 4, (1, 1, 0, 0): -1,
+                    (0, 0, 3, 0): Fraction(2, 3)})
+    cases = [
+        (f, Poly.zero(4)), (Poly.zero(4), f),
+        # one-term factors on either side, with products that become int
+        (f * 2, Poly.monomial(4, (0, 1, 0, 0), Fraction(1, 2))),
+        (Poly.monomial(4, (3, 0, 0, 0), Fraction(2, 3)), half * 3),
+        # 2-3 terms, and a 2-term factor against a long one: the plain loop
+        (half, parse_poly("2*x1 + 2*x2 + x3", 4)), (half * 4, f * f),
+        # an exponent past 64 bits falls back from packed to plain
+        (f, wide),
+        (f * f, f),
+    ]
+    packed.clear()
+    for a, b in cases:
+        got = a * b
+        assert got == mul_by_terms(a, b)
+        assert_canonical(got)
+    assert packed == [False, True]
+    assert len((f * wide).terms) == 16 and not (f * Poly.zero(4)).terms

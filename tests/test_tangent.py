@@ -4,7 +4,7 @@ import sys
 import threading
 from dataclasses import replace
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -573,6 +573,54 @@ def test_decompose_agrees_with_jacobian_route(fixture, max_order, trials):
             assert got == expected, str(u)
             outcomes.append(isinstance(got, Decomposition))
     assert any(outcomes) and not all(outcomes)
+
+
+def _line(coeffs):
+    # one representative per line through the origin: gcd 1, first nonzero > 0
+    g = gcd(*coeffs)
+    a, b = (c // g for c in coeffs)
+    return (a, b) if a > 0 or (a == 0 and b > 0) else (-a, -b)
+
+
+@st.composite
+def _rank2_arrangements(draw):
+    """3-5 pairwise non-proportional integer forms in two variables, which
+    are always free, certified with their ``rank2_basis``: a basis that is
+    not diagonal, over a Q of up to six terms."""
+    forms = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any),
+                          min_size=3, max_size=5, unique_by=_line))
+    arr = Arrangement([LinearForm(f) for f in forms])
+    basis = saito_check(arr, rank2_basis(arr))
+    assert basis.ok
+    return arr, basis
+
+
+@settings(max_examples=40, deadline=None)
+@given(_rank2_arrangements(), st.randoms(use_true_random=False), st.integers(1, 3),
+       st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any))
+def test_random_rank2_arrangements(case, rng, max_len, beta):
+    # the differential checks on arrangements nobody picked: decompose
+    # against the Jacobian route (the same words, or the same level and
+    # index on failure), both round trips through reassemble, and per-form
+    # against whole-Q tangency at the cutoff; the controls add c * d^beta
+    # to a word sum (never tangent) or are random operators
+    arr, basis = case
+    word_op = word_fold(basis.thetas)
+    words = sampling.random_word(rng, word_op, 2, 2, max_len)
+    words = words + sampling.random_word(rng, word_op, 2, 2, max_len)
+    control = words + DiffOp(2, {beta: Poly.constant(2, rng.choice([1, -2, 3]))})
+    for u, tangent_u in ((words, True), (control, False),
+                         (random_diffop(rng, 2, max_order=2), None)):
+        expected = _decompose_outcome(decompose_by_jacobians, u, arr, basis)
+        got = _decompose_outcome(decompose, u, arr, basis)
+        assert got == expected, str(u)
+        if isinstance(got, Decomposition):
+            assert reassemble(got) == u
+        verdict = is_tangent(u, arr)
+        assert verdict == is_tangent_q(u, arr, max(u.order or 0, 1))
+        assert tangent_u is None or verdict == tangent_u == isinstance(got, Decomposition)
+        if u:
+            assert reassemble(transport(u, arr)) == arr.q ** comb(u.order + 1, 2) * u
 
 
 def test_decompose_a3_order_four():

@@ -192,7 +192,7 @@ def test_polynomial_on_the_left_skips_leibniz(monkeypatch):
         assert u * DiffOp.zero(2) == DiffOp.zero(2)
 
 
-def test_constants_on_the_right_skip_leibniz(monkeypatch):
+def test_constant_coefficients_on_the_right_shift_partials():
     u = op(2, {(1, 0): {(1, 1): 2}, (0, 1): {(2, 0): -1, (0, 0): 1}, (0, 0): {(0, 1): 3}})
     rights = [op(2, {(0, 0): {(0, 0): 7}}), op(2, {(1, 0): {(0, 0): Fraction(-1, 2)}}),
               op(2, {(2, 0): {(0, 0): 1}, (0, 1): {(0, 0): Fraction(3, 4)},
@@ -203,7 +203,6 @@ def test_constants_on_the_right_skip_leibniz(monkeypatch):
     # d1*d2 meets d2*d1 at one key and cancels
     squares = op(2, {(2, 0): {(0, 0): 1}, (0, 2): {(0, 0): -1}})
     half = op(2, {(1, 0): {(0, 0): Fraction(1, 2)}, (0, 1): {(0, 0): Fraction(1, 2)}})
-    monkeypatch.setattr(weyl, "_leibniz_into", _no_leibniz)
     for v, want in zip(rights, expected):
         assert u * v == want
     product = d1_plus_d2 * d1_minus_d2
@@ -211,15 +210,14 @@ def test_constants_on_the_right_skip_leibniz(monkeypatch):
     assert (half * d1_minus_d2).terms == {(2, 0): Poly.constant(2, Fraction(1, 2)),
                                           (0, 2): Poly.constant(2, Fraction(-1, 2))}
     assert DiffOp.zero(2) * d1_plus_d2 == DiffOp.zero(2)
-    # both shortcuts apply at once
+    # a polynomial on the left times constants on the right
     assert op(2, {(0, 0): {(1, 0): 2}}) * d1_minus_d2 == op(
         2, {(1, 0): {(1, 0): 2}, (0, 1): {(1, 0): -2}})
 
 
 def test_products_outside_the_shortcuts_match_commutation():
-    # a right side with one non-constant coefficient must not take the
-    # constant shortcut, and a left side with d^0 plus other keys must not
-    # take the polynomial one
+    # a left side with d^0 plus other keys must not take the polynomial
+    # shortcut, whatever the right side holds
     u = op(2, {(1, 1): {(0, 0): 1}, (2, 0): {(0, 1): 3}, (0, 0): {(1, 0): 1}})
     mixed_right = op(2, {(1, 0): {(0, 0): 2}, (0, 0): {(2, 1): 1}, (0, 1): {(0, 0): -1}})
     assert u * mixed_right == _times_by_commutation(u, mixed_right)
@@ -232,6 +230,23 @@ def test_products_outside_the_shortcuts_match_commutation():
         u = u + random_poly(rng, nvars, max_degree=2, nonzero=True)
         v = random_diffop(rng, nvars, max_order=2, max_degree=rng.choice([0, 1, 2]))
         assert u * v == _times_by_commutation(u, v)
+
+
+@pytest.mark.parametrize("left", [
+    P("x^2 - 3*y + 1/2", 2), P("y", 2), 3, Fraction(-2, 3), Fraction(4, 2), 0, Poly.zero(2),
+], ids=["Poly", "monomial", "int", "Fraction", "integral-Fraction", "zero", "zero-Poly"])
+@pytest.mark.parametrize("right", [
+    D("x1^2*d1*d2 - 3*d2 + x2", 2), Derivation((P("x^2", 2), P("-3*x*y", 2))),
+], ids=["DiffOp", "Derivation"])
+def test_polynomials_and_scalars_times_an_operator(left, right):
+    # a polynomial or scalar on the left is the operator that multiplies by it
+    f = left if isinstance(left, Poly) else Poly.constant(2, left)
+    got = left * right
+    assert got == DiffOp.from_poly(f) * right == _times_by_commutation(DiffOp.from_poly(f), right)
+    assert type(got) is DiffOp and got.terms == (DiffOp.from_poly(f) * right).terms
+    assert all(got.terms.values())
+    with pytest.raises(ValueError):
+        P("x", 3) * right
 
 
 @st.composite
