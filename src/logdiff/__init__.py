@@ -28,7 +28,6 @@ from .polyring import (
     NotDivisibleError,
     Poly,
     coordinates,
-    divides_power,
     exact_divide,
 )
 from .tangent import (
@@ -73,7 +72,6 @@ __all__ = [
     "decompose",
     "decomposition_to_json",
     "determinant",
-    "divides_power",
     "euler_derivation",
     "exact_divide",
     "higher_jacobian",

@@ -25,13 +25,9 @@ from .weyl import Derivation
 
 
 class Arrangement:
-    """A central arrangement: forms and defining polynomial.
+    """A central arrangement: forms and defining polynomial."""
 
-    ``_frame`` holds what ``tangent`` keeps of it across calls
-    (``tangent._Frame``), built on first use.
-    """
-
-    __slots__ = ("dim", "forms", "q", "_frame")
+    __slots__ = ("dim", "forms", "q", "__weakref__")
 
     def __init__(self, forms: Sequence[LinearForm]):
         forms = tuple(forms)
@@ -47,7 +43,6 @@ class Arrangement:
         self.dim = dim
         self.forms = forms
         self.q = prod((f.as_poly() for f in forms), start=Poly.one(dim))
-        self._frame = None
 
     @property
     def size(self) -> int:
@@ -56,10 +51,6 @@ class Arrangement:
 
     def __repr__(self) -> str:
         return f"Arrangement({[str(f.as_poly()) for f in self.forms]})"
-
-    def __reduce__(self):
-        # Copies and pickles rebuild from the forms; the frame is not data.
-        return Arrangement, (self.forms,)
 
 
 def euler_derivation(dim: int) -> Derivation:
@@ -150,19 +141,29 @@ _BUILTINS = {
     "triple2": {"dim": 2, "forms": [[1, 0], [0, 1], [1, 1]],
                 "basis": ["x1*d1 + x2*d2", "x1^2*d1 - x2^2*d2"]},
     "generic3": {"dim": 3, "forms": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]},
+    # The reflection arrangement of type D_4, x_i +- x_j for i < j, with a
+    # basis that is not diagonal (Orlik-Terao 1992, ch. 6).
+    "D4": {"dim": 4,
+           "forms": [[1 if k == i else s if k == j else 0 for k in range(4)]
+                     for i in range(4) for j in range(i + 1, 4) for s in (1, -1)],
+           "basis": ["x1*d1 + x2*d2 + x3*d3 + x4*d4",
+                     "x1^3*d1 + x2^3*d2 + x3^3*d3 + x4^3*d4",
+                     "x1^5*d1 + x2^5*d2 + x3^5*d3 + x4^5*d4",
+                     "x2*x3*x4*d1 + x1*x3*x4*d2 + x1*x2*x4*d3 + x1*x2*x3*d4"]},
 }
 
 
 @cache
 def builtin_arrangement(name: str) -> tuple[Arrangement, tuple[Derivation, ...] | None]:
-    """Named fixtures: Boolean arrangements, the three-line plane, and the
-    non-free generic four-plane arrangement in three variables.
+    """Named fixtures: Boolean arrangements, the three-line plane, the
+    non-free generic four-plane arrangement in three variables, and the
+    reflection arrangement D_4.
 
     Returns the arrangement and, when it is one of the known free fixtures,
     a basis that passes ``saito_check``.  Each is built once per process.
     """
     if name not in _BUILTINS:
-        raise ValueError(f"unknown builtin arrangement {name!r}; choose from {tuple(_BUILTINS)}")
+        raise ValueError(f"unknown builtin arrangement {_quote(name)}; choose from {tuple(_BUILTINS)}")
     return _load_spec(_BUILTINS[name])
 
 

@@ -10,8 +10,8 @@ Exit codes: 0 success, 1 mathematical negative, 2 usage or parse error,
 Arrangements come from JSON files ``{"dim": l, "forms": [[coeff, ...],
 ...], "basis": ["op text", ...]}`` or from the named fixtures
 ``builtin:boolean1``, ``builtin:boolean2``, ``builtin:boolean3``,
-``builtin:triple2``, ``builtin:generic3``, which are specs in the same
-format; ``arrangement._load_spec`` builds both.
+``builtin:triple2``, ``builtin:generic3``, ``builtin:D4``, which are specs
+in the same format; ``arrangement._load_spec`` builds both.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ from typing import Sequence
 
 from .arrangement import (Arrangement, SaitoBasis, SaitoFailure, _load_basis, _load_spec,
                           builtin_arrangement, saito_check)
-from .exprparse import MAX_DIGITS, ParseError, _quote, parse_diffop, render
+from .exprparse import MAX_DIGITS, ParseError, _number, _quote, parse_diffop, render
 from .jacobian import OpFamily, higher_jacobian, jacobian_power_identity
 from .linalg import sym_indices, sym_power_det_identity_holds
-from .polyring import Poly, coordinates, divides_power
+from .polyring import Poly, coordinates, divides
 from .sampling import random_int_matrix, random_order_one_op, random_word
 from .tangent import (
     DecompositionError,
@@ -76,20 +76,19 @@ def _load_arrangement(source: str) -> tuple[Arrangement, tuple[Derivation, ...] 
         raise CliError(str(exc)) from None
 
 
-def _resolve_basis(args, dim: int, thetas, required: bool = True) -> tuple[Derivation, ...] | None:
+def _resolve_basis(args, dim: int, thetas) -> tuple[Derivation, ...]:
     """The ``--basis`` file, else the arrangement's own ``thetas``.
 
     The file is a list of operator strings, or an object whose "basis" is
     one.  A basis from either source must hold exactly ``dim``
-    derivations; with none, a ``required`` basis is a usage error.
+    derivations; with none, it is a usage error.
     """
     if args.basis:
         thetas = _load_json(args.basis, lambda data: _load_basis(
             data.get("basis") if isinstance(data, dict) else data, dim))
     if thetas is None:
-        if required:
-            raise CliError("no candidate basis: pass --basis or use a builtin with one")
-    elif len(thetas) != dim:
+        raise CliError("no candidate basis: pass --basis or use a builtin with one")
+    if len(thetas) != dim:
         raise CliError(f"need exactly {dim} derivations, got {len(thetas)}")
     return thetas
 
@@ -114,7 +113,7 @@ def _certify(args) -> tuple[Arrangement, SaitoBasis | SaitoFailure]:
 def cmd_check_free(args) -> int:
     _, result = _certify(args)
     if result.ok:
-        print(f"free, lambda = {result.scalar}, degrees = {list(result.degrees)}")
+        print(f"free, lambda = {_number(result.scalar)}, degrees = {list(result.degrees)}")
         return 0
     where = f" (derivation {result.index})" if result.index is not None else ""
     print(f"not free under this candidate: {result.reason}{where}")
@@ -244,7 +243,8 @@ def _verify_jacobian_power(args) -> int:
         arr, fixture_thetas = _verify_arrangement(args)
         dim = arr.dim
     _check_verify_size(dim, args.p)
-    fixture_thetas = _resolve_basis(args, dim, fixture_thetas, required=False)
+    if args.basis or fixture_thetas is not None:
+        fixture_thetas = _resolve_basis(args, dim, fixture_thetas)
     rng = random.Random(args.seed)
     fs = coordinates(dim)
     failures = []
@@ -268,7 +268,7 @@ def _verify_divisibility(args) -> int:
     thetas = _resolve_basis(args, arr.dim, thetas)
     rng = random.Random(args.seed)
     fs = coordinates(arr.dim)
-    exponent = comb(args.p + arr.dim - 1, arr.dim)
+    q_power = arr.q ** comb(args.p + arr.dim - 1, arr.dim)
     word_op = word_fold(thetas)
     failures = []
     for trial in range(args.trials):
@@ -278,7 +278,7 @@ def _verify_divisibility(args) -> int:
         )
         fam = OpFamily(arr.dim, args.p, entries)
         jac = higher_jacobian(fs, fam)
-        if not divides_power(arr.q, exponent, jac):
+        if not divides(q_power, jac):
             failures.append(
                 f"trial {trial}: entries {[render(e) for e in entries]}"
             )

@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import prod
 from operator import attrgetter
 
-from .polyring import Poly, Scalar
+from .polyring import Poly, Scalar, _grlex
 from .weyl import DiffOp
 
 # Whitespace between tokens is skipped; any other character the grammar
@@ -58,6 +58,10 @@ MAX_TERM_PAIRS = 1_000_000
 # int() refuses decimal strings over the interpreter's limit, 4,300 digits
 # by default and settable down to 640; no setting of it decides at 640.
 MAX_DIGITS = 640
+# str() of an int has the same limit, so ``_number`` prints pieces of at
+# most this many digits.
+_PIECE_DIGITS = 600
+_PIECE = 10 ** _PIECE_DIGITS
 
 
 class ParseError(ValueError):
@@ -68,13 +72,18 @@ class ParseError(ValueError):
         self.position = position
 
 
-# Operator text longer than this is quoted as a prefix ending in "...";
+# Text or a token longer than this is quoted as a prefix ending in "...";
 # the parse error already gives the position.
 QUOTE_CHARS = 40
 
 
-def _quote(text: str) -> str:
-    return repr(text if len(text) <= QUOTE_CHARS else text[:QUOTE_CHARS] + "...")
+def _quote(token) -> str:
+    """repr(token), cut to a prefix ending in "..." when that is long; a
+    str keeps its quotes."""
+    if isinstance(token, str):
+        return repr(token if len(token) <= QUOTE_CHARS else token[:QUOTE_CHARS] + "...")
+    text = repr(token)
+    return text if len(text) <= QUOTE_CHARS else text[:QUOTE_CHARS] + "..."
 
 
 def _integer(digits: str, at: int) -> int:
@@ -90,7 +99,7 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         tok = m.group(kind)
         at = m.start(kind)
         if kind == "bad":
-            raise ParseError(f"unexpected character {tok!r}", at)
+            raise ParseError(f"unexpected character {_quote(tok)}", at)
         out.append((kind, _integer(tok, at) if kind == "int" else tok, at))
     out.append(("end", None, len(text)))
     return out
@@ -172,7 +181,7 @@ class _Parser:
         value = self.expr()
         kind, tok, at = self.peek()
         if kind != "end":
-            raise ParseError(f"unexpected trailing input {tok!r}", at)
+            raise ParseError(f"unexpected trailing input {_quote(tok)}", at)
         return value
 
     def expr(self) -> DiffOp:
@@ -217,7 +226,7 @@ class _Parser:
             if kind != "int":
                 raise ParseError("expected a non-negative integer exponent", at)
             if exp > MAX_EXPONENT:
-                raise ParseError(f"exponent {exp} exceeds the limit {MAX_EXPONENT}", at)
+                raise ParseError(f"exponent {_quote(exp)} exceeds the limit {MAX_EXPONENT}", at)
             self.advance()
             value = base if exp else DiffOp.one(self.nvars)
             for _ in range(exp - 1):
@@ -253,24 +262,24 @@ class _Parser:
                 raise ParseError("expected ')'", at)
             self.depth -= 1
             return value
-        raise ParseError(f"unexpected token {tok!r}", at)
+        raise ParseError(f"unexpected token {_quote(tok)}", at)
 
     def resolve(self, name: str, at: int) -> DiffOp:
         n = self.nvars
         if name in _ALIASES:
             index = _ALIASES[name]
             if n > 3:
-                raise ParseError(f"alias {name!r} is only available for dimension <= 3", at)
+                raise ParseError(f"alias {_quote(name)} is only available for dimension <= 3", at)
             if index > n:
-                raise ParseError(f"alias {name!r} exceeds dimension {n}", at)
+                raise ParseError(f"alias {_quote(name)} exceeds dimension {n}", at)
             kind = "x"
         else:
             m = _NAME.fullmatch(name)
             if m is None:
-                raise ParseError(f"unknown name {name!r}", at)
+                raise ParseError(f"unknown name {_quote(name)}", at)
             kind, index = m.group(1), _integer(m.group(2), at + 1)
             if not 1 <= index <= n:
-                raise ParseError(f"index {index} out of range 1..{n}", at)
+                raise ParseError(f"index {_quote(index)} out of range 1..{n}", at)
         unit = tuple(1 if i == index else 0 for i in range(1, n + 1))
         if kind == "x":
             return DiffOp._make(n, {self.one: Poly._make(n, {unit: 1})})
@@ -289,6 +298,30 @@ def parse_poly(text: str, nvars: int) -> Poly:
     return _Parser(text, nvars, allow_partials=False).parse().value_at_one()
 
 
+def _decimal(n: int) -> str:
+    """str(n) for an int of any size: at most ``_PIECE_DIGITS`` digits at a
+    time, halving the number at a power of ten until the pieces are that
+    small."""
+    if -_PIECE < n < _PIECE:
+        return str(n)
+    if n < 0:
+        return "-" + _decimal(-n)
+    k = _PIECE_DIGITS
+    while n >= 10 ** (2 * k):
+        k *= 2
+    high, low = divmod(n, 10 ** k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
+def _number(c: Scalar) -> str:
+    """str(c) for an int or a Fraction of any size, under any setting of
+    ``sys.set_int_max_str_digits``."""
+    if isinstance(c, Fraction):
+        text = _decimal(c.numerator)
+        return text if c.denominator == 1 else f"{text}/{_decimal(c.denominator)}"
+    return _decimal(c)
+
+
 def _term_pieces(mono, beta, coeff: Scalar) -> tuple[bool, str]:
     """Render one distributed term; returns (is_negative, body without sign)."""
     pieces = []
@@ -305,10 +338,10 @@ def _term_pieces(mono, beta, coeff: Scalar) -> tuple[bool, str]:
     negative = coeff < 0
     mag = -coeff if negative else coeff
     if not pieces:
-        return negative, str(mag)
+        return negative, _number(mag)
     if mag == 1:
         return negative, "*".join(pieces)
-    return negative, f"{mag}*" + "*".join(pieces)
+    return negative, f"{_number(mag)}*" + "*".join(pieces)
 
 
 def render(value: Poly | DiffOp) -> str:
@@ -320,7 +353,7 @@ def render(value: Poly | DiffOp) -> str:
         items = [(m, (0,) * value.nvars, c) for m, c in value.sorted_terms()]
     elif isinstance(value, DiffOp):
         items = []
-        for beta in sorted(value.terms, key=lambda b: (sum(b), b), reverse=True):
+        for beta in sorted(value.terms, key=_grlex, reverse=True):
             for m, c in value.terms[beta].sorted_terms():
                 items.append((m, beta, c))
     else:

@@ -455,17 +455,6 @@ def divides(b: Poly, a: Poly) -> bool:
     return True
 
 
-def divides_power(f: Poly, t: int, a: Poly) -> bool:
-    """True iff f**t divides a exactly (t = 0 is vacuously true)."""
-    if t < 0:
-        raise ValueError("power must be non-negative")
-    if t == 0:
-        return True
-    if not f:
-        raise ValueError("divisor must be nonzero")
-    return divides(f ** t, a)
-
-
 def coordinates(nvars: int) -> tuple[Poly, ...]:
     """The coordinate tuple (x1, ..., xl) as polynomials."""
     return tuple(Poly.variable(nvars, i) for i in range(1, nvars + 1))

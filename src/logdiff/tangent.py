@@ -19,13 +19,14 @@ such words.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+import weakref
+from dataclasses import dataclass
 from math import comb
 from threading import Lock
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .linalg import _form_product_fold, determinant
-from .polyring import Monomial, NotDivisibleError, Poly, Scalar, divides, exact_divide
+from .polyring import Monomial, NotDivisibleError, Poly, Scalar, _grlex, divides, exact_divide
 from .weyl import Derivation, DiffOp, _bracket_linear, commutator, word_fold
 
 if TYPE_CHECKING:
@@ -53,30 +54,15 @@ class Word:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """A sum of words over a fixed tuple of generator derivations.
-
-    ``_word`` is the ``weyl.word_fold`` of the generators that built it, so
-    ``reassemble`` reuses the words ``decompose`` or ``transport`` formed.
-    It is no part of ``==``, ``hash`` or ``repr``; a decomposition built by
-    hand gets a fresh fold of its ``generators``.
-    """
+    """A sum of words over a fixed tuple of generator derivations."""
 
     words: tuple[Word, ...]
     generators: tuple[Derivation, ...]
-    _fold: InitVar[Callable | None] = None
-    _word: Callable | None = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self, _fold):
+    def __post_init__(self):
         for w in self.words:
             if any(not 1 <= i <= len(self.generators) for i in w.word):
                 raise ValueError("word index out of range for the generators")
-        if _fold is None and self.generators:
-            _fold = word_fold(self.generators)
-        object.__setattr__(self, "_word", _fold)
-
-    def __reduce__(self):
-        # Copies and pickles rebuild from the data; the fold is not data.
-        return Decomposition, (self.words, self.generators)
 
 
 class DecompositionError(Exception):
@@ -195,8 +181,7 @@ def _tangency_rows(u: DiffOp, arr: Arrangement, t_max: int):
         brackets = _brackets(u, form.coeffs)
         last = len(brackets) - 1
         # A gamma that no bracket reaches has coefficient c_gamma * a^t.
-        gammas = sorted({g for level in brackets[1:] for g in level},
-                        key=lambda g: (sum(g), g))
+        gammas = sorted({g for level in brackets[1:] for g in level}, key=_grlex)
         powers = [Poly.one(arr.dim)]
         failed = False
         for t in range(1, t_max + 1):
@@ -227,12 +212,13 @@ def tangency_table(u: DiffOp, arr: Arrangement, t_max: int) -> list[TangencyRow]
 def reassemble(dec: Decomposition) -> DiffOp:
     """Expand the word sum back into one normally ordered operator.
 
-    The words come from the fold the decomposition carries, so words that
-    ``decompose`` or ``transport`` formed are not formed again.
+    A decomposition that ``decompose`` or ``transport`` returned reuses the
+    word fold that formed its words; any other one gets a fold of its own
+    ``generators`` on first use.
     """
     if not dec.generators:
         raise ValueError("decomposition carries no generators")
-    word_op = dec._word
+    word_op = _kept.get(id(dec)) or _keep(dec, word_fold(dec.generators))
     out = DiffOp.zero(dec.generators[0].nvars)
     for w in dec.words:
         out = out + w.coeff * word_op(w.word)
@@ -272,11 +258,22 @@ class _Frame:
         return powers[e]
 
 
+# What this module keeps for a live object, by ``id``: an arrangement's
+# ``_Frame`` and the word fold that formed a decomposition.  The entry goes
+# when the object dies, before its ``id`` can be reused.
+_kept: dict[int, object] = {}
+
+
+def _keep(obj, value):
+    """Keep ``value`` for ``obj`` while ``obj`` lives; return ``value``."""
+    _kept[id(obj)] = value
+    weakref.finalize(obj, _kept.pop, id(obj), None)
+    return value
+
+
 def _frame(arr: Arrangement) -> _Frame:
     """The arrangement's frame, built on first use."""
-    if arr._frame is None:
-        arr._frame = _Frame(arr)
-    return arr._frame
+    return _kept.get(id(arr)) or _keep(arr, _Frame(arr))
 
 
 def transport(u: DiffOp, arr: Arrangement) -> Decomposition:
@@ -293,8 +290,8 @@ def transport(u: DiffOp, arr: Arrangement) -> Decomposition:
     The generators, their words and the powers Q^e and Q^p come from the
     arrangement's frame (``_frame``), which keeps them for the
     arrangement's lifetime: the powers of Q up to max(p, C(p, 2)) and the
-    words up to the largest order p requested.  The result carries the
-    frame's word fold, so ``reassemble`` forms none of them again.
+    words up to the largest order p requested.  ``reassemble`` of the
+    result reuses the frame's word fold, so it forms none of them again.
     """
     if u.nvars != arr.dim:
         raise ValueError("operator over a different ambient dimension")
@@ -310,9 +307,8 @@ def transport(u: DiffOp, arr: Arrangement) -> Decomposition:
         e -= p
         qe = frame.q_power(e)
         nxt = frame.q_power(p) * cur
-        for beta in sorted(cur.terms, key=lambda b: (sum(b), b), reverse=True):
-            if sum(beta) != p:
-                continue
+        # Within one degree, tuple order is the graded order.
+        for beta in sorted((b for b in cur.terms if sum(b) == p), reverse=True):
             word = _letters(beta)
             coeff = cur.terms[beta]
             words.append(Word(qe * coeff, word))
@@ -322,7 +318,9 @@ def transport(u: DiffOp, arr: Arrangement) -> Decomposition:
         cur = nxt
     if cur:
         words.append(Word(frame.q_power(e) * cur.value_at_one(), ()))
-    return Decomposition(tuple(words), frame.generators, word_op)
+    dec = Decomposition(tuple(words), frame.generators)
+    _keep(dec, word_op)
+    return dec
 
 
 def _letters(exponents: Sequence[int]) -> tuple[int, ...]:
@@ -441,7 +439,9 @@ def decompose(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> Decomposition:
         cur = nxt
     if cur:
         words.append(Word(cur.value_at_one(), ()))
-    return Decomposition(tuple(words), thetas, word_op)
+    dec = Decomposition(tuple(words), thetas)
+    _keep(dec, word_op)
+    return dec
 
 
 def decomposition_to_json(dec: Decomposition) -> list[dict]:

@@ -58,7 +58,7 @@ def test_cofactor_identity():
 # -- tangency of derivations ----------------------------------------------------
 
 def test_euler_is_always_tangent():
-    for name in ("boolean1", "boolean2", "boolean3", "triple2", "generic3"):
+    for name in ("boolean1", "boolean2", "boolean3", "triple2", "generic3", "D4"):
         arr, _ = builtin_arrangement(name)
         assert is_tangent(euler_derivation(arr.dim), arr)
 
@@ -165,7 +165,7 @@ def test_saito_wrong_count_is_usage_error():
 
 
 def test_saito_basis_degrees_sum_to_size():
-    for name in ("boolean1", "boolean2", "boolean3", "triple2"):
+    for name in ("boolean1", "boolean2", "boolean3", "triple2", "D4"):
         arr, thetas = builtin_arrangement(name)
         result = saito_check(arr, thetas)
         assert isinstance(result, SaitoBasis)
@@ -223,7 +223,7 @@ def test_builtin_names():
     with pytest.raises(ValueError) as info:
         builtin_arrangement("nope")
     assert str(info.value) == ("unknown builtin arrangement 'nope'; choose from "
-                               "('boolean1', 'boolean2', 'boolean3', 'triple2', 'generic3')")
+                               "('boolean1', 'boolean2', 'boolean3', 'triple2', 'generic3', 'D4')")
     arr, thetas = builtin_arrangement("generic3")
     assert thetas is None
     assert arr.q == P("x*y*z*(x+y+z)", 3)
@@ -243,6 +243,12 @@ def test_builtins_are_pinned():
         "boolean3": ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], ["x1*d1", "x2*d2", "x3*d3"]),
         "triple2": ([(1, 0), (0, 1), (1, 1)], ["x1*d1 + x2*d2", "x1^2*d1 - x2^2*d2"]),
         "generic3": ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], None),
+        "D4": ([(1, 1, 0, 0), (1, -1, 0, 0), (1, 0, 1, 0), (1, 0, -1, 0), (1, 0, 0, 1),
+                (1, 0, 0, -1), (0, 1, 1, 0), (0, 1, -1, 0), (0, 1, 0, 1), (0, 1, 0, -1),
+                (0, 0, 1, 1), (0, 0, 1, -1)],
+               ["x1*d1 + x2*d2 + x3*d3 + x4*d4", "x1^3*d1 + x2^3*d2 + x3^3*d3 + x4^3*d4",
+                "x1^5*d1 + x2^5*d2 + x3^5*d3 + x4^5*d4",
+                "x2*x3*x4*d1 + x1*x3*x4*d2 + x1*x2*x4*d3 + x1*x2*x3*d4"]),
     }
 
 

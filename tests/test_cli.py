@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,12 @@ def test_check_free_three_lines(capsys):
     code, out, _ = run(capsys, "check-free", "--arrangement", "builtin:triple2")
     assert code == 0
     assert "lambda = -1" in out
+
+
+def test_check_free_d4(capsys):
+    # the first builtin whose basis is not diagonal
+    assert run(capsys, "check-free", "--arrangement", "builtin:D4") == (
+        0, "free, lambda = -1, degrees = [1, 3, 5, 3]\n", "")
 
 
 def test_check_free_generic3_candidate_rejected(tmp_path, capsys):
@@ -137,6 +144,39 @@ def test_oversized_integer_in_arrangement_file(tmp_path, capsys, int_digit_limit
     assert err == f"error: {path} is not valid JSON: an integer has more than {MAX_DIGITS} digits\n"
 
 
+@pytest.mark.parametrize("op, message, at", [
+    ("a" * 20_000, "unknown name 'aaaa", 0),
+    ("x1 " + "b" * 20_000, "unexpected trailing input 'bbbb", 3),
+    ("x1 " + "9" * 600, "unexpected trailing input 9999", 3),
+    ("x1^" + "9" * 600, "exponent 9999", 3),
+    ("x" + "1" * 600, "index 1111", 0),
+    ("x1*" + "d" * 20_000, "unknown name 'dddd", 3),
+    ("z", "alias 'z' exceeds dimension 1", 0),
+])
+def test_parse_errors_quote_long_tokens_short(capsys, op, message, at):
+    code, out, err = run(capsys, "tangent", "--arrangement", "builtin:boolean1", "--op", op)
+    assert (code, out) == (2, "")
+    assert len(err.encode()) < 200 and err.count("\n") == 1
+    assert message in err and err.endswith(f" (at position {at})\n")
+
+
+def test_integers_of_any_size_print(tmp_path, capsys, int_digit_limit):
+    # a 4,900-digit coefficient, past the default limit of 4,300 digits;
+    # Decimal converts an int exactly under any limit
+    digits = str(Decimal(9999999 ** 700))
+    assert run(capsys, "decompose", "--arrangement", "builtin:boolean1",
+               "--op", "9999999^700*x1*d1") == (0, f"word [1]: coeff {digits}\n", "")
+    assert run(capsys, "tangent", "--arrangement", "builtin:boolean1",
+               "--op", "9999999^700*d1") == (1, (
+                   "form 1 (x1): t=1 FAIL\n"
+                   f"  witness at t=1: coefficient {digits} of 1 not divisible by (x1)^1\n"
+                   "overall: not tangent\n"), "")
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps(["(1/9999999)^700*x1*d1"]))
+    assert run(capsys, "check-free", "--arrangement", "builtin:boolean1",
+               "--basis", str(basis)) == (0, f"free, lambda = 1/{digits}, degrees = [1]\n", "")
+
+
 @pytest.mark.parametrize("coeff", ["1e100000000", "1.5", " 1", "1_000", "0x10", "inf",
                                    "9" * (MAX_DIGITS + 1), "1/" + "9" * (MAX_DIGITS + 1)])
 def test_string_coefficients_follow_the_operator_grammar(tmp_path, capsys, coeff):
@@ -158,7 +198,7 @@ def test_unknown_builtin(capsys):
     assert code == 2
     assert "unknown builtin" in err
     assert err == ("error: unknown builtin arrangement 'nope'; choose from "
-                   "('boolean1', 'boolean2', 'boolean3', 'triple2', 'generic3')\n")
+                   "('boolean1', 'boolean2', 'boolean3', 'triple2', 'generic3', 'D4')\n")
 
 
 @pytest.mark.parametrize("name", _BUILTINS)

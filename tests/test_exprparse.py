@@ -1,5 +1,6 @@
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 from math import comb
 
@@ -13,6 +14,7 @@ from logdiff.exprparse import (
     MAX_TERM_PAIRS,
     MAX_TERMS,
     ParseError,
+    _number,
     parse_diffop,
     parse_poly,
     render,
@@ -285,6 +287,18 @@ def test_render_sign_and_coefficient_formatting():
     assert render(p) == "-x1^2 + 1/2*x1 - 3"
     u = parse_diffop("x2*d1*d2 - d1^2", 2)
     assert render(u) == "-d1^2 + x2*d1*d2"
+
+
+def test_numbers_render_at_any_size():
+    # str() of an int refuses more digits than the interpreter's limit;
+    # Decimal converts an int exactly under any limit
+    for k in (1, 599, 600, 601, 1199, 1200, 1201, 2401, 5000):
+        for n in (10 ** k - 1, 10 ** k, 10 ** k + 1, 7 * 10 ** k + 3):
+            assert _number(n) == str(Decimal(n))
+            assert _number(-n) == str(Decimal(-n))
+    big = Fraction(-(10 ** 700 + 1), 3 * 10 ** 900 + 7)
+    assert _number(big) == f"{Decimal(big.numerator)}/{Decimal(big.denominator)}"
+    assert render(Poly.constant(1, big) * Poly.variable(1, 1)) == f"-{_number(-big)}*x1"
 
 
 def test_render_term_order_is_graded_lex():

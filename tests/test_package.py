@@ -19,14 +19,15 @@ def test_all_names_resolve_once():
 
 
 def test_public_names_are_pinned():
-    # Removing a name is a public API change; principal_symbol, which no
-    # package code called, now lives in tests/helpers.py.
+    # Removing a name is a public API change.  principal_symbol, which no
+    # package code called, now lives in tests/helpers.py; divides_power(f,
+    # t, a) was divides(f ** t, a) with argument checks.
     assert logdiff.__all__ == [
         "Arrangement", "Decomposition", "DecompositionError", "Derivation", "DiffOp",
         "LinearForm", "NotDivisibleError", "OpFamily", "ParseError", "Poly",
         "SaitoBasis", "SaitoFailure", "Word", "builtin_arrangement", "commutator",
         "coordinates", "decompose", "decomposition_to_json", "determinant",
-        "divides_power", "euler_derivation", "exact_divide", "higher_jacobian",
+        "euler_derivation", "exact_divide", "higher_jacobian",
         "is_tangent", "is_tangent_q", "iterated_commutator", "jacobian_power_identity",
         "multiplicity_product", "parse_diffop", "parse_poly", "permanent",
         "product_family", "rank2_basis", "reassemble", "render", "saito_check",
@@ -35,6 +36,8 @@ def test_public_names_are_pinned():
     ]
     assert not hasattr(logdiff, "principal_symbol")
     assert not hasattr(logdiff.weyl, "principal_symbol")
+    assert not hasattr(logdiff, "divides_power")
+    assert not hasattr(logdiff.polyring, "divides_power")
 
 
 def test_imports_only_the_standard_library():
