@@ -5,7 +5,8 @@ tangent operator as words in a basis), ``tangent`` (tangency table, by
 default up to the exact cutoff max(ord u, 1)), and ``verify`` (seeded
 randomized checks of the core identities).
 
-Exit codes: 0 success, 1 mathematical negative, 2 usage or parse error,
+Exit codes: 0 success, 1 mathematical negative, 2 usage or parse error
+(a monomial past ``polyring.MAX_DEGREE`` included, wherever it arises),
 3 internal error (a result failed its own invariant check, which is a bug).
 Arrangements come from JSON files ``{"dim": l, "forms": [[coeff, ...],
 ...], "basis": ["op text", ...]}`` or from the named fixtures
@@ -29,7 +30,7 @@ from .arrangement import (Arrangement, SaitoBasis, SaitoFailure, _load_basis, _l
 from .exprparse import MAX_DIGITS, ParseError, _number, _quote, parse_diffop, render
 from .jacobian import OpFamily, higher_jacobian, jacobian_power_identity
 from .linalg import sym_indices, sym_power_det_identity_holds
-from .polyring import Poly, coordinates, divides
+from .polyring import DegreeLimitError, Poly, coordinates, divides
 from .sampling import random_int_matrix, random_order_one_op, random_word
 from .tangent import (
     DecompositionError,
@@ -43,6 +44,14 @@ from .weyl import Derivation, DiffOp, word_fold
 
 class CliError(Exception):
     """Input could not be loaded or validated; maps to exit code 2."""
+
+
+def _int_arg(text: str) -> int:
+    """The ``type`` of every integer option: a bad value is quoted short."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quote(text)}") from None
 
 
 def _json_int(text: str) -> int:
@@ -144,7 +153,7 @@ def cmd_tangent(args) -> int:
         where = f"the exact cutoff max(order, 1) = {t_max}"
     else:
         t_max = args.tmax
-        where = f"--tmax {t_max}"
+        where = f"--tmax {_quote(t_max)}"
     if t_max < 1:
         raise CliError("--tmax must be at least 1")
     if t_max > MAX_TMAX:
@@ -210,8 +219,8 @@ def _report(name: str, details: str, trials: int, seed: int, failures: list[str]
 def _check_verify_size(dim: int, p: int) -> None:
     # dim and p first: they bound the cost of comb.
     if max(dim, p) > MAX_VERIFY_SIZE or comb(p + dim - 1, p) > MAX_VERIFY_SIZE:
-        raise CliError(f"l = {dim}, p = {p}: max(l, p, C(p+l-1, p)) exceeds the limit "
-                       f"{MAX_VERIFY_SIZE}")
+        raise CliError(f"l = {_quote(dim)}, p = {_quote(p)}: max(l, p, C(p+l-1, p)) exceeds "
+                       f"the limit {MAX_VERIFY_SIZE}")
 
 
 def _verify_sym_power(args) -> int:
@@ -232,7 +241,8 @@ def _verify_arrangement(args) -> tuple[Arrangement, tuple[Derivation, ...] | Non
     """Load ``--arrangement``; an explicit ``--l`` must be its dimension."""
     arr, thetas = _load_arrangement(args.arrangement)
     if args.l not in (None, arr.dim):
-        raise CliError(f"--l {args.l} does not match the dimension {arr.dim} of {args.arrangement}")
+        raise CliError(f"--l {_quote(args.l)} does not match the dimension {arr.dim} of "
+                       f"{args.arrangement}")
     return arr, thetas
 
 
@@ -331,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tangent", help="tangency table for an operator")
     p.add_argument("--arrangement", required=True)
     p.add_argument("--op", required=True)
-    p.add_argument("--tmax", type=int,
+    p.add_argument("--tmax", type=_int_arg,
                    help=f"last power t to check, at most {MAX_TMAX}; "
                         "default max(order, 1), which decides tangency exactly")
     p.set_defaults(func=cmd_tangent)
@@ -339,11 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="seeded randomized checks of the core identities")
     p.add_argument("--lemma", required=True,
                    choices=["sym-power", "jacobian-power", "divisibility"])
-    p.add_argument("--l", type=int,
+    p.add_argument("--l", type=_int_arg,
                    help="ambient dimension (default 2); with --arrangement, its dimension")
-    p.add_argument("--p", type=int, default=2, help="power / level")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--p", type=_int_arg, default=2, help="power / level")
+    p.add_argument("--trials", type=_int_arg, default=100)
+    p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--arrangement", help="fixture for jacobian-power / divisibility")
     p.add_argument("--basis")
     p.set_defaults(func=cmd_verify)
@@ -358,7 +368,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, DegreeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

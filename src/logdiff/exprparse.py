@@ -12,9 +12,11 @@ loose: ``^``, unary ``-``, ``*``, binary ``+``/``-``)::
 Integers of more than ``MAX_DIGITS`` digits, exponents above
 ``MAX_EXPONENT``, nesting (open parentheses plus pending unary minus
 signs) deeper than ``MAX_NESTING``, any sum, product or step of a power
-with more than ``MAX_TERMS`` terms (counted over all coefficients), and
-any product or step of a power that multiplies more than
-``MAX_TERM_PAIRS`` pairs of terms are rejected with a ``ParseError``:
+with more than ``MAX_TERMS`` terms (counted over all coefficients), any
+product or step of a power that multiplies more than ``MAX_TERM_PAIRS``
+pairs of terms, and any product or step of a power with a monomial of
+total degree above ``polyring.MAX_DEGREE`` are rejected with a
+``ParseError``:
 powers are computed by repeated multiplication, the parser recurses once
 per nesting level, the term check after every step stops an expansion
 before it grows large, and the pair check before every multiplication
@@ -38,7 +40,7 @@ from fractions import Fraction
 from math import prod
 from operator import attrgetter
 
-from .polyring import Poly, Scalar, _grlex
+from .polyring import DegreeLimitError, Poly, Scalar, _grlex
 from .weyl import DiffOp
 
 # Whitespace between tokens is skipped; any other character the grammar
@@ -55,6 +57,9 @@ MAX_NESTING = 100
 MAX_TERMS = 10_000
 # A product multiplies every term of one factor by every term of the other.
 MAX_TERM_PAIRS = 1_000_000
+# Nested powers multiply exponents, so ``polyring.MAX_DEGREE`` bounds the
+# total degree of every monomial too: ``product`` turns the
+# ``DegreeLimitError`` of a product past it into a ParseError.
 # int() refuses decimal strings over the interpreter's limit, 4,300 digits
 # by default and settable down to 640; no setting of it decides at 640.
 MAX_DIGITS = 640
@@ -175,7 +180,11 @@ class _Parser:
             reach *= prod(max(col) + 1 for col in zip(*terms))
         if reach > MAX_TERM_PAIRS // MAX_TERMS and _term_pairs(left, right) > MAX_TERM_PAIRS:
             raise ParseError(f"product has more than {MAX_TERM_PAIRS} term pairs", at)
-        return self.bounded(left * right, at)
+        try:
+            value = left * right
+        except DegreeLimitError as exc:
+            raise ParseError(str(exc), at) from None
+        return self.bounded(value, at)
 
     def parse(self) -> DiffOp:
         value = self.expr()
@@ -280,12 +289,11 @@ class _Parser:
             kind, index = m.group(1), _integer(m.group(2), at + 1)
             if not 1 <= index <= n:
                 raise ParseError(f"index {_quote(index)} out of range 1..{n}", at)
-        unit = tuple(1 if i == index else 0 for i in range(1, n + 1))
         if kind == "x":
-            return DiffOp._make(n, {self.one: Poly._make(n, {unit: 1})})
+            return DiffOp.from_poly(Poly.variable(n, index))
         if not self.allow_partials:
             raise ParseError("partials are not allowed in a polynomial", at)
-        return DiffOp._make(n, {unit: Poly._make(n, {self.one: 1})})
+        return DiffOp.partial(n, index)
 
 
 def parse_diffop(text: str, nvars: int) -> DiffOp:

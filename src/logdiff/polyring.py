@@ -1,10 +1,28 @@
 """Exact sparse polynomials over the rationals in a fixed number of variables.
 
-A polynomial is a finite map from exponent tuples to nonzero rational
+A polynomial is a finite map from monomials to nonzero rational
 coefficients.  Coefficients are arbitrary-precision rationals; integral
 values are stored as plain ``int`` (``hash``/``==`` compatible with
 ``Fraction`` and much faster).  Nothing in this module touches floating
 point.
+
+Inside a ``Poly`` each monomial is one int key: the total degree, then
+the exponents of x1 .. xl, in fields of ``_WIDTH`` bits from the top down,
+the same width in every ring.  The top bit of each field is a guard that
+stays clear, so every field holds at most ``MAX_DEGREE``; a total degree
+above that raises ``DegreeLimitError`` and never wraps.  Three facts
+follow:
+
+- int order on keys is the graded lexicographic order (``_grlex``);
+- a monomial product is one int sum, with no carry between fields;
+- m is divisible by b exactly when m - b sets no guard bit, and then m - b
+  is the quotient's key.
+
+The format stays in this module: the constructors take exponent tuples,
+``as_dict``, ``sorted_terms`` and ``degrees`` give them back, and
+``linear_coefficients`` reads a polynomial of degree at most 1 straight
+off its keys for ``weyl.commutator``, where a bracket with a coordinate
+is the common case.
 
 An operator ``sum_b f_b d^b`` (``weyl.DiffOp``) is the same kind of map,
 from partial-derivative exponent tuples to nonzero polynomials, so both
@@ -17,30 +35,30 @@ Variables are positional and 1-based in the public API: ``x1 .. xl``.
 from __future__ import annotations
 
 import heapq
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import perm, prod
-from operator import add, neg, sub
+from functools import cache
+from math import perm
 from typing import Mapping, Sequence
 
 Monomial = tuple[int, ...]
 Scalar = int | Fraction
 
-# At index k, the ``struct`` code of the narrowest unsigned field of 1, 2,
-# 4 or 8 bytes that holds a k-byte exponent.
-_FIELD_CODES = "BBHIIQQQQ"
-# ``Poly.__mul__`` packs two factors of at least this many terms each.  On
-# the 16,788 products of two factors of two terms or more in seed-7
-# tangent-transport, decompose and verify requests (2-core Xeon VM), packing
-# lost with a 2-term factor (2 by 4 terms: 15.2 ms against 11.5 plain), broke
-# even with a 3-term one and won from 4 by 4 terms on (4.8 against 6.5 ms).
-_PACKED_MIN_TERMS = 4
+# Bits per field of a packed monomial key, guard bit included.
+_WIDTH = 32
+_FIELD = (1 << _WIDTH) - 1
+MAX_DEGREE = (1 << (_WIDTH - 1)) - 1
 
 
 class NotDivisibleError(ArithmeticError):
     """Exact division was requested but the divisor leaves a remainder."""
+
+
+class DegreeLimitError(ValueError):
+    """A monomial's total degree would exceed ``MAX_DEGREE``."""
+
+    def __init__(self):
+        super().__init__(f"monomial degree exceeds the limit {MAX_DEGREE}")
 
 
 def simplify_scalar(c: Scalar) -> Scalar:
@@ -55,7 +73,42 @@ def _grlex(m: Monomial) -> tuple[int, Monomial]:
     return (sum(m), m)
 
 
-def _canon(terms: dict[Monomial, Scalar]) -> dict[Monomial, Scalar]:
+def _pack(mono: Monomial) -> int:
+    """The key of a monomial with non-negative exponents."""
+    key = degree = 0
+    for e in mono:
+        key = key << _WIDTH | e
+        degree += e
+    if degree > MAX_DEGREE:
+        raise DegreeLimitError()
+    return degree << (_WIDTH * len(mono)) | key
+
+
+@cache
+def _shifts(nvars: int) -> tuple[int, ...]:
+    """The bit offsets of the fields of x1 .. xl."""
+    return tuple(_WIDTH * i for i in reversed(range(nvars)))
+
+
+@cache
+def _columns(nvars: int) -> tuple[tuple[int, int], ...]:
+    """(i, offset of the field of x<i+1>) for each variable."""
+    return tuple(enumerate(_shifts(nvars)))
+
+
+@cache
+def _guards(nvars: int) -> int:
+    """The guard bits of every field, the degree field's included."""
+    return sum(1 << (_WIDTH * i + _WIDTH - 1) for i in range(nvars + 1))
+
+
+def _unpack(keys, nvars: int) -> list[Monomial]:
+    """The exponent tuples of these keys, in their order."""
+    shifts = _shifts(nvars)
+    return [tuple([m >> s & _FIELD for s in shifts]) for m in keys]
+
+
+def _canon(terms: dict) -> dict:
     """Drop zero coefficients, scalar or polynomial, and store integral
     Fractions as int.
 
@@ -71,13 +124,14 @@ def _canon(terms: dict[Monomial, Scalar]) -> dict[Monomial, Scalar]:
 
 
 class _Terms:
-    """A finite map ``terms`` from exponent tuples of length ``nvars`` to
-    nonzero coefficients, with the operations that only add coefficients.
+    """A finite map ``terms`` from monomial keys to nonzero coefficients,
+    with the operations that only add coefficients.
 
     Subclasses supply ``_make(nvars, terms)``, which wraps a canonical map
-    in a result, and ``_coerce(other)``, which returns ``other`` as an
+    in a result, ``_coerce(other)``, which returns ``other`` as an
     instance over the same ``nvars``, None for a type it does not take,
-    or raises ValueError for another dimension.
+    or raises ValueError for another dimension, and ``_one``, the key of
+    the monomial 1.
     """
 
     __slots__ = ("nvars", "terms")
@@ -129,13 +183,13 @@ class _Terms:
 
     def __hash__(self) -> int:
         # Equal values hash equally across kinds: a map with no key but the
-        # zero exponent (a constant polynomial, an operator of order 0)
-        # equals its coefficient and hashes as it, and the zero map as 0.
+        # monomial 1 (a constant polynomial, an operator of order 0) equals
+        # its coefficient and hashes as it, and the zero map as 0.
         terms = self.terms
         if len(terms) <= 1:
             if not terms:
                 return hash(0)
-            c = terms.get((0,) * self.nvars)
+            c = terms.get(self._one)
             if c is not None:
                 return hash(c)
         return hash((self.nvars, frozenset(terms.items())))
@@ -152,17 +206,18 @@ class _Terms:
 class Poly(_Terms):
     """Immutable multivariate polynomial with exact rational coefficients.
 
-    ``terms`` maps exponent tuples of length ``nvars`` to nonzero scalars;
-    the zero polynomial has an empty map.  Instances are treated as
-    immutable after construction and are safe to share.
+    ``terms`` maps packed monomial keys (see the module docstring) to
+    nonzero scalars; the zero polynomial has an empty map.  Instances are
+    treated as immutable after construction and are safe to share.
     """
 
     __slots__ = ()
+    _one = 0
 
     def __init__(self, nvars: int, terms: Mapping[Monomial, Scalar] | None = None):
         if nvars < 1:
             raise ValueError("need at least one variable")
-        clean: dict[Monomial, Scalar] = {}
+        clean: dict[int, Scalar] = {}
         if terms:
             for mono, coeff in terms.items():
                 mono = tuple(mono)
@@ -172,17 +227,17 @@ class Poly(_Terms):
                     raise ValueError(f"negative exponent in {mono}")
                 coeff = simplify_scalar(coeff)
                 if coeff != 0:
-                    clean[mono] = coeff
+                    clean[_pack(mono)] = coeff
         self.nvars = nvars
         self.terms = clean
 
     @classmethod
-    def _make(cls, nvars: int, terms: dict[Monomial, Scalar]) -> Poly:
+    def _make(cls, nvars: int, terms: dict[int, Scalar]) -> Poly:
         """Wrap an already canonical map without validating it.
 
-        Internal results only: every key is a length-``nvars`` tuple of
-        non-negative ints and every value a nonzero int or non-integral
-        Fraction.  The map is owned by the new polynomial.
+        Internal results only: every key is a packed ``nvars``-variable
+        monomial and every value a nonzero int or non-integral Fraction.
+        The map is owned by the new polynomial.
         """
         out = object.__new__(cls)
         out.nvars = nvars
@@ -197,19 +252,22 @@ class Poly(_Terms):
 
     @classmethod
     def one(cls, nvars: int) -> Poly:
-        return cls(nvars, {(0,) * nvars: 1})
+        return cls.constant(nvars, 1)
 
     @classmethod
     def constant(cls, nvars: int, value: Scalar) -> Poly:
-        return cls(nvars, {(0,) * nvars: value})
+        out = cls(nvars)
+        value = simplify_scalar(value)
+        if value:
+            out.terms[0] = value
+        return out
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> Poly:
         """The polynomial ``x<index>`` (1-based index)."""
         if not 1 <= index <= nvars:
             raise ValueError(f"variable index {index} out of range 1..{nvars}")
-        mono = tuple(1 if i == index - 1 else 0 for i in range(nvars))
-        return cls(nvars, {mono: 1})
+        return cls._make(nvars, {_unit(nvars, index - 1): 1})
 
     @classmethod
     def monomial(cls, nvars: int, exponents: Sequence[int], coeff: Scalar = 1) -> Poly:
@@ -222,27 +280,52 @@ class Poly(_Terms):
         """Total degree, or None for the zero polynomial."""
         if not self.terms:
             return None
-        return max(sum(m) for m in self.terms)
+        return max(self.terms) >> _WIDTH * self.nvars
 
     def is_homogeneous(self) -> bool:
         """True when all terms share one total degree (vacuously for zero)."""
-        return len({sum(m) for m in self.terms}) <= 1
+        shift = _WIDTH * self.nvars
+        return len({m >> shift for m in self.terms}) <= 1
 
     def degrees(self) -> tuple[int, ...]:
         """Per-variable maximum exponents (all zero for the zero polynomial)."""
         out = [0] * self.nvars
+        columns = _columns(self.nvars)
         for m in self.terms:
-            for i, e in enumerate(m):
+            for i, s in columns:
+                e = m >> s & _FIELD
                 if e > out[i]:
                     out[i] = e
         return tuple(out)
 
     def constant_term(self) -> Scalar:
-        return self.terms.get((0,) * self.nvars, 0)
+        return self.terms.get(0, 0)
+
+    def as_dict(self) -> dict[Monomial, Scalar]:
+        """The terms as a new map from exponent tuples to coefficients."""
+        terms = self.terms
+        return dict(zip(_unpack(terms, self.nvars), terms.values()))
+
+    def linear_coefficients(self) -> list[Scalar] | None:
+        """[c1, ..., cl] when the polynomial is c0 + c1*x1 + ... + cl*xl,
+        None when its degree is 2 or more."""
+        n = self.nvars
+        shift = _WIDTH * n
+        out = [0] * n
+        for m, c in self.terms.items():
+            degree = m >> shift
+            if degree > 1:
+                return None
+            if degree:
+                # The one exponent field that holds 1 is x<i+1>'s.
+                out[n - 1 - ((m ^ 1 << shift).bit_length() - 1) // _WIDTH] = c
+        return out
 
     def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
         """Terms in descending graded-lex order (canonical print order)."""
-        return sorted(self.terms.items(), key=lambda kv: _grlex(kv[0]), reverse=True)
+        terms = self.terms
+        keys = sorted(terms, reverse=True)
+        return list(zip(_unpack(keys, self.nvars), map(terms.__getitem__, keys)))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -259,12 +342,12 @@ class Poly(_Terms):
         return None
 
     def __mul__(self, other) -> Poly:
-        """The package's one polynomial product, by a kernel chosen from the
-        factors.  A one-term factor shifts and scales the other's terms: no
-        two results meet and none is zero, so nothing is summed or dropped.
-        Factors of ``_PACKED_MIN_TERMS`` terms or more multiply packed
-        monomials (``_packed_product``) while every field fits in 64 bits.
-        All else sums each pair of terms under tuple keys."""
+        """The package's one polynomial product.  A one-term factor shifts
+        and scales the other's terms: no two results meet and none is zero,
+        so nothing is summed or dropped.  Otherwise each pair of terms is
+        summed under the sum of their keys.  The leading terms multiply to
+        the leading term, so the sum of the leading keys decides whether
+        the product's degree passes ``MAX_DEGREE``."""
         if not isinstance(other, Poly):
             # Poly first: isinstance against Fraction, an ABC, is slow to fail.
             if not isinstance(other, (int, Fraction)):
@@ -273,25 +356,26 @@ class Poly(_Terms):
         self._check_same_ring(other)
         n = self.nvars
         a, b = self.terms, other.terms
+        if not a or not b:
+            return Poly._make(n, {})
         if len(b) == 1:
             a, b = b, a
         if len(a) == 1:
             ((ma, ca),) = a.items()
+            if ma + max(b) >> _WIDTH * n > MAX_DEGREE:
+                raise DegreeLimitError()
             return Poly._make(n, {
-                tuple(map(add, ma, mb)):
-                    c.numerator if type(c := ca * cb) is Fraction and c.denominator == 1 else c
+                ma + mb: c.numerator if type(c := ca * cb) is Fraction and c.denominator == 1 else c
                 for mb, cb in b.items()
             })
-        if min(len(a), len(b)) >= _PACKED_MIN_TERMS:
-            out = _packed_product(self, other)
-            if out is not None:
-                return out
-        acc: dict[Monomial, Scalar] = {}
+        if max(a) + max(b) >> _WIDTH * n > MAX_DEGREE:
+            raise DegreeLimitError()
+        acc: dict[int, Scalar] = {}
         get = acc.get
         items = b.items()
         for ma, ca in a.items():
             for mb, cb in items:
-                key = tuple(map(add, ma, mb))
+                key = ma + mb
                 acc[key] = get(key, 0) + ca * cb
         return Poly._make(n, _canon(acc))
 
@@ -303,6 +387,9 @@ class Poly(_Terms):
             raise ValueError("polynomial power needs a non-negative integer exponent")
         if n == 0:
             return Poly.one(self.nvars)
+        # Refused before the first product, so that no loop runs up to it.
+        if (self.degree or 0) * n > MAX_DEGREE:
+            raise DegreeLimitError()
         out = self
         for _ in range(n - 1):
             out = out * self
@@ -318,48 +405,42 @@ class Poly(_Terms):
 
     def diff_multi(self, exponents: Sequence[int]) -> Poly:
         """Apply the mixed partial d^e1/dx1^e1 ... in one pass."""
-        if len(exponents) != self.nvars:
+        n = self.nvars
+        if len(exponents) != n:
             raise ValueError("derivative exponent tuple has wrong length")
-        out: dict[Monomial, Scalar] = {}
+        fields = []
+        order = step = 0
+        for s, d in zip(_shifts(n), exponents):
+            if d:
+                if d < 0:
+                    raise ValueError(f"negative derivative exponent in {tuple(exponents)}")
+                fields.append((s, d))
+                order += d
+                step |= d << s
+        if not fields:
+            return self
+        # A derivative of order above every term's degree leaves nothing.
+        if order > MAX_DEGREE:
+            return Poly._make(n, {})
+        step |= order << _WIDTH * n
+        guards = _guards(n)
+        out: dict[int, Scalar] = {}
         for m, c in self.terms.items():
-            # perm(e, d) is the falling factorial e(e-1)...(e-d+1), 0 for d > e;
-            # distinct surviving monomials keep distinct keys.
-            factor = prod(map(perm, m, exponents))
-            if factor:
-                out[tuple(map(sub, m, exponents))] = c * factor
-        return Poly._make(self.nvars, _canon(out))
+            # A borrow sets a guard bit exactly when some exponent of m is
+            # below the derivative's; the distinct survivors keep distinct keys.
+            key = m - step
+            if key & guards:
+                continue
+            # perm(e, d) is the falling factorial e(e-1)...(e-d+1).
+            for s, d in fields:
+                c = c * perm(m >> s & _FIELD, d)
+            out[key] = c
+        return Poly._make(n, _canon(out))
 
 
-@lru_cache(maxsize=64)
-def _layout(codes: str) -> struct.Struct:
-    return struct.Struct(">" + codes)
-
-
-def _packed_product(f: Poly, g: Poly) -> Poly | None:
-    """f * g with every monomial packed into one int, or None where a field
-    would pass 64 bits.  Field i is the narrowest unsigned ``struct`` field
-    that holds deg_i f + deg_i g, so a monomial product is one int sum with
-    no carry between fields.  Each term is packed once and each result term
-    unpacked once."""
-    tops = list(map(add, map(max, zip(*f.terms)), map(max, zip(*g.terms))))
-    if max(tops).bit_length() > 64:
-        return None
-    layout = _layout("".join([_FIELD_CODES[(top.bit_length() + 7) >> 3] for top in tops]))
-    pack, unpack, size = layout.pack, layout.unpack, layout.size
-    from_bytes = int.from_bytes
-    packed = [(from_bytes(pack(*m), "big"), c) for m, c in g.terms.items()]
-    acc: dict[int, Scalar] = {}
-    get = acc.get
-    for ma, ca in f.terms.items():
-        ka = from_bytes(pack(*ma), "big")
-        for kb, cb in packed:
-            key = ka + kb
-            acc[key] = get(key, 0) + ca * cb
-    return Poly._make(f.nvars, {
-        unpack(key.to_bytes(size, "big")):
-            c.numerator if type(c) is Fraction and c.denominator == 1 else c
-        for key, c in acc.items() if c
-    })
+def _unit(nvars: int, index: int) -> int:
+    """The key of x<index> (0-based index)."""
+    return 1 << _WIDTH * nvars | 1 << _shifts(nvars)[index]
 
 
 @dataclass(frozen=True)
@@ -380,10 +461,7 @@ class LinearForm:
 
     def as_poly(self) -> Poly:
         n = self.nvars
-        return Poly(n, {
-            tuple(1 if j == i else 0 for j in range(n)): c
-            for i, c in enumerate(self.coeffs) if c != 0
-        })
+        return Poly._make(n, {_unit(n, i): c for i, c in enumerate(self.coeffs) if c != 0})
 
     def proportional_to(self, other: LinearForm) -> bool:
         if self.nvars != other.nvars:
@@ -398,9 +476,10 @@ def exact_divide(a: Poly, b: Poly) -> Poly:
     Single-divisor multivariate division with graded-lex leading terms:
     b divides a exactly iff the running remainder's leading term is always
     divisible by the leading term of b, which this loop enforces.  The
-    remainder's monomials sit in a max-heap on the graded-lex key; a
-    monomial whose coefficient cancels to zero stays in the map until the
-    heap reaches it, so each one is pushed and popped once.
+    remainder's keys sit in a heap of their negations, a max-heap on the
+    graded-lex order; a monomial whose coefficient cancels to zero stays in
+    the map until the heap reaches it, so each one is pushed and popped
+    once.
     """
     if not isinstance(a, Poly) or not isinstance(b, Poly):
         raise TypeError("exact_divide expects polynomials")
@@ -409,24 +488,25 @@ def exact_divide(a: Poly, b: Poly) -> Poly:
         raise ZeroDivisionError("division by the zero polynomial")
     if not a:
         return Poly.zero(a.nvars)
-    lead_b = max(b.terms, key=_grlex)
+    lead_b = max(b.terms)
     cb = b.terms[lead_b]
     int_cb = type(cb) is int
+    guards = _guards(a.nvars)
     # b's leading term cancels the popped term exactly; the rest of b only
     # reaches monomials below it, so a popped monomial never comes back.
     tail = [(mb, c) for mb, c in b.terms.items() if mb != lead_b]
     rem = dict(a.terms)
-    # heapq is a min-heap: negate degree and exponents for a max on grlex.
-    heap = [(-sum(m), tuple(map(neg, m)), m) for m in rem]
+    heap = [-m for m in rem]
     heapq.heapify(heap)
-    quot: dict[Monomial, Scalar] = {}
+    pop, push = heapq.heappop, heapq.heappush
+    quot: dict[int, Scalar] = {}
     while heap:
-        m = heapq.heappop(heap)[2]
+        m = -pop(heap)
         c = rem.pop(m)
         if not c:
             continue
-        mq = tuple(map(sub, m, lead_b))
-        if min(mq) < 0:
+        mq = m - lead_b
+        if mq & guards:
             raise NotDivisibleError("remainder is nonzero")
         if int_cb and type(c) is int and not c % cb:
             cq = c // cb
@@ -436,11 +516,11 @@ def exact_divide(a: Poly, b: Poly) -> Poly:
                 cq = cq.numerator
         quot[mq] = cq
         for mb, cbb in tail:
-            key = tuple(map(add, mq, mb))
+            key = mq + mb
             old = rem.get(key)
             if old is None:
                 rem[key] = -cq * cbb
-                heapq.heappush(heap, (-sum(key), tuple(map(neg, key)), key))
+                push(heap, -key)
             else:
                 rem[key] = old - cq * cbb
     return Poly._make(a.nvars, quot)

@@ -218,7 +218,7 @@ def reassemble(dec: Decomposition) -> DiffOp:
     """
     if not dec.generators:
         raise ValueError("decomposition carries no generators")
-    word_op = _kept.get(id(dec)) or _keep(dec, word_fold(dec.generators))
+    word_op = _kept_for(dec) or _keep(dec, word_fold(dec.generators))
     out = DiffOp.zero(dec.generators[0].nvars)
     for w in dec.words:
         out = out + w.coeff * word_op(w.word)
@@ -258,22 +258,40 @@ class _Frame:
         return powers[e]
 
 
+class _Entry(weakref.ref):
+    """A weak reference to a live object, with the value kept for it."""
+
+    __slots__ = ("key", "value")
+
+
+def _drop(entry: _Entry) -> None:
+    _kept.pop(entry.key, None)
+
+
 # What this module keeps for a live object, by ``id``: an arrangement's
-# ``_Frame`` and the word fold that formed a decomposition.  The entry goes
-# when the object dies, before its ``id`` can be reused.
-_kept: dict[int, object] = {}
+# ``_Frame`` and the word fold that formed a decomposition.  The entry's
+# callback removes it when the object dies, before its ``id`` can be reused.
+_kept: dict[int, _Entry] = {}
 
 
 def _keep(obj, value):
     """Keep ``value`` for ``obj`` while ``obj`` lives; return ``value``."""
-    _kept[id(obj)] = value
-    weakref.finalize(obj, _kept.pop, id(obj), None)
+    entry = _Entry(obj, _drop)
+    entry.key = id(obj)
+    entry.value = value
+    _kept[entry.key] = entry
     return value
+
+
+def _kept_for(obj):
+    """The value kept for ``obj``, or None."""
+    entry = _kept.get(id(obj))
+    return None if entry is None else entry.value
 
 
 def _frame(arr: Arrangement) -> _Frame:
     """The arrangement's frame, built on first use."""
-    return _kept.get(id(arr)) or _keep(arr, _Frame(arr))
+    return _kept_for(arr) or _keep(arr, _Frame(arr))
 
 
 def transport(u: DiffOp, arr: Arrangement) -> Decomposition:

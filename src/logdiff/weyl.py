@@ -76,9 +76,13 @@ class DiffOp(_Terms):
         if not 1 <= index <= nvars:
             raise ValueError(f"partial index {index} out of range 1..{nvars}")
         beta = tuple(1 if i == index - 1 else 0 for i in range(nvars))
-        return DiffOp(nvars, {beta: Poly.one(nvars)})
+        return DiffOp._make(nvars, {beta: Poly.one(nvars)})
 
     # -- queries ------------------------------------------------------------
+
+    @property
+    def _one(self) -> Monomial:
+        return (0,) * self.nvars
 
     @property
     def order(self) -> int | None:
@@ -281,11 +285,8 @@ def commutator(u: DiffOp, v) -> DiffOp:
         return u * w - w * u
     n = u.nvars
     f = w.value_at_one()
-    if all(sum(m) <= 1 for m in f.terms):
-        alpha = [0] * n
-        for m, c in f.terms.items():
-            if any(m):
-                alpha[m.index(1)] = c
+    alpha = f.linear_coefficients()
+    if alpha is not None:
         return DiffOp._make(n, _bracket_linear(u.terms, alpha))
     out: dict[Monomial, Poly] = {}
     _leibniz_into(out, u.terms.items(), f, (0,) * n, 1)

@@ -129,7 +129,7 @@ def commutator_value_matrix_by_products(fs: Sequence[Poly], fam: OpFamily) -> li
 def eval_poly(f: Poly, point) -> Fraction:
     """Independent polynomial evaluation at a rational point."""
     total = Fraction(0)
-    for mono, coeff in f.terms.items():
+    for mono, coeff in f.as_dict().items():
         value = Fraction(coeff)
         for e, x in zip(mono, point):
             value *= Fraction(x) ** e
@@ -139,11 +139,13 @@ def eval_poly(f: Poly, point) -> Fraction:
 
 def mul_by_terms(a: Poly, b: Poly) -> Poly:
     """Reference route for ``Poly.__mul__``: every pair of terms multiplied
-    as Fractions and summed in one map, which the validating ``Poly``
-    constructor then cleans, with no choice of kernel."""
+    as Fractions under exponent tuples read through ``Poly.as_dict``,
+    summed in one map, which the validating ``Poly`` constructor then
+    cleans; no packed key is formed here."""
     out = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
+    b_terms = b.as_dict()
+    for ma, ca in a.as_dict().items():
+        for mb, cb in b_terms.items():
             key = tuple(x + y for x, y in zip(ma, mb))
             out[key] = out.get(key, Fraction(0)) + Fraction(ca) * Fraction(cb)
     return Poly(a.nvars, out)
@@ -153,13 +155,16 @@ def exact_divide_by_rescan(a: Poly, b: Poly) -> Poly:
     """Reference route for ``exact_divide``: rescan the remainder for its
     graded-lex leading term before each quotient term (quadratic in the
     number of terms), raising NotDivisibleError when that term is not a
-    multiple of b's leading term."""
+    multiple of b's leading term.  Monomials are exponent tuples read
+    through ``Poly.as_dict`` and ordered by tuple comparison, independent
+    of the packed keys."""
     def grlex(m):
         return (sum(m), m)
 
-    lead_b = max(b.terms, key=grlex)
-    cb = b.terms[lead_b]
-    rem = dict(a.terms)
+    b_terms = b.as_dict()
+    lead_b = max(b_terms, key=grlex)
+    cb = b_terms[lead_b]
+    rem = a.as_dict()
     quot = {}
     while rem:
         m = max(rem, key=grlex)
@@ -168,7 +173,7 @@ def exact_divide_by_rescan(a: Poly, b: Poly) -> Poly:
             raise NotDivisibleError("remainder is nonzero")
         cq = simplify_scalar(Fraction(rem[m]) / Fraction(cb))
         quot[mq] = cq
-        for mb, cbb in b.terms.items():
+        for mb, cbb in b_terms.items():
             key = tuple(x + y for x, y in zip(mq, mb))
             s = rem.get(key, 0) - cq * cbb
             if s == 0:
@@ -237,7 +242,7 @@ def principal_symbol(u: DiffOp) -> Poly:
     terms = {}
     for beta, coeff in u.terms.items():
         if sum(beta) == p:
-            for mono, c in coeff.terms.items():
+            for mono, c in coeff.as_dict().items():
                 terms[mono + beta] = c
     return Poly(2 * n, terms)
 

@@ -14,7 +14,8 @@ import logdiff.cli
 import logdiff.tangent
 from logdiff.arrangement import _BUILTINS, builtin_arrangement, euler_derivation
 from logdiff.cli import MAX_VERIFY_SIZE, main
-from logdiff.exprparse import MAX_DIGITS, render
+from logdiff.exprparse import MAX_DIGITS, parse_poly, render
+from logdiff.polyring import MAX_DEGREE
 from logdiff.sampling import random_order_one_op, random_poly, random_word
 from logdiff.tangent import is_tangent
 from logdiff.weyl import Derivation, word_fold
@@ -456,6 +457,46 @@ def test_tangent_huge_exponent_is_a_parse_error(capsys):
     )
     assert code == 2
     assert err.startswith("error: ") and "exceeds the limit" in err
+
+
+def test_degree_limit_exits_2(capsys):
+    # a nested power past the limit is a parse error
+    code, out, err = run(
+        capsys, "tangent", "--arrangement", "builtin:boolean1",
+        "--op", "((((((x^1000)^1000)^1000)^1000)^1000)^1000)^1000*d1",
+    )
+    assert (code, out) == (2, "")
+    assert err == ("error: operator '((((((x^1000)^1000)^1000)^1000)^1000)^10...': monomial "
+                   f"degree exceeds the limit {MAX_DEGREE} (at position 26)\n")
+    # an operator at the limit parses and decomposes, but its witness
+    # x * x^MAX_DEGREE at t = 1 passes the limit
+    top = "(((x^1000)^1000)^1000)^2*((x^1000)^1000)^147*(x^1000)^483*x^647"
+    assert parse_poly(top, 1).degree == MAX_DEGREE
+    code, out, _ = run(capsys, "decompose", "--arrangement", "builtin:boolean1",
+                       "--op", f"{top}*d1")
+    assert (code, out) == (0, f"word [1]: coeff x1^{MAX_DEGREE - 1}\n")
+    code, out, err = run(
+        capsys, "tangent", "--arrangement", "builtin:boolean1", "--op", f"{top}*d1 + d1 + {top}",
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: monomial degree exceeds the limit {MAX_DEGREE}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["tangent", "--arrangement", "builtin:boolean1", "--op", "x*d1", "--tmax", "t" * 20_000],
+    ["tangent", "--arrangement", "builtin:boolean1", "--op", "x*d1", "--tmax", "9" * 3000],
+    ["tangent", "--arrangement", "builtin:boolean1", "--op", "x*d1", "--tmax", "9" * 5000],
+    ["verify", "--lemma", "sym-power", "--p", "9" * 3000],
+    ["verify", "--lemma", "sym-power", "--l", "9" * 3000],
+    ["verify", "--lemma", "sym-power", "--trials", "t" * 20_000],
+    ["verify", "--lemma", "divisibility", "--arrangement", "builtin:boolean1", "--l", "9" * 3000],
+])
+def test_long_option_values_are_quoted_short(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    message = err.splitlines()[-1]
+    assert len(message.encode()) < 200 and "..." in message
+    assert len(err.encode()) < 400
 
 
 def test_long_basis_entry_is_quoted_short(tmp_path, capsys):

@@ -7,12 +7,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import apply_linear_map, eval_poly, exact_divide_by_rescan, mul_by_terms, random_poly
-from logdiff import polyring
-from logdiff.exprparse import MAX_EXPONENT, parse_poly
+from logdiff.exprparse import MAX_EXPONENT, ParseError, parse_poly, render
 from logdiff.polyring import (
+    MAX_DEGREE,
+    DegreeLimitError,
     LinearForm,
     NotDivisibleError,
     Poly,
+    _grlex,
     coordinates,
     divides,
     exact_divide,
@@ -38,7 +40,7 @@ def test_cube_expansion_term_count_and_coefficient():
     cube = P("(x+y+z)^3", 3)
     assert len(cube.terms) == 10
     # multinomial coefficient 3!/(1!1!1!)
-    assert cube.terms[(1, 1, 1)] == factorial(3)
+    assert cube.as_dict()[(1, 1, 1)] == factorial(3)
 
 
 def test_scalar_and_power_arithmetic():
@@ -64,9 +66,9 @@ def test_zero_degree_marker():
 
 def test_canonical_form_drops_zero_coefficients():
     p = Poly(2, {(1, 0): 1, (0, 1): 0})
-    assert (0, 1) not in p.terms
+    assert (0, 1) not in p.as_dict()
     q = P("x + y", 2) - P("y", 2)
-    assert set(q.terms) == {(1, 0)}
+    assert set(q.as_dict()) == {(1, 0)}
 
 
 # -- exact division ----------------------------------------------------------
@@ -186,11 +188,12 @@ _deltas = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
 def assert_canonical(p):
     """No zero coefficient, every integral one an int, and equal (with an
     equal hash) to the same map passed through the validating ``Poly``."""
-    for m, c in p.terms.items():
+    terms = p.as_dict()
+    for m, c in terms.items():
         assert c != 0
         assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
         assert len(m) == p.nvars and all(type(e) is int and e >= 0 for e in m)
-    rebuilt = Poly(p.nvars, p.terms)
+    rebuilt = Poly(p.nvars, terms)
     assert rebuilt == p and hash(rebuilt) == hash(p)
 
 
@@ -229,23 +232,22 @@ def test_integral_fraction_results_are_stored_as_int():
     for result in (half + half, half * 2, (half * half).diff(1),
                    half.diff_multi((1,)) * 4, exact_divide(half * 4, half)):
         assert_canonical(result)
-    assert (half + half).terms == {(1,): 1, (0,): 3}
-    assert exact_divide(Poly(1, {(1,): 3}), Poly(1, {(1,): 2})).terms == {(0,): Fraction(3, 2)}
+    assert (half + half).as_dict() == {(1,): 1, (0,): 3}
+    assert exact_divide(Poly(1, {(1,): 3}), Poly(1, {(1,): 2})).as_dict() == {(0,): Fraction(3, 2)}
 
 
-# -- the product kernels: one-term, packed and plain ---------------------------
+# -- the product kernels and the degree limit ------------------------------------
 
 @st.composite
 def _products(draw):
-    """(f, [g, ...]) over 1-5 variables, so that every kernel of f * g runs:
-    up to 8 terms per factor gives one-term and zero factors, pairs with a
-    factor of 2-3 terms (plain) and pairs of 4 terms or more (packed).
-    Exponents come from a small range, so that products meet at one
-    monomial and cancel, or up to a top of 2, 255 or ``MAX_EXPONENT``, so
-    that fields of one and two bytes both occur.  One g may be f with its
-    first term negated: then f * g = r^2 - t^2 for f = t + r, and every
-    cross term cancels.  One g may carry a 2^64 exponent, which no packed
-    field holds, so that the plain loop runs instead."""
+    """(f, [g, ...]) over 1-5 variables, so that both kernels of f * g run:
+    up to 8 terms per factor gives one-term and zero factors and pairs of
+    longer ones.  Exponents come from a small range, so that products meet
+    at one monomial and cancel, or up to a top of 2, 255 or
+    ``MAX_EXPONENT``.  One g may be f with its first term negated: then
+    f * g = r^2 - t^2 for f = t + r, and every cross term cancels.  One g
+    may carry a monomial whose degree plus f's is exactly ``MAX_DEGREE``,
+    so that the product's widest field is full up to its guard bit."""
     n = draw(st.integers(1, 5))
     top = draw(st.sampled_from((2, 255, MAX_EXPONENT)))
     exps = st.one_of(st.integers(0, 2), st.integers(0, top))
@@ -257,11 +259,14 @@ def _products(draw):
         lambda d: Poly(n, d))
     f = draw(polys)
     gs = draw(st.lists(polys, max_size=4))
-    if len(f.terms) > 1 and draw(st.booleans()):
-        t = next(iter(f.terms))
-        gs.append(f - Poly.monomial(n, t, 2 * f.terms[t]))
+    terms = f.as_dict()
+    if len(terms) > 1 and draw(st.booleans()):
+        t = next(iter(terms))
+        gs.append(f - Poly.monomial(n, t, 2 * terms[t]))
     if draw(st.booleans()):
-        gs.append(draw(polys) + Poly.monomial(n, (2 ** 64,) + (0,) * (n - 1), Fraction(1, 2)))
+        wide = [0] * n
+        wide[draw(st.integers(0, n - 1))] = MAX_DEGREE - (f.degree or 0)
+        gs.append(draw(polys) + Poly.monomial(n, wide, Fraction(1, 2)))
     return f, gs
 
 
@@ -273,44 +278,91 @@ def test_products_match_the_term_by_term_route(case):
         got = f * g
         assert got == g * f == mul_by_terms(f, g)
         assert_canonical(got)
+        if g:
+            assert exact_divide(got, g) == f
 
 
-def test_product_kernels_cancel_and_keep_wide_exponents(monkeypatch):
-    # ``packed`` records each packed attempt: True for a result, False for
-    # a field too wide, after which the plain loop runs
-    packed = []
-    real = polyring._packed_product
-
-    def spy(*args):
-        out = real(*args)
-        packed.append(out is not None)
-        return out
-
-    monkeypatch.setattr(polyring, "_packed_product", spy)
+def test_product_kernels_cancel_and_keep_wide_exponents():
     f = parse_poly("x1 + x2 + x3 + x4", 4)
     # (x1 + x2 + x3 + x4)(x1 - x2 + x3 - x4) = (x1 + x3)^2 - (x2 + x4)^2:
     # every product of a term from each half cancels
     assert f * parse_poly("x1 - x2 + x3 - x4", 4) == parse_poly(
         "x1^2 + 2*x1*x3 + x3^2 - x2^2 - 2*x2*x4 - x4^2", 4)
-    assert packed == [True]
     half = Poly(4, {(1, 0, 0, 0): Fraction(1, 2), (0, 1, 0, 0): Fraction(-1, 2)})
-    wide = Poly(4, {(2 ** 64, 0, 0, 1): Fraction(1, 2), (0, 0, 0, 1): 4, (1, 1, 0, 0): -1,
-                    (0, 0, 3, 0): Fraction(2, 3)})
+    # exponents up to the limit, in every field, kept exactly
+    wide = Poly(4, {(MAX_DEGREE - 2, 0, 0, 1): Fraction(1, 2), (0, 0, 0, 1): 4,
+                    (1, 1, 0, 0): -1, (0, 0, MAX_DEGREE - 1, 0): Fraction(2, 3)})
     cases = [
         (f, Poly.zero(4)), (Poly.zero(4), f),
         # one-term factors on either side, with products that become int
         (f * 2, Poly.monomial(4, (0, 1, 0, 0), Fraction(1, 2))),
         (Poly.monomial(4, (3, 0, 0, 0), Fraction(2, 3)), half * 3),
-        # 2-3 terms, and a 2-term factor against a long one: the plain loop
         (half, parse_poly("2*x1 + 2*x2 + x3", 4)), (half * 4, f * f),
-        # an exponent past 64 bits falls back from packed to plain
-        (f, wide),
-        (f * f, f),
+        (f, wide), (f * f, f),
     ]
-    packed.clear()
     for a, b in cases:
         got = a * b
         assert got == mul_by_terms(a, b)
         assert_canonical(got)
-    assert packed == [False, True]
     assert len((f * wide).terms) == 16 and not (f * Poly.zero(4)).terms
+    assert (f * wide).degree == MAX_DEGREE
+    assert (f * wide).degrees() == (MAX_DEGREE - 1, 2, MAX_DEGREE, 2)
+
+
+def test_degree_limit_is_refused_never_wrapped():
+    x = Poly.variable(2, 1)
+    top = Poly.monomial(2, (MAX_DEGREE - 1, 1))
+    assert top.degree == MAX_DEGREE and top.as_dict() == {(MAX_DEGREE - 1, 1): 1}
+    # the constructor
+    for exps in ((MAX_DEGREE, 1), (2 ** 64, 0), (0, 10 ** 21)):
+        with pytest.raises(DegreeLimitError, match=f"exceeds the limit {MAX_DEGREE}"):
+            Poly.monomial(2, exps)
+    # a product, by the one-term shift and by the pair loop
+    for a, b in ((top, x), (x, top), (top + 1, x + 1), (x - 1, 2 * top + x)):
+        with pytest.raises(DegreeLimitError):
+            a * b
+    assert (top - x) * 1 == top - x
+    # a power, refused before it loops up to the limit
+    with pytest.raises(DegreeLimitError):
+        x ** (MAX_DEGREE + 1)
+    with pytest.raises(DegreeLimitError):
+        Poly.monomial(2, (2 ** 30, 0)) ** 2
+    assert Poly.monomial(2, (2 ** 30 - 1, 0)) ** 2 == Poly.monomial(2, (2 ** 31 - 2, 0))
+    # a derivative of order above the limit leaves nothing
+    assert not top.diff_multi((MAX_DEGREE + 1, 0)) and top.diff_multi((0, 1)) == x ** 0 * top.diff(2)
+    # a nested parsed power: three levels give x^(10^9), and the fourth
+    # fails at its exponent, position 26, as a ParseError
+    assert parse_poly("((x^1000)^1000)^1000", 1) == Poly.monomial(1, (10 ** 9,))
+    with pytest.raises(ParseError, match=f"exceeds the limit {MAX_DEGREE}") as info:
+        parse_poly("((((((x^1000)^1000)^1000)^1000)^1000)^1000)^1000", 1)
+    assert info.value.position == 26
+
+
+def test_linear_coefficients():
+    assert P("3 + 2*x1 - 1/2*x3", 3).linear_coefficients() == [2, 0, Fraction(-1, 2)]
+    assert P("5", 2).linear_coefficients() == Poly.zero(2).linear_coefficients() == [0, 0]
+    assert P("x1 + x1*x2", 2).linear_coefficients() is None
+    assert Poly.monomial(1, (MAX_DEGREE,)).linear_coefficients() is None
+    for n in range(1, 6):
+        for i, x in enumerate(coordinates(n)):
+            assert (3 * x).linear_coefficients() == [3 if j == i else 0 for j in range(n)]
+
+
+# -- printing order ------------------------------------------------------------
+
+_wide_monos = st.integers(1, 4).flatmap(lambda n: st.dictionaries(
+    st.tuples(*[st.one_of(st.integers(0, 3), st.integers(0, MAX_DEGREE // n))] * n),
+    st.integers(-3, 3), max_size=8).map(lambda d: Poly(n, d)))
+
+
+@settings(max_examples=100)
+@given(_wide_monos)
+def test_print_order_is_the_tuple_graded_order(p):
+    ordered = sorted(p.as_dict().items(), key=lambda kv: _grlex(kv[0]), reverse=True)
+    assert p.sorted_terms() == ordered
+    # the rendered text is the terms, one at a time, in that order
+    pieces = [render(Poly.monomial(p.nvars, m, c)) for m, c in ordered]
+    text = "".join(
+        piece if k == 0 else f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
+        for k, piece in enumerate(pieces))
+    assert render(p) == (text or "0")

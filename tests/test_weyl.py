@@ -458,7 +458,7 @@ def test_symbol_xi_degree_equals_order():
         if not u:
             continue
         sym = principal_symbol(u)
-        xi_degrees = {sum(m[2:]) for m in sym.terms}
+        xi_degrees = {sum(m[2:]) for m in sym.as_dict()}
         assert xi_degrees == {u.order}
 
 
