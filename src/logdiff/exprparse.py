@@ -15,8 +15,8 @@ signs) deeper than ``MAX_NESTING``, any sum, product or step of a power
 with more than ``MAX_TERMS`` terms (counted over all coefficients), any
 product or step of a power that multiplies more than ``MAX_TERM_PAIRS``
 pairs of terms, and any product or step of a power with a monomial of
-total degree above ``polyring.MAX_DEGREE`` are rejected with a
-``ParseError``:
+total degree, or a derivative order, above ``polyring.MAX_DEGREE`` are
+rejected with a ``ParseError``:
 powers are computed by repeated multiplication, the parser recurses once
 per nesting level, the term check after every step stops an expansion
 before it grows large, and the pair check before every multiplication
@@ -40,7 +40,7 @@ from fractions import Fraction
 from math import prod
 from operator import attrgetter
 
-from .polyring import DegreeLimitError, Poly, Scalar, _grlex
+from .polyring import DegreeLimitError, Poly, Scalar
 from .weyl import DiffOp
 
 # Whitespace between tokens is skipped; any other character the grammar
@@ -57,8 +57,8 @@ MAX_NESTING = 100
 MAX_TERMS = 10_000
 # A product multiplies every term of one factor by every term of the other.
 MAX_TERM_PAIRS = 1_000_000
-# Nested powers multiply exponents, so ``polyring.MAX_DEGREE`` bounds the
-# total degree of every monomial too: ``product`` turns the
+# Nested powers multiply exponents, so ``polyring.MAX_DEGREE`` bounds every
+# total degree and operator order too: ``product`` turns the
 # ``DegreeLimitError`` of a product past it into a ParseError.
 # int() refuses decimal strings over the interpreter's limit, 4,300 digits
 # by default and settable down to 640; no setting of it decides at 640.
@@ -134,7 +134,7 @@ def _term_pairs(left: DiffOp, right: DiffOp) -> int:
         return pairs
     rights = [(len(g.terms), g.degrees()) for g in right.terms.values()]
     return sum(len(f.terms) * size * prod(min(b, d) + 1 for b, d in zip(beta, degrees))
-               for beta, f in left.terms.items() for size, degrees in rights)
+               for beta, f in left.as_dict().items() for size, degrees in rights)
 
 
 class _Parser:
@@ -145,7 +145,6 @@ class _Parser:
         self.pos = 0
         self.depth = 0
         self.nvars = nvars
-        self.one = (0,) * nvars
         self.allow_partials = allow_partials
         # Each distinct name is resolved once per parse; errors are not kept.
         self.names: dict[str, DiffOp] = {}
@@ -169,15 +168,13 @@ class _Parser:
         return value
 
     def product(self, left: DiffOp, right: DiffOp, at: int) -> DiffOp:
-        # A term of a polynomial left factor meets each right term once, and
-        # one of f d^beta at most prod_j (beta_j + 1) times (see
-        # _term_pairs).  Every parsed value has at most MAX_TERMS terms, so
-        # a reach of at most MAX_TERM_PAIRS // MAX_TERMS (the usual case)
-        # needs no exact count.
+        # A term of f d^beta meets each right term at most prod_j (beta_j +
+        # 1) times, once for a polynomial f (see _term_pairs).  Every parsed
+        # value has at most MAX_TERMS terms, so a reach of at most
+        # MAX_TERM_PAIRS // MAX_TERMS (the usual case) needs no exact count.
         reach = _size(right)
-        terms = left.terms
-        if len(terms) != 1 or self.one not in terms:
-            reach *= prod(max(col) + 1 for col in zip(*terms))
+        if left.order:
+            reach *= prod(d + 1 for d in left.degrees())
         if reach > MAX_TERM_PAIRS // MAX_TERMS and _term_pairs(left, right) > MAX_TERM_PAIRS:
             raise ParseError(f"product has more than {MAX_TERM_PAIRS} term pairs", at)
         try:
@@ -358,12 +355,9 @@ def render(value: Poly | DiffOp) -> str:
     Round trips exactly through the matching parse function.
     """
     if isinstance(value, Poly):
-        items = [(m, (0,) * value.nvars, c) for m, c in value.sorted_terms()]
+        items = [(m, (), c) for m, c in value.sorted_terms()]
     elif isinstance(value, DiffOp):
-        items = []
-        for beta in sorted(value.terms, key=_grlex, reverse=True):
-            for m, c in value.terms[beta].sorted_terms():
-                items.append((m, beta, c))
+        items = [(m, beta, c) for beta, f in value.sorted_terms() for m, c in f.sorted_terms()]
     else:
         raise TypeError(f"cannot render {type(value).__name__}")
     if not items:

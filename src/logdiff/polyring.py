@@ -6,28 +6,25 @@ values are stored as plain ``int`` (``hash``/``==`` compatible with
 ``Fraction`` and much faster).  Nothing in this module touches floating
 point.
 
-Inside a ``Poly`` each monomial is one int key: the total degree, then
-the exponents of x1 .. xl, in fields of ``_WIDTH`` bits from the top down,
-the same width in every ring.  The top bit of each field is a guard that
-stays clear, so every field holds at most ``MAX_DEGREE``; a total degree
-above that raises ``DegreeLimitError`` and never wraps.  Three facts
-follow:
+An operator ``sum_b f_b d^b`` (``weyl.DiffOp``) is the same kind of map,
+from monomials d^b to nonzero polynomials.  Both store a monomial as one
+int key: the total degree, then the exponents of x1 .. xl (or d1 .. dl),
+in fields of ``_WIDTH`` bits from the top down, the same width in every
+ring.  The top bit of each field is a guard that stays clear, so every
+field holds at most ``MAX_DEGREE``; a total degree or order above that
+raises ``DegreeLimitError`` and never wraps.  Three facts follow:
 
-- int order on keys is the graded lexicographic order (``_grlex``);
+- int order on keys is the graded lexicographic order, x1 > x2 > ... > xl;
 - a monomial product is one int sum, with no carry between fields;
 - m is divisible by b exactly when m - b sets no guard bit, and then m - b
   is the quotient's key.
 
-The format stays in this module: the constructors take exponent tuples,
-``as_dict``, ``sorted_terms`` and ``degrees`` give them back, and
-``linear_coefficients`` reads a polynomial of degree at most 1 straight
-off its keys for ``weyl.commutator``, where a bracket with a coordinate
-is the common case.
-
-An operator ``sum_b f_b d^b`` (``weyl.DiffOp``) is the same kind of map,
-from partial-derivative exponent tuples to nonzero polynomials, so both
-classes inherit sums, negation, truth, equality, hashing and printing
-from one base, ``_Terms``; each keeps its own products and powers.
+Both classes inherit the format, sums, negation, truth, equality, hashing
+and printing from one base, ``_Terms``; each keeps its own products and
+powers.  The constructors take exponent tuples, and ``as_dict``,
+``sorted_terms``, ``top_terms`` and ``degrees`` give them back.  Outside
+this module only weyl's operator product reads keys, with ``_WIDTH``,
+``_FIELD``, ``_shifts``, ``_unit`` and ``_unpack``.
 
 Variables are positional and 1-based in the public API: ``x1 .. xl``.
 """
@@ -39,6 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import perm
+from struct import Struct
 from typing import Mapping, Sequence
 
 Monomial = tuple[int, ...]
@@ -55,7 +53,7 @@ class NotDivisibleError(ArithmeticError):
 
 
 class DegreeLimitError(ValueError):
-    """A monomial's total degree would exceed ``MAX_DEGREE``."""
+    """A total degree, or an operator's order, would exceed ``MAX_DEGREE``."""
 
     def __init__(self):
         super().__init__(f"monomial degree exceeds the limit {MAX_DEGREE}")
@@ -68,13 +66,13 @@ def simplify_scalar(c: Scalar) -> Scalar:
     return c
 
 
-def _grlex(m: Monomial) -> tuple[int, Monomial]:
-    # Graded lexicographic key with x1 > x2 > ... > xl.
-    return (sum(m), m)
-
-
-def _pack(mono: Monomial) -> int:
-    """The key of a monomial with non-negative exponents."""
+def _key(mono: Sequence[int], nvars: int) -> int:
+    """The key of an exponent tuple, checked: length, signs and ``MAX_DEGREE``."""
+    mono = tuple(mono)
+    if len(mono) != nvars:
+        raise ValueError(f"exponent tuple {mono} does not have length {nvars}")
+    if any(e < 0 for e in mono):
+        raise ValueError(f"negative exponent in {mono}")
     key = degree = 0
     for e in mono:
         key = key << _WIDTH | e
@@ -102,10 +100,17 @@ def _guards(nvars: int) -> int:
     return sum(1 << (_WIDTH * i + _WIDTH - 1) for i in range(nvars + 1))
 
 
+@cache
+def _fields(nvars: int) -> Struct:
+    """Reads the exponent fields from a key's bytes: ``I`` is ``_WIDTH`` = 32 bits."""
+    return Struct(f">4x{nvars}I")
+
+
 def _unpack(keys, nvars: int) -> list[Monomial]:
     """The exponent tuples of these keys, in their order."""
-    shifts = _shifts(nvars)
-    return [tuple([m >> s & _FIELD for s in shifts]) for m in keys]
+    size = 4 * (nvars + 1)
+    unpack = _fields(nvars).unpack
+    return [unpack(m.to_bytes(size, "big")) for m in keys]
 
 
 def _canon(terms: dict) -> dict:
@@ -124,17 +129,61 @@ def _canon(terms: dict) -> dict:
 
 
 class _Terms:
-    """A finite map ``terms`` from monomial keys to nonzero coefficients,
-    with the operations that only add coefficients.
-
-    Subclasses supply ``_make(nvars, terms)``, which wraps a canonical map
-    in a result, ``_coerce(other)``, which returns ``other`` as an
-    instance over the same ``nvars``, None for a type it does not take,
-    or raises ValueError for another dimension, and ``_one``, the key of
-    the monomial 1.
+    """A finite map ``terms`` from packed monomial keys to nonzero
+    coefficients, with everything that reads a key and the operations that
+    only add coefficients.  Subclasses supply ``_coefficient(c, nvars)``,
+    which checks a constructor coefficient and returns it as stored,
+    ``_make(nvars, terms)``, which wraps a canonical map in a result, and
+    ``_coerce(other)``, which returns ``other`` as an instance over the
+    same ``nvars``, None for a type it does not take, or raises ValueError
+    for another dimension.
     """
 
     __slots__ = ("nvars", "terms")
+    _one = 0  # the key of the monomial 1
+
+    def __init__(self, nvars: int, terms: Mapping[Monomial, object] | None = None):
+        if nvars < 1:
+            raise ValueError("need at least one variable")
+        clean = {}
+        for mono, coeff in terms.items() if terms else ():
+            key = _key(mono, nvars)
+            if coeff := self._coefficient(coeff, nvars):
+                clean[key] = coeff
+        self.nvars = nvars
+        self.terms = clean
+
+    def _top(self) -> int | None:
+        """The largest total degree of a key, or None for the empty map."""
+        return max(self.terms) >> _WIDTH * self.nvars if self.terms else None
+
+    def degrees(self) -> tuple[int, ...]:
+        """Per-variable maximum exponents (all zero for the empty map)."""
+        out = [0] * self.nvars
+        columns = _columns(self.nvars)
+        for m in self.terms:
+            for i, s in columns:
+                e = m >> s & _FIELD
+                if e > out[i]:
+                    out[i] = e
+        return tuple(out)
+
+    def as_dict(self) -> dict[Monomial, object]:
+        """The terms as a new map from exponent tuples to coefficients."""
+        terms = self.terms
+        return dict(zip(_unpack(terms, self.nvars), terms.values()))
+
+    def sorted_terms(self) -> list[tuple[Monomial, object]]:
+        """(exponent tuple, coefficient) pairs in descending graded-lex
+        order, the canonical print order."""
+        terms = self.terms
+        keys = sorted(terms, reverse=True)
+        return list(zip(_unpack(keys, self.nvars), map(terms.__getitem__, keys)))
+
+    def top_terms(self) -> list[tuple[Monomial, object]]:
+        """The pairs of ``sorted_terms`` of the top total degree."""
+        top = self._top()
+        return [(m, c) for m, c in self.sorted_terms() if sum(m) == top]
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -206,30 +255,17 @@ class _Terms:
 class Poly(_Terms):
     """Immutable multivariate polynomial with exact rational coefficients.
 
-    ``terms`` maps packed monomial keys (see the module docstring) to
-    nonzero scalars; the zero polynomial has an empty map.  Instances are
-    treated as immutable after construction and are safe to share.
+    ``Poly(nvars, {exponent tuple: scalar})`` builds one.  ``terms`` maps
+    packed monomial keys (see the module docstring) to nonzero scalars;
+    the zero polynomial has an empty map.  Instances are treated as
+    immutable after construction and are safe to share.
     """
 
     __slots__ = ()
-    _one = 0
 
-    def __init__(self, nvars: int, terms: Mapping[Monomial, Scalar] | None = None):
-        if nvars < 1:
-            raise ValueError("need at least one variable")
-        clean: dict[int, Scalar] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                mono = tuple(mono)
-                if len(mono) != nvars:
-                    raise ValueError(f"exponent tuple {mono} does not have length {nvars}")
-                if any(e < 0 for e in mono):
-                    raise ValueError(f"negative exponent in {mono}")
-                coeff = simplify_scalar(coeff)
-                if coeff != 0:
-                    clean[_pack(mono)] = coeff
-        self.nvars = nvars
-        self.terms = clean
+    @staticmethod
+    def _coefficient(c: Scalar, nvars: int) -> Scalar:
+        return simplify_scalar(c)
 
     @classmethod
     def _make(cls, nvars: int, terms: dict[int, Scalar]) -> Poly:
@@ -275,36 +311,15 @@ class Poly(_Terms):
 
     # -- basic queries -----------------------------------------------------
 
-    @property
-    def degree(self) -> int | None:
-        """Total degree, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(self.terms) >> _WIDTH * self.nvars
+    degree = property(_Terms._top, doc="Total degree, or None for the zero polynomial.")
 
     def is_homogeneous(self) -> bool:
         """True when all terms share one total degree (vacuously for zero)."""
         shift = _WIDTH * self.nvars
         return len({m >> shift for m in self.terms}) <= 1
 
-    def degrees(self) -> tuple[int, ...]:
-        """Per-variable maximum exponents (all zero for the zero polynomial)."""
-        out = [0] * self.nvars
-        columns = _columns(self.nvars)
-        for m in self.terms:
-            for i, s in columns:
-                e = m >> s & _FIELD
-                if e > out[i]:
-                    out[i] = e
-        return tuple(out)
-
     def constant_term(self) -> Scalar:
         return self.terms.get(0, 0)
-
-    def as_dict(self) -> dict[Monomial, Scalar]:
-        """The terms as a new map from exponent tuples to coefficients."""
-        terms = self.terms
-        return dict(zip(_unpack(terms, self.nvars), terms.values()))
 
     def linear_coefficients(self) -> list[Scalar] | None:
         """[c1, ..., cl] when the polynomial is c0 + c1*x1 + ... + cl*xl,
@@ -320,12 +335,6 @@ class Poly(_Terms):
                 # The one exponent field that holds 1 is x<i+1>'s.
                 out[n - 1 - ((m ^ 1 << shift).bit_length() - 1) // _WIDTH] = c
         return out
-
-    def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
-        """Terms in descending graded-lex order (canonical print order)."""
-        terms = self.terms
-        keys = sorted(terms, reverse=True)
-        return list(zip(_unpack(keys, self.nvars), map(terms.__getitem__, keys)))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -438,6 +447,7 @@ class Poly(_Terms):
         return Poly._make(n, _canon(out))
 
 
+@cache
 def _unit(nvars: int, index: int) -> int:
     """The key of x<index> (0-based index)."""
     return 1 << _WIDTH * nvars | 1 << _shifts(nvars)[index]

@@ -26,7 +26,7 @@ from threading import Lock
 from typing import TYPE_CHECKING, Sequence
 
 from .linalg import _form_product_fold, determinant
-from .polyring import Monomial, NotDivisibleError, Poly, Scalar, _grlex, divides, exact_divide
+from .polyring import NotDivisibleError, Poly, Scalar, divides, exact_divide
 from .weyl import Derivation, DiffOp, _bracket_linear, commutator, word_fold
 
 if TYPE_CHECKING:
@@ -138,8 +138,8 @@ class TangencyRow:
     witness: tuple[tuple[int, ...], Poly] | None = None
 
 
-def _brackets(u: DiffOp, alpha: Sequence[Scalar]) -> list[dict[Monomial, Poly]]:
-    """The terms of ad_a^k(u) = [...[u, a], ..., a] for k = 0, 1, ... while nonzero.
+def _brackets(u: DiffOp, alpha: Sequence[Scalar], k_max: int) -> list[dict[int, Poly]]:
+    """The terms of ad_a^k(u) = [...[u, a], ..., a] for k = 0, 1, ..., k_max while nonzero.
 
     For the linear form a = sum_j alpha_j x_j each bracket
     (``_bracket_linear``) lowers the order by one, so the list ends by
@@ -148,11 +148,9 @@ def _brackets(u: DiffOp, alpha: Sequence[Scalar]) -> list[dict[Monomial, Poly]]:
     c_(gamma + delta).
     """
     levels = [u.terms]
-    while True:
-        nxt = _bracket_linear(levels[-1], alpha)
-        if not nxt:
-            return levels
+    while len(levels) <= k_max and (nxt := _bracket_linear(levels[-1], alpha)):
         levels.append(nxt)
+    return levels
 
 
 def _tangency_rows(u: DiffOp, arr: Arrangement, t_max: int):
@@ -169,7 +167,8 @@ def _tangency_rows(u: DiffOp, arr: Arrangement, t_max: int):
     divides T_t for every gamma.  From the first failing cell on, each
     cell is decided from R.  The gamma are checked in graded order; the
     first one that fails is the witness, with its full coefficient
-    a^(t-K) * R.
+    a^(t-K) * R.  Cell t reads T_k only for k <= t, so the brackets stop
+    at k = t_max.
     """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
@@ -178,10 +177,10 @@ def _tangency_rows(u: DiffOp, arr: Arrangement, t_max: int):
     zero = Poly.zero(arr.dim)
     for i, form in enumerate(arr.forms, start=1):
         fp = form.as_poly()
-        brackets = _brackets(u, form.coeffs)
+        brackets = _brackets(u, form.coeffs, t_max)
         last = len(brackets) - 1
         # A gamma that no bracket reaches has coefficient c_gamma * a^t.
-        gammas = sorted({g for level in brackets[1:] for g in level}, key=_grlex)
+        gammas = sorted({g for level in brackets[1:] for g in level})
         powers = [Poly.one(arr.dim)]
         failed = False
         for t in range(1, t_max + 1):
@@ -198,7 +197,7 @@ def _tangency_rows(u: DiffOp, arr: Arrangement, t_max: int):
                     r = r * fp + brackets[k].get(gamma, zero) * comb(t, k)
                 if failed and divides(powers[k_max], r):
                     continue
-                witness = (gamma, r * powers[t - k_max])
+                witness = DiffOp._make(arr.dim, {gamma: r * powers[t - k_max]}).sorted_terms()[0]
                 break
             failed = failed or witness is not None
             yield TangencyRow(i, t, witness is None, witness)
@@ -325,10 +324,8 @@ def transport(u: DiffOp, arr: Arrangement) -> Decomposition:
         e -= p
         qe = frame.q_power(e)
         nxt = frame.q_power(p) * cur
-        # Within one degree, tuple order is the graded order.
-        for beta in sorted((b for b in cur.terms if sum(b) == p), reverse=True):
+        for beta, coeff in cur.top_terms():
             word = _letters(beta)
-            coeff = cur.terms[beta]
             words.append(Word(qe * coeff, word))
             nxt = nxt - coeff * word_op(word)
         if nxt and nxt.order >= p:
@@ -424,9 +421,7 @@ def decompose(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> Decomposition:
     while cur and cur.order >= 1:
         p = cur.order
         numerators: dict[tuple[int, ...], Poly] = {}
-        for beta, a in cur.terms.items():
-            if sum(beta) != p:
-                continue
+        for beta, a in cur.top_terms():
             for mult, c in xi_fold(_letters(beta)).items():
                 acc = numerators.get(mult)
                 numerators[mult] = a * c if acc is None else acc + a * c

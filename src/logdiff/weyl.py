@@ -1,13 +1,13 @@
 """Differential operators with polynomial coefficients, in normal form.
 
-An operator is stored as a finite map from partial-derivative exponent
-tuples to nonzero polynomial coefficients, with coefficients on the left:
-``sum_b f_b d^b``.  Products are normal-ordered through the generalized
-Leibniz rule, so the commutation relation ``d_i * f = f * d_i + df/dx_i``
-holds identically.  A polynomial on the left passes no partial, so that
-product only multiplies the right's coefficients by it and skips the
-rule.  Every product of coefficients is ``Poly.__mul__``, which picks its
-own kernel.
+An operator is stored as a finite map from monomials d^b, packed as the
+monomials x^b of a ``Poly`` are (see ``polyring``), to nonzero polynomial
+coefficients, with coefficients on the left: ``sum_b f_b d^b``.  Products
+are normal-ordered through the generalized Leibniz rule, so the
+commutation relation ``d_i * f = f * d_i + df/dx_i`` holds identically.
+A polynomial on the left passes no partial, so that product only
+multiplies the right's coefficients by it and skips the rule.  Every
+product of coefficients is ``Poly.__mul__``, which picks its own kernel.
 """
 
 from __future__ import annotations
@@ -15,40 +15,33 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice, product as cartesian
 from math import comb, prod
+from operator import mul
 from typing import Mapping, Sequence
 
 from .linalg import prefix_fold
-from .polyring import Monomial, Poly, Scalar, _canon, _Terms
+from .polyring import (MAX_DEGREE, DegreeLimitError, Monomial, Poly, Scalar, _canon, _FIELD,
+                       _shifts, _Terms, _unit, _unpack, _WIDTH)
 
 
 class DiffOp(_Terms):
-    """Normally ordered differential operator over the polynomial ring."""
+    """Normally ordered differential operator over the polynomial ring,
+    built as ``DiffOp(nvars, {exponent tuple: Poly})``."""
 
     __slots__ = ()
 
-    def __init__(self, nvars: int, terms: Mapping[Monomial, Poly] | None = None):
-        if nvars < 1:
-            raise ValueError("need at least one variable")
-        clean: dict[Monomial, Poly] = {}
-        if terms:
-            for beta, coeff in terms.items():
-                beta = tuple(beta)
-                if len(beta) != nvars or any(e < 0 for e in beta):
-                    raise ValueError(f"bad derivative exponent tuple {beta}")
-                if coeff.nvars != nvars:
-                    raise ValueError("coefficient over a different ambient dimension")
-                if coeff:
-                    clean[beta] = coeff
-        self.nvars = nvars
-        self.terms = clean
+    @staticmethod
+    def _coefficient(c: Poly, nvars: int) -> Poly:
+        if c.nvars != nvars:
+            raise ValueError("coefficient over a different ambient dimension")
+        return c
 
     @staticmethod
-    def _make(nvars: int, terms: dict[Monomial, Poly]) -> DiffOp:
+    def _make(nvars: int, terms: dict[int, Poly]) -> DiffOp:
         """Wrap an already canonical map without validating it.
 
-        Internal results only: every key is a length-``nvars`` tuple of
-        non-negative ints and every value a nonzero Poly in ``nvars``
-        variables.  The map is owned by the new operator.
+        Internal results only: every key is a packed ``nvars``-variable
+        monomial and every value a nonzero Poly in ``nvars`` variables.
+        The map is owned by the new operator.
         """
         out = object.__new__(DiffOp)
         out.nvars = nvars
@@ -68,39 +61,29 @@ class DiffOp(_Terms):
 
     @staticmethod
     def from_poly(f: Poly) -> DiffOp:
-        return DiffOp._make(f.nvars, {(0,) * f.nvars: f} if f else {})
+        return DiffOp._make(f.nvars, {DiffOp._one: f} if f else {})
 
     @staticmethod
     def partial(nvars: int, index: int) -> DiffOp:
         """The operator d<index> (1-based index)."""
         if not 1 <= index <= nvars:
             raise ValueError(f"partial index {index} out of range 1..{nvars}")
-        beta = tuple(1 if i == index - 1 else 0 for i in range(nvars))
-        return DiffOp._make(nvars, {beta: Poly.one(nvars)})
+        return DiffOp._make(nvars, {_unit(nvars, index - 1): Poly.one(nvars)})
 
     # -- queries ------------------------------------------------------------
 
-    @property
-    def _one(self) -> Monomial:
-        return (0,) * self.nvars
-
-    @property
-    def order(self) -> int | None:
-        """Maximal derivative order present, or None for the zero operator."""
-        if not self.terms:
-            return None
-        return max(sum(b) for b in self.terms)
+    order = property(_Terms._top, doc="Maximal derivative order, or None for the zero operator.")
 
     def value_at_one(self) -> Poly:
         """The operator applied to 1, i.e. the pure polynomial part."""
-        return self.terms.get((0,) * self.nvars, Poly.zero(self.nvars))
+        return self.terms.get(self._one, Poly.zero(self.nvars))
 
     def apply(self, f: Poly) -> Poly:
         """Evaluate the operator on a polynomial."""
         if f.nvars != self.nvars:
             raise ValueError("polynomial over a different ambient dimension")
         out = Poly.zero(self.nvars)
-        for beta, coeff in self.terms.items():
+        for beta, coeff in self.as_dict().items():
             df = f.diff_multi(beta)
             if df:
                 out = out + coeff * df
@@ -127,20 +110,22 @@ class DiffOp(_Terms):
         A polynomial f on the left passes no partial, so f * sum g_gamma
         d^gamma = sum (f g_gamma) d^gamma with no Leibniz term to expand;
         each f g_gamma is a product of nonzero polynomials, hence nonzero.
+        Otherwise the principal symbols multiply, so the orders add, and as
+        in ``Poly.__mul__`` the sum of the two top keys decides whether the
+        product passes ``MAX_DEGREE``.
         """
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         n = self.nvars
-        one = (0,) * n
         left = self.terms
-        if len(left) == 1 and one in left:
-            f = left[one]
+        if len(left) == 1 and self._one in left:
+            f = left[self._one]
             return DiffOp._make(n, {gamma: f * g for gamma, g in other.terms.items()})
-        out: dict[Monomial, Poly] = {}
-        items = left.items()
-        for gamma, g in other.terms.items():
-            _leibniz_into(out, items, g, gamma, 0)
+        if left and other.terms and max(left) + max(other.terms) >> _WIDTH * n > MAX_DEGREE:
+            raise DegreeLimitError()
+        out: dict[int, Poly] = {}
+        _leibniz_into(out, n, left, other.terms.items(), 0)
         return DiffOp._make(n, _canon(out))
 
     def __rmul__(self, other) -> DiffOp:
@@ -155,6 +140,8 @@ class DiffOp(_Terms):
         # it; keep the two in step.
         if not isinstance(n, int) or n < 0:
             raise ValueError("operator power needs a non-negative integer exponent")
+        if (self.order or 0) * n > MAX_DEGREE:
+            raise DegreeLimitError()
         # A plain copy for n = 1, so that a Derivation's power is no Derivation.
         out = DiffOp._make(self.nvars, dict(self.terms)) if n else DiffOp.one(self.nvars)
         for _ in range(n - 1):
@@ -173,33 +160,38 @@ def word_fold(ops: Sequence[DiffOp]):
     return prefix_fold(DiffOp.one(ops[0].nvars), lambda w, i: w * ops[i - 1])
 
 
-def _leibniz_into(out: dict[Monomial, Poly], left, g: Poly, gamma: Monomial,
+def _leibniz_into(out: dict[int, Poly], n: int, left: dict[int, Poly], right,
                   skip: int) -> None:
-    """Add (sum over ``left`` of f d^beta) * g d^gamma into ``out``.
+    """Add (sum over ``left`` of f d^beta) * (sum over ``right`` of g d^gamma) into ``out``.
 
     d^beta g = sum over delta <= beta of C(beta, delta) (d^delta g)
     d^(beta-delta), with delta capped by the degrees of g; each derivative
-    of g serves every left term that reaches it.  ``skip`` = 1 drops the
-    delta = 0 terms f g d^beta, which come first in the delta order.
+    of g, with the key of d^delta, serves every left term that reaches it.
+    ``skip`` = 1 drops the delta = 0 terms f g d^beta, which come first in
+    the delta order.
     """
-    degrees = g.degrees()
-    derivs: dict[Monomial, Poly] = {}
-    for beta, f in left:
-        caps = map(min, beta, degrees)
-        deltas = cartesian(*(range(c + 1) for c in caps))
-        for delta in islice(deltas, skip, None):
-            dg = derivs.get(delta)
-            if dg is None:
-                dg = derivs[delta] = g.diff_multi(delta)
-            if not dg:
-                continue
-            mult = prod(map(comb, beta, delta))
-            key = tuple(b - d + c for b, d, c in zip(beta, delta, gamma))
-            term = f * dg
-            if mult != 1:
-                term = term * mult
-            acc = out.get(key)
-            out[key] = term if acc is None else acc + term
+    units = [_unit(n, j) for j in range(n)]
+    left = list(zip(left, _unpack(left, n), left.values()))
+    for gamma, g in right:
+        degrees = g.degrees()
+        derivs: dict[Monomial, tuple[Poly, int]] = {}
+        for beta, exponents, f in left:
+            caps = map(min, exponents, degrees)
+            deltas = cartesian(*(range(c + 1) for c in caps))
+            for delta in islice(deltas, skip, None):
+                got = derivs.get(delta)
+                if got is None:
+                    got = derivs[delta] = (g.diff_multi(delta), sum(map(mul, delta, units)))
+                dg, step = got
+                if not dg:
+                    continue
+                mult = prod(map(comb, exponents, delta))
+                key = beta - step + gamma
+                term = f * dg
+                if mult != 1:
+                    term = term * mult
+                acc = out.get(key)
+                out[key] = term if acc is None else acc + term
 
 
 class Derivation(DiffOp):
@@ -221,14 +213,13 @@ class Derivation(DiffOp):
         if len(coeffs) != n or any(c.nvars != n for c in coeffs):
             raise ValueError("derivation needs one coefficient per variable")
         self.nvars = n
-        self.terms = {tuple(int(j == i) for j in range(n)): c
-                      for i, c in enumerate(coeffs) if c}
+        self.terms = {_unit(n, i): c for i, c in enumerate(coeffs) if c}
         self.coeffs = coeffs
 
     @classmethod
     def from_diffop(cls, u: DiffOp) -> Derivation:
         coeffs = [Poly.zero(u.nvars) for _ in range(u.nvars)]
-        for beta, c in u.terms.items():
+        for beta, c in u.as_dict().items():
             if sum(beta) != 1:
                 raise ValueError("operator is not a derivation")
             coeffs[beta.index(1)] = c
@@ -251,18 +242,19 @@ class Derivation(DiffOp):
         return degs.pop()
 
 
-def _bracket_linear(terms: Mapping[Monomial, Poly],
-                    alpha: Sequence[Scalar]) -> dict[Monomial, Poly]:
+def _bracket_linear(terms: Mapping[int, Poly], alpha: Sequence[Scalar]) -> dict[int, Poly]:
     """The terms of [u, sum_j alpha_j x_j] for an operator u with these terms.
 
     [c d^beta, sum_j alpha_j x_j] = sum_j beta_j alpha_j c d^(beta - e_j):
     the only Leibniz terms left take one derivative of the linear form.
     """
-    out: dict[Monomial, Poly] = {}
+    n = len(alpha)
+    shifts = _shifts(n)
+    out: dict[int, Poly] = {}
     for beta, c in terms.items():
-        for j, (b, a) in enumerate(zip(beta, alpha)):
-            if a and b:
-                gamma = beta[:j] + (b - 1,) + beta[j + 1:]
+        for j, a in enumerate(alpha):
+            if a and (b := beta >> shifts[j] & _FIELD):
+                gamma = beta - _unit(n, j)
                 term = c * (a * b)
                 acc = out.get(gamma)
                 out[gamma] = term if acc is None else acc + term
@@ -288,8 +280,8 @@ def commutator(u: DiffOp, v) -> DiffOp:
     alpha = f.linear_coefficients()
     if alpha is not None:
         return DiffOp._make(n, _bracket_linear(u.terms, alpha))
-    out: dict[Monomial, Poly] = {}
-    _leibniz_into(out, u.terms.items(), f, (0,) * n, 1)
+    out: dict[int, Poly] = {}
+    _leibniz_into(out, n, u.terms, ((u._one, f),), 1)
     return DiffOp._make(n, _canon(out))
 
 

@@ -202,11 +202,11 @@ def tangency_table_by_products(u: DiffOp, arr: Arrangement, t_max: int) -> list[
         for t in range(1, t_max + 1):
             prod, ft = prod * fp, ft * fp
             witness = None
-            for beta in sorted(prod.terms, key=lambda b: (sum(b), b)):
+            for beta, coeff in sorted(prod.as_dict().items(), key=lambda kv: (sum(kv[0]), kv[0])):
                 try:
-                    exact_divide(prod.terms[beta], ft)
+                    exact_divide(coeff, ft)
                 except NotDivisibleError:
-                    witness = (beta, prod.terms[beta])
+                    witness = (beta, coeff)
                     break
             rows.append(TangencyRow(i, t, witness is None, witness))
     return rows
@@ -240,7 +240,7 @@ def principal_symbol(u: DiffOp) -> Poly:
         raise ValueError("the zero operator has no principal symbol")
     n = u.nvars
     terms = {}
-    for beta, coeff in u.terms.items():
+    for beta, coeff in u.as_dict().items():
         if sum(beta) == p:
             for mono, c in coeff.as_dict().items():
                 terms[mono + beta] = c

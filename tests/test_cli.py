@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 import logdiff.cli
 import logdiff.tangent
 from logdiff.arrangement import _BUILTINS, builtin_arrangement, euler_derivation
-from logdiff.cli import MAX_VERIFY_SIZE, main
-from logdiff.exprparse import MAX_DIGITS, parse_poly, render
+from logdiff.cli import MAX_TRIALS, MAX_VERIFY_SIZE, main
+from logdiff.exprparse import MAX_DIGITS, _quote, parse_poly, render
 from logdiff.polyring import MAX_DEGREE
 from logdiff.sampling import random_order_one_op, random_poly, random_word
 from logdiff.tangent import is_tangent
@@ -142,7 +142,28 @@ def test_oversized_integer_in_arrangement_file(tmp_path, capsys, int_digit_limit
     path.write_text('{"dim": 1, "forms": [[' + "9" * 5000 + "]]}")
     code, out, err = run(capsys, "check-free", "--arrangement", str(path))
     assert (code, out) == (2, "")
-    assert err == f"error: {path} is not valid JSON: an integer has more than {MAX_DIGITS} digits\n"
+    assert err == (f"error: {_quote(str(path))} is not valid JSON: an integer has more than "
+                   f"{MAX_DIGITS} digits\n")
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read 'aaaa"),
+    ("[", "is not valid JSON"),
+    ('{"dim": 0, "forms": [["1"]]}', "must be"),
+], ids=["missing", "not-json", "bad-spec"])
+@pytest.mark.parametrize("option", ["--arrangement", "--basis"])
+def test_long_file_paths_are_quoted_short(tmp_path, capsys, content, message, option):
+    if content is None:
+        path = "a" * 20_000
+    else:
+        # about 3,000 letters, under the system's limit on a path, naming a real file
+        (tmp_path / "in.json").write_text(content)
+        path = str(tmp_path) + "/." * 1500 + "/in.json"
+    files = ["--arrangement", path] if option == "--arrangement" else [
+        "--arrangement", "builtin:boolean2", "--basis", path]
+    code, out, err = run(capsys, "check-free", *files)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err and len(err.encode()) < 200
 
 
 @pytest.mark.parametrize("op, message, at", [
@@ -187,7 +208,8 @@ def test_string_coefficients_follow_the_operator_grammar(tmp_path, capsys, coeff
     path.write_text(json.dumps({"dim": 2, "forms": [[1.5, "-1/2"], ["+3", 0], [coeff, "1"]]}))
     code, out, err = run(capsys, "check-free", "--arrangement", str(path))
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: {path}: coefficient '") and "is not an integer or a fraction" in err
+    assert err.startswith(f"error: {_quote(str(path))}: coefficient '")
+    assert "is not an integer or a fraction" in err
     path.write_text(json.dumps({"dim": 2, "forms": [[1.5, "-1/2"], ["+3", 0]],
                                 "basis": ["x1*d1 + x2*d2", "x1*d2"]}))
     code, out, _ = run(capsys, "check-free", "--arrangement", str(path))
@@ -385,6 +407,19 @@ def test_tangent_default_cutoff_limit(capsys):
     assert err == "error: the exact cutoff max(order, 1) = 65 exceeds the limit 64\n"
 
 
+def test_tangent_tmax_bounds_the_brackets(capsys):
+    # cell t reads ad_a^k(u) only for k <= t, so an operator of order 10^6
+    # forms one bracket at --tmax 1, not a million
+    code, out, err = run(
+        capsys, "tangent", "--arrangement", "builtin:boolean1", "--op", "(d1^1000)^1000",
+        "--tmax", "1",
+    )
+    assert (code, err) == (1, "")
+    assert out == ("form 1 (x1): t=1 FAIL\n"
+                   "  witness at t=1: coefficient 1000000 of d1^999999 not divisible by (x1)^1\n"
+                   "overall: not tangent (t_max = 1)\n")
+
+
 def test_tangent_deeply_nested_operator(capsys):
     code, _, err = run(
         capsys, "tangent", "--arrangement", "builtin:boolean1",
@@ -490,6 +525,7 @@ def test_degree_limit_exits_2(capsys):
     ["verify", "--lemma", "sym-power", "--l", "9" * 3000],
     ["verify", "--lemma", "sym-power", "--trials", "t" * 20_000],
     ["verify", "--lemma", "divisibility", "--arrangement", "builtin:boolean1", "--l", "9" * 3000],
+    ["verify", "--lemma", "sym-power", "--trials", "9" * 3000],
 ])
 def test_long_option_values_are_quoted_short(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -681,6 +717,20 @@ def test_verify_accepts_the_size_limit(capsys):
     )
     assert code == 0
     assert "l=1 p=64 trials=1 seed=0 passed=1 failed=0" in out
+
+
+def test_verify_trials_limit(capsys, monkeypatch):
+    assert MAX_TRIALS == 10_000
+    monkeypatch.setattr(logdiff.cli, "sym_power_det_identity_holds", lambda m, p: True)
+    code, out, _ = run(capsys, "verify", "--lemma", "sym-power", "--trials", str(MAX_TRIALS))
+    assert code == 0 and f"trials={MAX_TRIALS} seed=0 passed={MAX_TRIALS} failed=0" in out
+    # refused before any trial
+    monkeypatch.setattr(logdiff.cli, "sym_power_det_identity_holds", None)
+    for lemma in ("sym-power", "jacobian-power", "divisibility"):
+        code, out, err = run(capsys, "verify", "--lemma", lemma, "--arrangement", "builtin:boolean2",
+                             "--trials", "1000000000000")
+        assert (code, out) == (2, "")
+        assert err == f"error: --trials 1000000000000 exceeds the limit {MAX_TRIALS}\n"
 
 
 def test_verify_divisibility_needs_arrangement(capsys):

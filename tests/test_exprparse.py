@@ -27,7 +27,7 @@ from logdiff.weyl import DiffOp
 
 def test_parse_operator_normal_form():
     u = parse_diffop("x^2*d1^2 - x*d1", 1)
-    assert u.terms == {(2,): Poly(1, {(2,): 1}), (1,): Poly(1, {(1,): -1})}
+    assert u.as_dict() == {(2,): Poly(1, {(2,): 1}), (1,): Poly(1, {(1,): -1})}
 
 
 def test_parse_respects_factor_order():

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from helpers import in_right_ideal, principal_symbol, random_diffop, random_poly
 from logdiff import weyl
-from logdiff.exprparse import parse_diffop, parse_poly, render
-from logdiff.polyring import Poly
+from logdiff.cli import main
+from logdiff.exprparse import ParseError, parse_diffop, parse_poly, render
+from logdiff.polyring import MAX_DEGREE, DegreeLimitError, Poly
 from logdiff.weyl import (
     Derivation,
     DiffOp,
@@ -57,7 +58,7 @@ def test_sums_equality_hashing_and_repr_are_shared(kind):
     assert x - x == 0 and 0 == x - x and (x - x) + 3 == 3
     # a polynomial is the operator that multiplies by it, and a derivation
     # the plain operator with its terms
-    twin = DiffOp(2, x.terms) if isinstance(x, DiffOp) else DiffOp.from_poly(x)
+    twin = DiffOp(2, x.as_dict()) if isinstance(x, DiffOp) else DiffOp.from_poly(x)
     assert x == twin and twin == x and hash(x) == hash(twin)
     assert x == x + 0 == 0 + x and hash(x) == hash(x + 0) == hash(-(-x))
     assert len({x, x + 0, -(-x), twin}) == 1
@@ -140,8 +141,8 @@ def _times_by_commutation(u, v):
     d_i * h = h * d_i + dh/dx_i; independent of the Leibniz formula."""
     n = u.nvars
     out = DiffOp.zero(n)
-    for beta, f in u.terms.items():
-        for gamma, g in v.terms.items():
+    for beta, f in u.as_dict().items():
+        for gamma, g in v.as_dict().items():
             cur = {gamma: g}  # d^beta' * g * d^gamma as sum of h * d^delta
             for i, e in enumerate(beta):
                 for _ in range(e):
@@ -166,7 +167,7 @@ def test_leibniz_product_matches_commutation_relation():
         v = random_diffop(rng, 2, max_order=2, max_degree=3)
         uv = u * v
         assert uv == _times_by_commutation(u, v)
-        for beta, coeff in uv.terms.items():
+        for beta, coeff in uv.as_dict().items():
             assert coeff and coeff.nvars == 2 and len(beta) == 2
 
 
@@ -206,8 +207,8 @@ def test_constant_coefficients_on_the_right_shift_partials():
     for v, want in zip(rights, expected):
         assert u * v == want
     product = d1_plus_d2 * d1_minus_d2
-    assert product == squares and product.terms == squares.terms
-    assert (half * d1_minus_d2).terms == {(2, 0): Poly.constant(2, Fraction(1, 2)),
+    assert product == squares and product.as_dict() == squares.as_dict()
+    assert (half * d1_minus_d2).as_dict() == {(2, 0): Poly.constant(2, Fraction(1, 2)),
                                           (0, 2): Poly.constant(2, Fraction(-1, 2))}
     assert DiffOp.zero(2) * d1_plus_d2 == DiffOp.zero(2)
     # a polynomial on the left times constants on the right
@@ -243,7 +244,7 @@ def test_polynomials_and_scalars_times_an_operator(left, right):
     f = left if isinstance(left, Poly) else Poly.constant(2, left)
     got = left * right
     assert got == DiffOp.from_poly(f) * right == _times_by_commutation(DiffOp.from_poly(f), right)
-    assert type(got) is DiffOp and got.terms == (DiffOp.from_poly(f) * right).terms
+    assert type(got) is DiffOp and got.as_dict() == (DiffOp.from_poly(f) * right).as_dict()
     assert all(got.terms.values())
     with pytest.raises(ValueError):
         P("x", 3) * right
@@ -279,8 +280,35 @@ def test_parsed_product_matches_commutation_hypothesis(pair):
 def test_left_multiplication_by_zero_gives_zero_operator():
     u = D("x*d1 + d2^2", 2)
     for zero in (0, Fraction(0), Poly.zero(2)):
-        assert (zero * u).terms == {}
-    assert (Fraction(1, 2) * u).terms == D("1/2*x*d1 + 1/2*d2^2", 2).terms
+        assert (zero * u).as_dict() == {}
+    assert (Fraction(1, 2) * u).as_dict() == D("1/2*x*d1 + 1/2*d2^2", 2).as_dict()
+
+
+def test_derivative_order_limit(capsys):
+    one = Poly.one(2)
+    top = DiffOp(2, {(MAX_DEGREE - 1, 1): one})
+    assert top.order == MAX_DEGREE and top.as_dict() == {(MAX_DEGREE - 1, 1): one}
+    for beta in ((MAX_DEGREE, 1), (2 ** 64, 0), (0, 10 ** 21)):
+        with pytest.raises(DegreeLimitError, match=f"exceeds the limit {MAX_DEGREE}"):
+            DiffOp(2, {beta: one})
+    # a product is refused from the two orders, which add, before any term forms
+    d1 = DiffOp.partial(2, 1)
+    below = DiffOp(2, {(MAX_DEGREE - 1, 0): P("x^2", 2)})
+    assert (below * d1).order == (d1 * below).order == MAX_DEGREE
+    assert (top * P("x*y", 2)).order == MAX_DEGREE
+    for left, right in ((top, d1), (d1, top), (below, below)):
+        with pytest.raises(DegreeLimitError):
+            left * right
+    with pytest.raises(DegreeLimitError):
+        d1 ** (MAX_DEGREE + 1)
+    # a nested power fails at the exponent of the step that passes the limit
+    text = "(((d1^1000)^1000)^1000)^1000"
+    with pytest.raises(ParseError) as info:
+        parse_diffop(text, 1)
+    assert info.value.position == 24 and f"exceeds the limit {MAX_DEGREE}" in str(info.value)
+    assert main(["tangent", "--arrangement", "builtin:boolean1", "--op", text]) == 2
+    assert capsys.readouterr() == ("", f"error: operator '{text}': monomial degree exceeds the "
+                                       f"limit {MAX_DEGREE} (at position 24)\n")
 
 
 def test_dimension_mismatch_rejected():
@@ -306,7 +334,7 @@ def test_commutator_with_polynomial_matches_products():
             f = f * Fraction(rng.randint(1, 5), 3)
         got = commutator(u, f)
         assert got == u * f - f * u
-        assert got.terms == (u * f - f * u).terms
+        assert got.as_dict() == (u * f - f * u).as_dict()
         assert all(got.terms.values())
     u = random_diffop(rng, 2)
     for constant in (0, 3, Fraction(-1, 2), Poly.constant(2, 7)):
@@ -336,7 +364,7 @@ def test_commutator_with_a_linear_form_skips_leibniz(monkeypatch):
     monkeypatch.setattr(weyl, "_leibniz_into", _no_leibniz)
     for (u, f), want in zip(cases, expected):
         got = commutator(u, f)
-        assert got.terms == want.terms
+        assert got.as_dict() == want.as_dict()
 
 
 def test_iterated_commutator_examples():
@@ -380,12 +408,12 @@ def test_brackets_detect_order():
         fs = [random_poly(rng, 2) for _ in range(p + 1)]
         assert not iterated_commutator(u, fs)
         # bracketing along a top exponent leaves its coefficient, scaled
-        beta = max(u.terms, key=lambda b: (sum(b), b))
+        beta, top = u.sorted_terms()[0]
         if sum(beta) == p:
             vars_seq = [P("x", 2)] * beta[0] + [P("y", 2)] * beta[1]
             got = iterated_commutator(u, vars_seq)
             scale = factorial(beta[0]) * factorial(beta[1])
-            assert got == scale * u.terms[beta]
+            assert got == scale * top
 
 
 # -- application and values --------------------------------------------------------
@@ -508,7 +536,7 @@ def test_derivation_is_its_operator():
     d = Derivation((P("x^2", 2), Poly.zero(2)))
     assert isinstance(d, DiffOp)
     assert d.nvars == 2 and d.order == 1
-    assert d.terms == {(1, 0): P("x^2", 2)}
+    assert d.as_dict() == {(1, 0): P("x^2", 2)}
     assert d.coeffs == (P("x^2", 2), Poly.zero(2))
     text = str(d)
     assert text == render(d) == "x1^2*d1"
