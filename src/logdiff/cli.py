@@ -23,7 +23,7 @@ import random
 import sys
 from functools import cache
 from math import comb
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .arrangement import (Arrangement, SaitoBasis, SaitoFailure, _load_basis, _load_spec,
                           builtin_arrangement, saito_check)
@@ -214,33 +214,11 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def _report(name: str, details: str, trials: int, seed: int, failures: list[str]) -> int:
-    passed = trials - len(failures)
-    print(f"{name}: {details} trials={trials} seed={seed} passed={passed} failed={len(failures)}")
-    for line in failures:
-        print(f"  reproduce: {line}")
-    return 0 if not failures else 1
-
-
 def _check_verify_size(dim: int, p: int) -> None:
     # dim and p first: they bound the cost of comb.
     if max(dim, p) > MAX_VERIFY_SIZE or comb(p + dim - 1, p) > MAX_VERIFY_SIZE:
         raise CliError(f"l = {_quote(dim)}, p = {_quote(p)}: max(l, p, C(p+l-1, p)) exceeds "
                        f"the limit {MAX_VERIFY_SIZE}")
-
-
-def _verify_sym_power(args) -> int:
-    if args.arrangement or args.basis:
-        raise CliError("--lemma sym-power takes neither --arrangement nor --basis")
-    dim = args.l or 2
-    _check_verify_size(dim, args.p)
-    rng = random.Random(args.seed)
-    failures = []
-    for trial in range(args.trials):
-        m = random_int_matrix(rng, dim)
-        if not sym_power_det_identity_holds(m, args.p):
-            failures.append(f"trial {trial}: matrix {m}")
-    return _report("sym-power", f"l={dim} p={args.p}", args.trials, args.seed, failures)
 
 
 def _verify_arrangement(args) -> tuple[Arrangement, tuple[Derivation, ...] | None]:
@@ -252,56 +230,69 @@ def _verify_arrangement(args) -> tuple[Arrangement, tuple[Derivation, ...] | Non
     return arr, thetas
 
 
-def _verify_jacobian_power(args) -> int:
+# Each lemma checks and loads its own inputs, then returns the details of its
+# summary line and ``trial(rng, n)``: one draw from ``rng`` and one check,
+# giving None or the label of a failure.  The predicates are looked up at
+# call time, so tests can replace them.
+_Trial = Callable[[random.Random, int], "str | None"]
+
+
+def _sym_power(args) -> tuple[str, _Trial]:
+    if args.arrangement or args.basis:
+        raise CliError("--lemma sym-power takes neither --arrangement nor --basis")
     dim = args.l or 2
-    fixture_thetas = None
+    _check_verify_size(dim, args.p)
+
+    def trial(rng, n):
+        m = random_int_matrix(rng, dim)
+        return None if sym_power_det_identity_holds(m, args.p) else f"matrix {m}"
+    return f"l={dim} p={args.p}", trial
+
+
+def _jacobian_power(args) -> tuple[str, _Trial]:
+    if args.p < 1:
+        raise CliError("--p must be at least 1 for jacobian-power")
+    dim = args.l or 2
+    fixture = None
     if args.arrangement:
-        arr, fixture_thetas = _verify_arrangement(args)
+        arr, fixture = _verify_arrangement(args)
         dim = arr.dim
     _check_verify_size(dim, args.p)
-    if args.basis or fixture_thetas is not None:
-        fixture_thetas = _resolve_basis(args, dim, fixture_thetas)
-    rng = random.Random(args.seed)
+    if args.basis or fixture is not None:
+        fixture = _resolve_basis(args, dim, fixture)
     fs = coordinates(dim)
-    failures = []
-    for trial in range(args.trials):
-        if trial == 0 and fixture_thetas is not None:
-            ops: Sequence = fixture_thetas
-            label = "fixture basis"
+
+    def trial(rng, n):
+        if n == 0 and fixture is not None:
+            ops, label = fixture, "fixture basis"
         else:
             ops = [random_order_one_op(rng, dim, 2) for _ in range(dim)]
-            label = "; ".join(render(op) for op in ops)
-        if not jacobian_power_identity(fs, ops, args.p):
-            failures.append(f"trial {trial}: ops {label}")
-    return _report("jacobian-power", f"l={dim} p={args.p}", args.trials, args.seed, failures)
+            label = "; ".join(map(render, ops))
+        return None if jacobian_power_identity(fs, ops, args.p) else f"ops {label}"
+    return f"l={dim} p={args.p}", trial
 
 
-def _verify_divisibility(args) -> int:
+def _divisibility(args) -> tuple[str, _Trial]:
     if not args.arrangement:
         raise CliError("--lemma divisibility needs --arrangement (with a basis)")
     arr, thetas = _verify_arrangement(args)
     _check_verify_size(arr.dim, args.p)
     thetas = _resolve_basis(args, arr.dim, thetas)
-    rng = random.Random(args.seed)
     fs = coordinates(arr.dim)
     q_power = arr.q ** comb(args.p + arr.dim - 1, arr.dim)
     word_op = word_fold(thetas)
-    failures = []
-    for trial in range(args.trials):
-        entries = tuple(
-            random_word(rng, word_op, len(thetas), arr.dim, args.p)
-            for _ in sym_indices(arr.dim, args.p)
-        )
-        fam = OpFamily(arr.dim, args.p, entries)
-        jac = higher_jacobian(fs, fam)
-        if not divides(q_power, jac):
-            failures.append(
-                f"trial {trial}: entries {[render(e) for e in entries]}"
-            )
-    return _report(
-        "divisibility", f"arrangement={args.arrangement} p={args.p}",
-        args.trials, args.seed, failures,
-    )
+
+    def trial(rng, n):
+        entries = tuple(random_word(rng, word_op, len(thetas), arr.dim, args.p)
+                        for _ in sym_indices(arr.dim, args.p))
+        jac = higher_jacobian(fs, OpFamily(arr.dim, args.p, entries))
+        return None if divides(q_power, jac) else f"entries {[render(e) for e in entries]}"
+    return f"arrangement={args.arrangement} p={args.p}", trial
+
+
+# ``--lemma``'s choices, in the order its usage lists them.
+_LEMMAS = {"sym-power": _sym_power, "jacobian-power": _jacobian_power,
+           "divisibility": _divisibility}
 
 
 def cmd_verify(args) -> int:
@@ -314,13 +305,15 @@ def cmd_verify(args) -> int:
         raise CliError("--trials must be at least 1")
     if args.trials > MAX_TRIALS:
         raise CliError(f"--trials {_quote(args.trials)} exceeds the limit {MAX_TRIALS}")
-    if args.lemma == "sym-power":
-        return _verify_sym_power(args)
-    if args.lemma == "jacobian-power":
-        if args.p < 1:
-            raise CliError("--p must be at least 1 for jacobian-power")
-        return _verify_jacobian_power(args)
-    return _verify_divisibility(args)
+    details, trial = _LEMMAS[args.lemma](args)
+    rng = random.Random(args.seed)
+    failures = [f"trial {n}: {label}" for n in range(args.trials)
+                if (label := trial(rng, n)) is not None]
+    print(f"{args.lemma}: {details} trials={args.trials} seed={args.seed} "
+          f"passed={args.trials - len(failures)} failed={len(failures)}")
+    for line in failures:
+        print(f"  reproduce: {line}")
+    return 1 if failures else 0
 
 
 @cache
@@ -355,8 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tangent)
 
     p = sub.add_parser("verify", help="seeded randomized checks of the core identities")
-    p.add_argument("--lemma", required=True,
-                   choices=["sym-power", "jacobian-power", "divisibility"])
+    p.add_argument("--lemma", required=True, choices=list(_LEMMAS))
     p.add_argument("--l", type=_int_arg,
                    help="ambient dimension (default 2); with --arrangement, its dimension")
     p.add_argument("--p", type=_int_arg, default=2, help="power / level")

@@ -19,8 +19,9 @@ Matrix = Sequence[Sequence]
 # Cofactor expansion up to this size, Bareiss elimination above it.  Small
 # polynomial matrices are the common case, and there Bareiss pays an exact
 # division per entry and step where the expansion only multiplies: Bareiss
-# at every size cut perfbench verify ops_per_s from 546/489/549 to
-# 410/451/431 (three alternating 8 s pairs, seeds 61-63, 2-core Xeon VM).
+# at every size cut perfbench verify ops_per_s from 598 to 542, 9.1%, lower
+# in 6 of 6 pairs (medians of six alternating 8 s pairs, seeds 61-66, 2-core
+# Xeon VM).
 _SMALL = 4
 
 

@@ -367,6 +367,8 @@ class Poly(_Terms):
         a, b = self.terms, other.terms
         if not a or not b:
             return Poly._make(n, {})
+        # Without this path perfbench decompose ops_per_s fell 3.5%, lower in
+        # 6 of 6 alternating 8 s pairs (2-core Xeon VM).
         if len(b) == 1:
             a, b = b, a
         if len(a) == 1:
@@ -518,6 +520,9 @@ def exact_divide(a: Poly, b: Poly) -> Poly:
         mq = m - lead_b
         if mq & guards:
             raise NotDivisibleError("remainder is nonzero")
+        # Without this path perfbench tangent-transport ops_per_s fell 8.7%
+        # and p90 latency rose 14%, worse in 6 of 6 alternating 8 s pairs
+        # (2-core Xeon VM).
         if int_cb and type(c) is int and not c % cb:
             cq = c // cb
         else:

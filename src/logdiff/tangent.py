@@ -25,6 +25,7 @@ from math import comb
 from threading import Lock
 from typing import TYPE_CHECKING, Sequence
 
+from .exprparse import QUOTE_CHARS, _quote
 from .linalg import _form_product_fold, determinant
 from .polyring import NotDivisibleError, Poly, Scalar, divides, exact_divide
 from .weyl import Derivation, DiffOp, _bracket_linear, commutator, word_fold
@@ -436,10 +437,13 @@ def decompose(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> Decomposition:
             try:
                 coeff = exact_divide(numer, divisor)
             except NotDivisibleError:
+                # The rest of the line is about 170 bytes, so a long index
+                # is quoted shorter than a token; ``index`` keeps it whole.
                 raise DecompositionError(
-                    f"level {p}, index {k}: symbol coefficient is not divisible "
-                    "by the scaled power of the defining polynomial; the "
-                    "operator is not a word combination at this level",
+                    f"level {p}, index {_quote(k, QUOTE_CHARS // 2)}: symbol "
+                    "coefficient is not divisible by the scaled power of the "
+                    "defining polynomial; the operator is not a word "
+                    "combination at this level",
                     level=p, index=k,
                 ) from None
             level_words.append((coeff, k))

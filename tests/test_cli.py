@@ -130,7 +130,8 @@ def test_oversized_integer_in_op_is_a_parse_error(capsys, int_digit_limit, comma
     code, out, err = run(capsys, command, "--arrangement", "builtin:boolean1",
                          "--op", "9" * 5000 + "*x1*d1")
     assert (code, out) == (2, "")
-    assert err == (f"error: operator '{'9' * 40}...': integer has more than "
+    # the head and the tail of the text, 40 characters in all
+    assert err == (f"error: operator '{'9' * 19}...{'9' * 12}*x1*d1': integer has more than "
                    f"{MAX_DIGITS} digits (at position 0)\n")
     code, out, _ = run(capsys, command, "--arrangement", "builtin:boolean1",
                        "--op", "9" * MAX_DIGITS + "*x1*d1")
@@ -154,7 +155,7 @@ def test_oversized_integer_in_arrangement_file(tmp_path, capsys, int_digit_limit
 @pytest.mark.parametrize("option", ["--arrangement", "--basis"])
 def test_long_file_paths_are_quoted_short(tmp_path, capsys, content, message, option):
     if content is None:
-        path = "a" * 20_000
+        path = "a" * 20_000 + "/in.json"
     else:
         # about 3,000 letters, under the system's limit on a path, naming a real file
         (tmp_path / "in.json").write_text(content)
@@ -164,6 +165,8 @@ def test_long_file_paths_are_quoted_short(tmp_path, capsys, content, message, op
     code, out, err = run(capsys, "check-free", *files)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and message in err and len(err.encode()) < 200
+    # the head and the tail of the path: the file name survives
+    assert "/in.json'" in err
 
 
 @pytest.mark.parametrize("op, message, at", [
@@ -267,6 +270,19 @@ def test_decompose_json_failure_golden(capsys):
     assert (code, err) == (1, "")
     assert out == '{"level": 2, "index": [1, 1]}\n'
     assert json.loads(out) == {"level": 2, "index": [1, 1]}
+
+
+def test_decompose_long_failure_index(capsys):
+    # d1^900 fails at level 900: the text line quotes its index short, while
+    # --json, which prints DecompositionError.index, keeps all 900 letters
+    argv = ["decompose", "--arrangement", "builtin:boolean1", "--op", "(d1^30)^30"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert out.startswith("not decomposable: level 900, index (1, 1, 1,...1, 1, 1): ")
+    assert out.count("\n") == 1 and len(out.encode()) < 200
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"level": 900, "index": [1] * 900}
 
 
 def test_decompose_polynomial(capsys):
@@ -427,7 +443,7 @@ def test_tangent_deeply_nested_operator(capsys):
     )
     assert code == 2
     assert err.startswith("error: ") and "nested too deeply" in err
-    # the operator text is quoted as a short prefix, not all 4,001 characters
+    # the operator text is quoted short, not all 4,001 characters
     assert max(len(line) for line in err.splitlines()) < 200
 
 
@@ -501,7 +517,7 @@ def test_degree_limit_exits_2(capsys):
         "--op", "((((((x^1000)^1000)^1000)^1000)^1000)^1000)^1000*d1",
     )
     assert (code, out) == (2, "")
-    assert err == ("error: operator '((((((x^1000)^1000)^1000)^1000)^1000)^10...': monomial "
+    assert err == ("error: operator '((((((x^1000)^1000)...000)^1000)^1000*d1': monomial "
                    f"degree exceeds the limit {MAX_DEGREE} (at position 26)\n")
     # an operator at the limit parses and decomposes, but its witness
     # x * x^MAX_DEGREE at t = 1 passes the limit
@@ -802,6 +818,40 @@ def test_verify_failure_report_is_pinned(tmp_path, capsys):
     assert out == (
         "divisibility: arrangement=builtin:triple2 p=1 trials=4 seed=3 passed=3 failed=1\n"
         "  reproduce: trial 2: entries ['4*x1*x2*d2 + 2*x2^2*d2', '-2*x1*x2*d1 - x2^2*d1']\n"
+    )
+
+
+def test_verify_sym_power_failure_report_is_pinned(capsys, monkeypatch):
+    # the identity holds, so a stand-in predicate fails trials 1 and 3
+    verdicts = iter([True, False, True, False])
+    monkeypatch.setattr(logdiff.cli, "sym_power_det_identity_holds",
+                        lambda m, p: p == 2 and next(verdicts))
+    code, out, _ = run(
+        capsys, "verify", "--lemma", "sym-power", "--l", "2", "--p", "2",
+        "--trials", "4", "--seed", "3",
+    )
+    assert code == 1
+    assert out == (
+        "sym-power: l=2 p=2 trials=4 seed=3 passed=2 failed=2\n"
+        "  reproduce: trial 1: matrix [[0, 4], [2, 5]]\n"
+        "  reproduce: trial 3: matrix [[2, -1], [3, -2]]\n"
+    )
+
+
+def test_verify_jacobian_power_failure_report_is_pinned(capsys, monkeypatch):
+    # trial 0 checks the fixture's basis and draws nothing; trials 0 and 2 fail
+    verdicts = iter([False, True, False])
+    monkeypatch.setattr(logdiff.cli, "jacobian_power_identity",
+                        lambda fs, ops, power: power == 1 and next(verdicts))
+    code, out, _ = run(
+        capsys, "verify", "--lemma", "jacobian-power", "--arrangement", "builtin:boolean2",
+        "--p", "1", "--trials", "3", "--seed", "5",
+    )
+    assert code == 1
+    assert out == (
+        "jacobian-power: l=2 p=1 trials=3 seed=5 passed=1 failed=2\n"
+        "  reproduce: trial 0: ops fixture basis\n"
+        "  reproduce: trial 2: ops -d1; -4*x2*d1 - 2*d1 - 4*x1*x2*d2 - 3*x2*d2 - 2*x1*x2\n"
     )
 
 

@@ -13,8 +13,10 @@ from logdiff.exprparse import (
     MAX_NESTING,
     MAX_TERM_PAIRS,
     MAX_TERMS,
+    QUOTE_CHARS,
     ParseError,
     _number,
+    _quote,
     parse_diffop,
     parse_poly,
     render,
@@ -102,6 +104,16 @@ def test_names_are_resolved_per_parse():
         with pytest.raises(ParseError) as info:
             parse_poly(text, 2)
         assert info.value.position == at
+
+
+def test_quote_keeps_the_head_and_the_tail():
+    assert _quote("x1*d1") == "'x1*d1'" and _quote((1, 1)) == "(1, 1)"
+    assert _quote(10 ** 39) == "1" + "0" * 39
+    # longer than QUOTE_CHARS: that many characters, so a path keeps its file name
+    path = "/tmp/" + "a" * 100 + "/in.json"
+    assert _quote(path) == repr(path[:19] + "..." + path[-18:])
+    assert _quote(10 ** 40) == "1" + "0" * 18 + "..." + "0" * 18
+    assert _quote((1,) * 7, 20) == "(1, 1, 1,...1, 1, 1)"
 
 
 def test_parse_poly_rejects_partials():
