@@ -238,6 +238,8 @@ class _Parser:
             if exp > MAX_EXPONENT:
                 raise ParseError(f"exponent {_quote(exp)} exceeds the limit {MAX_EXPONENT}", at)
             self.advance()
+            # The loop of ``polyring._Terms.__pow__``, with the term-pair
+            # bound checked before each step and the term bound after it.
             value = base if exp else DiffOp.one(self.nvars)
             for _ in range(exp - 1):
                 value = self.product(value, base, at)

@@ -19,9 +19,9 @@ raises ``DegreeLimitError`` and never wraps.  Three facts follow:
 - m is divisible by b exactly when m - b sets no guard bit, and then m - b
   is the quotient's key.
 
-Both classes inherit the format, sums, negation, truth, equality, hashing
-and printing from one base, ``_Terms``; each keeps its own products and
-powers.  The constructors take exponent tuples, and ``as_dict``,
+Both classes inherit the format, sums, negation, truth, equality, hashing,
+printing and powers from one base, ``_Terms``; each keeps its own
+products.  The constructors take exponent tuples, and ``as_dict``,
 ``sorted_terms``, ``top_terms`` and ``degrees`` give them back.  Outside
 this module only weyl's operator product reads keys, with ``_WIDTH``,
 ``_FIELD``, ``_shifts``, ``_unit`` and ``_unpack``.
@@ -64,6 +64,13 @@ def simplify_scalar(c: Scalar) -> Scalar:
     if isinstance(c, Fraction) and c.denominator == 1:
         return c.numerator
     return c
+
+
+def _exact(c) -> Scalar:
+    """A checked constructor scalar: a bool is stored as its int, an integral Fraction as int."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"coefficient must be an int or a Fraction, not {type(c).__name__}")
+    return int(c) if isinstance(c, int) else simplify_scalar(c)
 
 
 def _key(mono: Sequence[int], nvars: int) -> int:
@@ -133,10 +140,10 @@ class _Terms:
     coefficients, with everything that reads a key and the operations that
     only add coefficients.  Subclasses supply ``_coefficient(c, nvars)``,
     which checks a constructor coefficient and returns it as stored,
-    ``_make(nvars, terms)``, which wraps a canonical map in a result, and
+    ``_make(nvars, terms)``, which wraps a canonical map in a result,
     ``_coerce(other)``, which returns ``other`` as an instance over the
     same ``nvars``, None for a type it does not take, or raises ValueError
-    for another dimension.
+    for another dimension, and ``__mul__``.
     """
 
     __slots__ = ("nvars", "terms")
@@ -215,6 +222,24 @@ class _Terms:
             return NotImplemented
         return other - self
 
+    def __pow__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("power needs a non-negative integer exponent")
+        # Refused before the first product, so that no loop runs up to it.
+        if (self._top() or 0) * n > MAX_DEGREE:
+            raise DegreeLimitError()
+        if not n:
+            return self._coerce(1)
+        # A fresh copy at 1, so that a Derivation's power is a plain DiffOp.
+        out = self if n > 1 else self._make(self.nvars, dict(self.terms))
+        for _ in range(n - 1):
+            out = out * self
+        return out
+
+    def _check_same_ring(self, other: _Terms) -> None:
+        if self.nvars != other.nvars:
+            raise ValueError(f"mixed ambient dimensions {self.nvars} and {other.nvars}")
+
     def __neg__(self):
         return self._make(self.nvars, {m: -c for m, c in self.terms.items()})
 
@@ -265,7 +290,7 @@ class Poly(_Terms):
 
     @staticmethod
     def _coefficient(c: Scalar, nvars: int) -> Scalar:
-        return simplify_scalar(c)
+        return _exact(c)
 
     @classmethod
     def _make(cls, nvars: int, terms: dict[int, Scalar]) -> Poly:
@@ -293,8 +318,7 @@ class Poly(_Terms):
     @classmethod
     def constant(cls, nvars: int, value: Scalar) -> Poly:
         out = cls(nvars)
-        value = simplify_scalar(value)
-        if value:
+        if value := _exact(value):
             out.terms[0] = value
         return out
 
@@ -337,10 +361,6 @@ class Poly(_Terms):
         return out
 
     # -- arithmetic --------------------------------------------------------
-
-    def _check_same_ring(self, other: Poly) -> None:
-        if self.nvars != other.nvars:
-            raise ValueError(f"mixed ambient dimensions {self.nvars} and {other.nvars}")
 
     def _coerce(self, other) -> Poly | None:
         if isinstance(other, Poly):
@@ -393,18 +413,8 @@ class Poly(_Terms):
     def __rmul__(self, other) -> Poly:
         return self * other
 
-    def __pow__(self, n: int) -> Poly:
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial power needs a non-negative integer exponent")
-        if n == 0:
-            return Poly.one(self.nvars)
-        # Refused before the first product, so that no loop runs up to it.
-        if (self.degree or 0) * n > MAX_DEGREE:
-            raise DegreeLimitError()
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out
+    # An entry of Poly's own: perfbench's tracer wraps ``Poly.__dict__["__pow__"]``.
+    __pow__ = _Terms.__pow__
 
     # -- calculus ----------------------------------------------------------
 
@@ -462,7 +472,7 @@ class LinearForm:
     coeffs: tuple[Scalar, ...]
 
     def __post_init__(self):
-        coeffs = tuple(simplify_scalar(c) for c in self.coeffs)
+        coeffs = tuple(map(_exact, self.coeffs))
         if not coeffs or all(c == 0 for c in coeffs):
             raise ValueError("linear form must have a nonzero coefficient")
         object.__setattr__(self, "coeffs", coeffs)

@@ -226,9 +226,9 @@ def reassemble(dec: Decomposition) -> DiffOp:
 
 
 class _Frame:
-    """What ``transport`` and ``is_tangent_q`` keep of one arrangement for
-    its lifetime: the generators Q*d_1 .. Q*d_l, their word fold, and the
-    powers of Q, up to the largest order requested.
+    """What ``transport``, ``is_tangent_q`` and ``decompose`` keep of one
+    arrangement for its lifetime: the generators Q*d_1 .. Q*d_l, their
+    word fold, and the powers of Q, up to the largest order requested.
 
     Every value is a function of Q alone, so threads may share a frame: a
     word formed twice in a race is the same word, and the powers grow
@@ -374,8 +374,8 @@ def decompose(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> Decomposition:
     xi_j = sum_i adj(Theta)_ji y_i over the letters of beta, expanded by
     the fold that builds ``sym_power_matrix`` rows.  lambda is the
     certified ``basis.scalar``; det Theta, read off adj(Theta), must equal
-    lambda * Q, or a ValueError is raised.  Exact division
-    extracts c_K.  A division that fails is reported as a
+    lambda * Q, or a ValueError is raised.  Exact division by Q^p lambda^p
+    (Q^p from the frame, ``_frame``) extracts c_K.  A failed division is a
     DecompositionError naming the level and the index: that is the
     certificate that u is not a word combination.  The c_K are the same
     rational functions that Cramer's rule reads off the higher Jacobians,
@@ -426,7 +426,7 @@ def decompose(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> Decomposition:
             for mult, c in xi_fold(_letters(beta)).items():
                 acc = numerators.get(mult)
                 numerators[mult] = a * c if acc is None else acc + a * c
-        divisor = lam_q ** p
+        divisor = _frame(arr).q_power(p) * basis.scalar ** p
         level_words: list[tuple[Poly, tuple[int, ...]]] = []
         # Descending multiplicity vectors are ascending ``sym_indices``.
         for mult in sorted(numerators, reverse=True):

@@ -31,6 +31,8 @@ class DiffOp(_Terms):
 
     @staticmethod
     def _coefficient(c: Poly, nvars: int) -> Poly:
+        if not isinstance(c, Poly):
+            raise TypeError(f"coefficient must be a Poly, not {type(c).__name__}")
         if c.nvars != nvars:
             raise ValueError("coefficient over a different ambient dimension")
         return c
@@ -93,12 +95,10 @@ class DiffOp(_Terms):
 
     def _coerce(self, other) -> DiffOp | None:
         if isinstance(other, DiffOp):
-            if self.nvars != other.nvars:
-                raise ValueError("mixed ambient dimensions")
+            self._check_same_ring(other)
             return other
         if isinstance(other, Poly):
-            if self.nvars != other.nvars:
-                raise ValueError("mixed ambient dimensions")
+            self._check_same_ring(other)
             return DiffOp.from_poly(other)
         if isinstance(other, (int, Fraction)):
             return DiffOp.from_poly(Poly.constant(self.nvars, other))
@@ -133,20 +133,6 @@ class DiffOp(_Terms):
         if other is None:
             return NotImplemented
         return other * self
-
-    def __pow__(self, n: int) -> DiffOp:
-        # exprparse._Parser.power repeats this loop so that it can check
-        # the term-pair bound before each step and the term bound after
-        # it; keep the two in step.
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("operator power needs a non-negative integer exponent")
-        if (self.order or 0) * n > MAX_DEGREE:
-            raise DegreeLimitError()
-        # A plain copy for n = 1, so that a Derivation's power is no Derivation.
-        out = DiffOp._make(self.nvars, dict(self.terms)) if n else DiffOp.one(self.nvars)
-        for _ in range(n - 1):
-            out = out * self
-        return out
 
 
 def word_fold(ops: Sequence[DiffOp]):

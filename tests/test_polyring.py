@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import apply_linear_map, eval_poly, exact_divide_by_rescan, mul_by_terms, random_poly
+from logdiff.arrangement import Arrangement
 from logdiff.exprparse import MAX_EXPONENT, ParseError, parse_poly, render
 from logdiff.polyring import (
     MAX_DEGREE,
@@ -56,6 +57,33 @@ def test_mixed_dimension_rejected():
         P("x", 1) + P("x", 2)
     with pytest.raises(ValueError):
         P("x", 1) * P("y", 2)
+    # one check for both kinds, naming both dimensions
+    for a, b in ((DiffOp.partial(1, 1), DiffOp.partial(2, 1)), (DiffOp.partial(1, 1), P("y", 2))):
+        with pytest.raises(ValueError, match="mixed ambient dimensions 1 and 2"):
+            a + b
+
+
+@pytest.mark.parametrize("build, refused", [
+    (lambda: Poly(1, {(1,): 0.5}), "float"),
+    (lambda: Poly.constant(1, 0.25) * P("x", 1), "float"),
+    (lambda: Arrangement([LinearForm((1, 0)), LinearForm((0.5, 1))]).q, "float"),
+    (lambda: Poly(1, {(1,): None}), "NoneType"),
+    (lambda: LinearForm(("1", 2)).as_poly(), "str"),
+    (lambda: DiffOp(1, {(1,): 3}), "int"),
+    (lambda: Poly.constant(1, True), None),
+    (lambda: Poly(2, {(1, 0): True, (0, 1): False}), None),
+    (lambda: LinearForm((True, 2)).as_poly(), None),
+], ids=["poly-float", "constant-float", "form-float", "poly-none", "form-str", "diffop-int",
+        "constant-bool", "poly-bool", "form-bool"])
+def test_checked_constructors_take_exact_scalars(build, refused):
+    if refused:
+        with pytest.raises(TypeError, match=f"not {refused}$"):
+            build()
+        return
+    # a bool is stored as its int, so it prints as a number that parses back
+    p = build()
+    assert p and all(type(c) is int for c in p.terms.values())
+    assert parse_poly(str(p), p.nvars) == p
 
 
 def test_zero_degree_marker():

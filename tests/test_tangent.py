@@ -421,10 +421,15 @@ def test_frames_are_per_arrangement_and_change_no_result():
 
 def test_frame_shared_by_threads():
     # more threads than cores, switching often, grow fresh frames at once
-    forms = builtin_arrangement("triple2")[0].forms
+    # while decompose, on the same arrangements, reads its powers of Q there
+    triple2, thetas = builtin_arrangement("triple2")
+    forms = triple2.forms
     q = Arrangement(forms).q
     powers = [q ** k for k in range(13)]
     u = D("x1*d1^2 + 3*d2", 2)
+    basis = saito_check(Arrangement(forms), thetas)
+    w = thetas[0] * thetas[1] * thetas[1] + P("x - y", 2) * thetas[1] * thetas[0]
+    words = decompose(w, Arrangement(forms), basis).words
     errors = []
 
     def work(arr, seed):
@@ -433,7 +438,10 @@ def test_frame_shared_by_threads():
             for _ in range(8):
                 k = rng.randrange(13)
                 assert tangent._frame(arr).q_power(k) == powers[k]
-                assert reassemble(transport(u, arr)) == powers[3] * u
+                if rng.random() < 0.5:
+                    assert reassemble(transport(u, arr)) == powers[3] * u
+                else:
+                    assert decompose(w, arr, basis).words == words
         except AssertionError as exc:
             errors.append(exc)
 
@@ -452,6 +460,29 @@ def test_frame_shared_by_threads():
             assert frame.powers == powers[:len(frame.powers)]
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_decompose_takes_its_powers_of_q_from_the_frame(monkeypatch):
+    triple2, thetas = builtin_arrangement("triple2")
+    arr = Arrangement(triple2.forms)
+    basis = saito_check(arr, thetas)
+    # order 3, with a lower level that the subtraction leaves behind
+    u = thetas[0] * thetas[1] * thetas[1] + P("x - y", 2) * thetas[1] * thetas[0]
+    expected = decompose(u, Arrangement(triple2.forms), basis)
+    powers = [arr.q ** k for k in range(4)]
+    frame = tangent._frame(arr)
+    assert frame.powers == powers[:1]
+
+    def no_power(self, n):
+        raise AssertionError("decompose formed a power of a polynomial")
+
+    monkeypatch.setattr(Poly, "__pow__", no_power)
+    assert decompose(u, arr, basis) == expected
+    assert frame.powers == powers
+    kept = list(frame.powers)
+    assert decompose(u, arr, basis) == expected
+    assert len(frame.powers) == 4 and all(a is b for a, b in zip(frame.powers, kept))
+    assert reassemble(expected) == u
 
 
 def _count_word_folds(monkeypatch) -> list:
