@@ -362,8 +362,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # The token after --op is the operator text, also when it starts with
+    # "-" as a printed negative operator does; argparse would read such a
+    # token as an option, so each pair is passed to it as --op=<text>.
+    joined = []
+    tokens = iter(sys.argv[1:] if argv is None else argv)
+    for tok in tokens:
+        value = next(tokens, None) if tok == "--op" else None
+        if value is None:
+            joined.append(tok)
+        elif value == "--":
+            # argparse drops a "--" value; kept apart, it is a missing value.
+            joined += (tok, value)
+        else:
+            joined.append(f"--op={value}")
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(joined)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -333,32 +333,12 @@ def _number(c: Scalar) -> str:
     return _decimal(c)
 
 
-def _term_pieces(mono, beta, coeff: Scalar) -> tuple[bool, str]:
-    """Render one distributed term; returns (is_negative, body without sign)."""
-    pieces = []
-    for i, e in enumerate(mono, start=1):
-        if e == 1:
-            pieces.append(f"x{i}")
-        elif e > 1:
-            pieces.append(f"x{i}^{e}")
-    for i, e in enumerate(beta, start=1):
-        if e == 1:
-            pieces.append(f"d{i}")
-        elif e > 1:
-            pieces.append(f"d{i}^{e}")
-    negative = coeff < 0
-    mag = -coeff if negative else coeff
-    if not pieces:
-        return negative, _number(mag)
-    if mag == 1:
-        return negative, "*".join(pieces)
-    return negative, f"{_number(mag)}*" + "*".join(pieces)
-
-
 def render(value: Poly | DiffOp) -> str:
     """Canonical text: graded-lex descending terms, highest order first.
 
-    Round trips exactly through the matching parse function.
+    Each term is its sign, its coefficient's magnitude unless that is 1
+    before a power, and its x- then d-powers, joined by "*".  Round trips
+    exactly through the matching parse function.
     """
     if isinstance(value, Poly):
         items = [(m, (), c) for m, c in value.sorted_terms()]
@@ -369,10 +349,14 @@ def render(value: Poly | DiffOp) -> str:
     if not items:
         return "0"
     parts = []
-    for n, (mono, beta, coeff) in enumerate(items):
-        negative, body = _term_pieces(mono, beta, coeff)
-        if n == 0:
-            parts.append(f"-{body}" if negative else body)
-        else:
-            parts.append(f" - {body}" if negative else f" + {body}")
+    for mono, beta, coeff in items:
+        pieces = [f"{name}{i}^{e}" if e > 1 else f"{name}{i}"
+                  for name, exps in (("x", mono), ("d", beta))
+                  for i, e in enumerate(exps, start=1) if e]
+        mag = abs(coeff)
+        if mag != 1 or not pieces:
+            pieces.insert(0, _number(mag))
+        parts += (" - " if coeff < 0 else " + ", "*".join(pieces))
+    # The first term's sign is a bare "-", or nothing.
+    parts[0] = parts[0].strip(" +")
     return "".join(parts)

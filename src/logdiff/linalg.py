@@ -71,18 +71,6 @@ def _zero_like(x):
     return 0
 
 
-def _one_like(x):
-    if isinstance(x, Poly):
-        return Poly.one(x.nvars)
-    return 1
-
-
-def _exact_div(a, b):
-    if isinstance(a, Poly):
-        return exact_divide(a, b)
-    return simplify_scalar(Fraction(a) / Fraction(b))
-
-
 def permanent(m: Matrix):
     """Permanent of a square matrix: the signless determinant.
 
@@ -177,8 +165,10 @@ def _det_bareiss(a: list[list], n: int):
                     row_i[j], rem = divmod(num, prev)
                     if rem:
                         raise AssertionError("inexact Bareiss division over the integers")
+                elif isinstance(num, Poly):
+                    row_i[j] = exact_divide(num, prev)
                 else:
-                    row_i[j] = _exact_div(num, prev)
+                    row_i[j] = simplify_scalar(Fraction(num) / Fraction(prev))
         prev = pivot
     result = a[n - 1][n - 1]
     return -result if sign < 0 else result
@@ -230,7 +220,8 @@ def _form_product_fold(m: Matrix):
                 out[key] = c * x if acc is None else acc + c * x
         return out
 
-    return prefix_fold({(0,) * dim: _one_like(m[0][0])}, times_form)
+    one = Poly.one(m[0][0].nvars) if isinstance(m[0][0], Poly) else 1
+    return prefix_fold({(0,) * dim: one}, times_form)
 
 
 def sym_power_matrix(m: Matrix, power: int) -> list[list]:

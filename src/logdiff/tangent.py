@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .exprparse import QUOTE_CHARS, _quote
 from .linalg import _form_product_fold, determinant
-from .polyring import NotDivisibleError, Poly, Scalar, divides, exact_divide
+from .polyring import NotDivisibleError, Poly, divides, exact_divide
 from .weyl import Derivation, DiffOp, _bracket_linear, commutator, word_fold
 
 if TYPE_CHECKING:
@@ -139,21 +139,6 @@ class TangencyRow:
     witness: tuple[tuple[int, ...], Poly] | None = None
 
 
-def _brackets(u: DiffOp, alpha: Sequence[Scalar], k_max: int) -> list[dict[int, Poly]]:
-    """The terms of ad_a^k(u) = [...[u, a], ..., a] for k = 0, 1, ..., k_max while nonzero.
-
-    For the linear form a = sum_j alpha_j x_j each bracket
-    (``_bracket_linear``) lowers the order by one, so the list ends by
-    k = ord u.  Its d^gamma coefficient at k is
-    k! * sum over |delta| = k of C(gamma + delta, delta) alpha^delta
-    c_(gamma + delta).
-    """
-    levels = [u.terms]
-    while len(levels) <= k_max and (nxt := _bracket_linear(levels[-1], alpha)):
-        levels.append(nxt)
-    return levels
-
-
 def _tangency_rows(u: DiffOp, arr: Arrangement, t_max: int):
     """Yield the cells form by form, t = 1..t_max within each form.
 
@@ -168,8 +153,9 @@ def _tangency_rows(u: DiffOp, arr: Arrangement, t_max: int):
     divides T_t for every gamma.  From the first failing cell on, each
     cell is decided from R.  The gamma are checked in graded order; the
     first one that fails is the witness, with its full coefficient
-    a^(t-K) * R.  Cell t reads T_k only for k <= t, so the brackets stop
-    at k = t_max.
+    a^(t-K) * R.  Each bracket with a (``weyl._bracket_linear``) lowers
+    the order by one, and cell t reads T_k only for k <= t, so the
+    brackets stop by k = min(ord u, t_max).
     """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
@@ -178,7 +164,9 @@ def _tangency_rows(u: DiffOp, arr: Arrangement, t_max: int):
     zero = Poly.zero(arr.dim)
     for i, form in enumerate(arr.forms, start=1):
         fp = form.as_poly()
-        brackets = _brackets(u, form.coeffs, t_max)
+        brackets = [u.terms]
+        while len(brackets) <= t_max and (nxt := _bracket_linear(brackets[-1], form.coeffs)):
+            brackets.append(nxt)
         last = len(brackets) - 1
         # A gamma that no bracket reaches has coefficient c_gamma * a^t.
         gammas = sorted({g for level in brackets[1:] for g in level})
@@ -219,10 +207,14 @@ def reassemble(dec: Decomposition) -> DiffOp:
     if not dec.generators:
         raise ValueError("decomposition carries no generators")
     word_op = _kept_for(dec) or _keep(dec, word_fold(dec.generators))
-    out = DiffOp.zero(dec.generators[0].nvars)
-    for w in dec.words:
-        out = out + w.coeff * word_op(w.word)
-    return out
+    return _word_sum(word_op, ((w.coeff, w.word) for w in dec.words), dec.generators[0].nvars)
+
+
+def _word_sum(word_op, pairs, n: int) -> DiffOp:
+    """The operator sum of coeff * word_op(word) over the (coeff, word)
+    pairs, started from the first summand so that it is not copied."""
+    summands = (coeff * word_op(word) for coeff, word in pairs)
+    return sum(summands, next(summands, DiffOp.zero(n)))
 
 
 class _Frame:
@@ -300,7 +292,8 @@ def transport(u: DiffOp, arr: Arrangement) -> Decomposition:
     Peels the top normal-form layer one level at a time: multiplying the
     current operator, of order p, by Q^p turns each top term into a word
     in the Q-scaled partials up to an error of order below p, which the
-    next level peels.  One exponent e starts at C(p+1, 2) and each level
+    next level peels: Q^p times the operator, minus the level's words as
+    one ``_word_sum``.  One exponent e starts at C(p+1, 2) and each level
     of order p spends p of it, so that level's words carry Q^e; the
     order-0 rest is the empty word.  Reassembling the result gives
     Q^C(p+1,2) * u exactly, where p is the order of u.
@@ -324,11 +317,9 @@ def transport(u: DiffOp, arr: Arrangement) -> Decomposition:
         p = cur.order
         e -= p
         qe = frame.q_power(e)
-        nxt = frame.q_power(p) * cur
-        for beta, coeff in cur.top_terms():
-            word = _letters(beta)
-            words.append(Word(qe * coeff, word))
-            nxt = nxt - coeff * word_op(word)
+        level = [(coeff, _letters(beta)) for beta, coeff in cur.top_terms()]
+        words.extend(Word(qe * coeff, word) for coeff, word in level)
+        nxt = frame.q_power(p) * cur - _word_sum(word_op, level, arr.dim)
         if nxt and nxt.order >= p:
             raise AssertionError("transport must drop the order")
         cur = nxt
@@ -379,14 +370,15 @@ def decompose(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> Decomposition:
     DecompositionError naming the level and the index: that is the
     certificate that u is not a word combination.  The c_K are the same
     rational functions that Cramer's rule reads off the higher Jacobians,
-    so a failed division names the same first index on either route.
+    so a failed division names the same first index on either route: each
+    level divides its nonzero numerators in ``sym_indices`` order.
 
     Once every division at level p succeeds, subtracting the recovered
-    words always drops the order, so that step is an invariant check (an
-    AssertionError, raised under ``python -O`` too) and not a negative
-    result.  After the substitution, the order-p symbol of the
-    remainder is sum_K (N_K - (lambda Q)^p c_K) y^K, where N_K is the y^K
-    coefficient that was divided, and every term is zero once
+    words (one ``_word_sum``) always drops the order, so that step is an
+    invariant check (an AssertionError, raised under ``python -O`` too)
+    and not a negative result.  After the substitution, the order-p symbol
+    of the remainder is sum_K (N_K - (lambda Q)^p c_K) y^K, where N_K is
+    the y^K coefficient that was divided, and every term is zero once
     N_K = (lambda Q)^p c_K.  The substitution xi = adj(Theta) y is
     injective on polynomials in xi, because det adj(Theta) =
     (lambda Q)^(n-1) is nonzero, so the remainder's order-p symbol is
@@ -428,12 +420,8 @@ def decompose(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> Decomposition:
                 numerators[mult] = a * c if acc is None else acc + a * c
         divisor = _frame(arr).q_power(p) * basis.scalar ** p
         level_words: list[tuple[Poly, tuple[int, ...]]] = []
-        # Descending multiplicity vectors are ascending ``sym_indices``.
-        for mult in sorted(numerators, reverse=True):
-            numer = numerators[mult]
-            if not numer:
-                continue
-            k = _letters(mult)
+        # Ascending letter tuples are in ``sym_indices`` order.
+        for k, numer in sorted((_letters(mult), c) for mult, c in numerators.items() if c):
             try:
                 coeff = exact_divide(numer, divisor)
             except NotDivisibleError:
@@ -447,9 +435,7 @@ def decompose(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> Decomposition:
                     level=p, index=k,
                 ) from None
             level_words.append((coeff, k))
-        nxt = cur
-        for coeff, k in level_words:
-            nxt = nxt - coeff * word_op(k)
+        nxt = cur - _word_sum(word_op, level_words, n)
         if nxt and nxt.order >= p:
             raise AssertionError("decompose must drop the order")
         words.extend(Word(coeff, k) for coeff, k in level_words)

@@ -84,12 +84,8 @@ class DiffOp(_Terms):
         """Evaluate the operator on a polynomial."""
         if f.nvars != self.nvars:
             raise ValueError("polynomial over a different ambient dimension")
-        out = Poly.zero(self.nvars)
-        for beta, coeff in self.as_dict().items():
-            df = f.diff_multi(beta)
-            if df:
-                out = out + coeff * df
-        return out
+        return sum((coeff * f.diff_multi(beta) for beta, coeff in self.as_dict().items()),
+                   Poly.zero(self.nvars))
 
     # -- arithmetic ---------------------------------------------------------
 

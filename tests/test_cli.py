@@ -855,6 +855,23 @@ def test_verify_jacobian_power_failure_report_is_pinned(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("text", ["-x1*d1", "-d1", "-x1", "-(x1*d1)", "-2*x1*d1"])
+@pytest.mark.parametrize("command", ["decompose", "tangent"])
+def test_op_value_may_start_with_a_minus(capsys, command, text):
+    # the token after --op is the operator text, so a printed negative
+    # operator passes back as printed, exactly as --op=<text> does
+    argv = (command, "--arrangement", "builtin:boolean1")
+    got = run(capsys, *argv, "--op", text)
+    assert got == run(capsys, *argv, f"--op={text}")
+    assert got[0] in (0, 1) and not got[2]
+    if command == "decompose" and text == "-x1*d1":
+        assert got == (0, "word [1]: coeff -1\n", "")
+    # a missing value stays a usage error
+    for tail in (("--op",), ("--op", "--")):
+        code, _, err = run(capsys, *argv, *tail)
+        assert code == 2 and "argument --op: expected one argument" in err
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["decompose"]) == 2
     capsys.readouterr()

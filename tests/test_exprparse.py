@@ -301,6 +301,25 @@ def test_render_sign_and_coefficient_formatting():
     assert render(u) == "-d1^2 + x2*d1*d2"
 
 
+@pytest.mark.parametrize("value, text", [
+    (-DiffOp.partial(1, 1), "-d1"),
+    (Poly.constant(1, -1), "-1"),
+    (DiffOp.from_poly(Poly.constant(2, -1)), "-1"),
+    (DiffOp.partial(1, 1) * Fraction(-1, 2), "-1/2*d1"),
+    (DiffOp.from_poly(Poly.variable(1, 1)) * DiffOp.partial(1, 1) - 1, "x1*d1 - 1"),
+    (DiffOp(2, {(1, 3): Poly.monomial(2, (2, 1), Fraction(3, 4))}), "3/4*x1^2*x2*d1*d2^3"),
+    (DiffOp(2, {(0, 2): Poly.monomial(2, (0, 1), Fraction(-5, 3)),
+                (0, 0): Poly.monomial(2, (1, 0), 2)}), "-5/3*x2*d2^2 + 2*x1"),
+    (Poly.zero(2), "0"),
+    (DiffOp.zero(2), "0"),
+])
+def test_render_pins_each_term_shape(value, text):
+    # sign, coefficient magnitude and the x- then d-powers of every term
+    assert render(value) == text
+    parse = parse_poly if isinstance(value, Poly) else parse_diffop
+    assert parse(text, value.nvars) == value
+
+
 def test_numbers_render_at_any_size():
     # str() of an int refuses more digits than the interpreter's limit;
     # Decimal converts an int exactly under any limit

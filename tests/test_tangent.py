@@ -32,7 +32,7 @@ from logdiff.arrangement import (
     saito_check,
 )
 from logdiff.exprparse import parse_diffop, parse_poly
-from logdiff.linalg import multiplicity_vector, sym_indices
+from logdiff.linalg import determinant, sym_indices
 from logdiff.polyring import LinearForm, Poly, coordinates, divides
 from logdiff.tangent import (
     Decomposition,
@@ -741,15 +741,49 @@ def test_decompose_failure_names_level_and_index():
     assert (info.value.level, info.value.index) == (2, (1, 1))
 
 
-def test_decompose_walks_indices_in_sym_indices_order():
-    # decompose divides in descending order of the multiplicity vectors;
-    # that is ascending sym_indices, so the first failing index is the
-    # one the Jacobian route names
-    for n in range(1, 6):
-        for p in range(7):
-            vectors = sorted((multiplicity_vector(k, n) for k in sym_indices(n, p)),
-                             reverse=True)
-            assert [tangent._letters(v) for v in vectors] == sym_indices(n, p)
+def _level_one_failures(u, arr, basis):
+    """The indices (i,) whose level-1 coefficient is not a polynomial.
+
+    With a the d_j coefficients of u, the coefficients c solve
+    Theta^T c = a, so by Cramer's rule c_i is det(Theta with row i
+    replaced by a) / (lambda * Q).
+    """
+    n = arr.dim
+    terms = u.as_dict()
+    a = [terms.get(tuple(int(k == j) for k in range(n)), Poly.zero(n)) for j in range(n)]
+    theta = [list(th.coeffs) for th in basis.thetas]
+    lam_q = arr.q * basis.scalar
+    return [(i + 1,) for i in range(n)
+            if not divides(lam_q, determinant([a if r == i else row
+                                               for r, row in enumerate(theta)]))]
+
+
+def _assert_first_failure(u, arr, basis, level, failing):
+    # decompose names the first failing index in sym_indices order, and the
+    # Jacobian route names the same level and index
+    first = min(failing, key=sym_indices(arr.dim, level).index)
+    with pytest.raises(DecompositionError) as info:
+        decompose(u, arr, basis)
+    assert (info.value.level, info.value.index) == (level, first)
+    assert _decompose_outcome(decompose_by_jacobians, u, arr, basis) == ("error", level, first)
+
+
+def test_decompose_names_the_first_failing_index_in_sym_indices_order():
+    arr, basis = fixture_basis("boolean2")
+    # the basis x1*d1, x2*d2 is diagonal, so each top term decides its own
+    # index: x1^2*d1^2 passes at (1, 1), d1*d2 fails at (1, 2), d2^2 at (2, 2)
+    assert reassemble(decompose(D("x1^2*d1^2", 2), arr, basis)) == D("x1^2*d1^2", 2)
+    for text, index in (("d1*d2", (1, 2)), ("d2^2", (2, 2))):
+        _assert_first_failure(D(text, 2), arr, basis, 2, [index])
+    _assert_first_failure(D("d2^2 + d1*d2 + x1^2*d1^2", 2), arr, basis, 2, [(2, 2), (1, 2)])
+    # D4's basis is not diagonal: modulo each of its 12 forms the level-1
+    # coefficients of an operator that is not tangent have their poles
+    # along one vector with no zero entry, so this one fails at every index
+    arr, basis = fixture_basis("D4")
+    u = D("x2*d1 + d3", 4)
+    failing = _level_one_failures(u, arr, basis)
+    assert failing == sym_indices(4, 1)
+    _assert_first_failure(u, arr, basis, 1, failing[::-1])
 
 
 def test_decompose_levels_strictly_drop():
