@@ -365,14 +365,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     # The token after --op is the operator text, also when it starts with
     # "-" as a printed negative operator does; argparse would read such a
     # token as an option, so each pair is passed to it as --op=<text>.
+    # argparse drops a "--" value, in --<name>=-- too, and stores [] for
+    # it; passed apart as --<name> --, it is a missing value, exit 2.
     joined = []
     tokens = iter(sys.argv[1:] if argv is None else argv)
     for tok in tokens:
-        value = next(tokens, None) if tok == "--op" else None
+        if tok.startswith("--") and tok.endswith("=--"):
+            tok, value = tok[:-3], "--"
+        else:
+            value = next(tokens, None) if tok == "--op" else None
         if value is None:
             joined.append(tok)
         elif value == "--":
-            # argparse drops a "--" value; kept apart, it is a missing value.
             joined += (tok, value)
         else:
             joined.append(f"--op={value}")

@@ -261,7 +261,8 @@ def _drop(entry: _Entry) -> None:
 
 
 # What this module keeps for a live object, by ``id``: an arrangement's
-# ``_Frame`` and the word fold that formed a decomposition.  The entry's
+# ``_Frame``, a basis's det Theta, adj Theta and word fold (``decompose``),
+# and the word fold that formed a decomposition.  The entry's
 # callback removes it when the object dies, before its ``id`` can be reused.
 _kept: dict[int, _Entry] = {}
 
@@ -364,8 +365,9 @@ def decompose(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> Decomposition:
     a_beta d^beta becomes a_beta times the product of the linear forms
     xi_j = sum_i adj(Theta)_ji y_i over the letters of beta, expanded by
     the fold that builds ``sym_power_matrix`` rows.  lambda is the
-    certified ``basis.scalar``; det Theta, read off adj(Theta), must equal
-    lambda * Q, or a ValueError is raised.  Exact division by Q^p lambda^p
+    certified ``basis.scalar``.  det Theta is read off adj(Theta) once per
+    basis, and every call compares it with lambda * Q for the arrangement
+    given: a mismatch is a ValueError.  Exact division by Q^p lambda^p
     (Q^p from the frame, ``_frame``) extracts c_K.  A failed division is a
     DecompositionError naming the level and the index: that is the
     certificate that u is not a word combination.  The c_K are the same
@@ -384,6 +386,10 @@ def decompose(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> Decomposition:
     (lambda Q)^(n-1) is nonzero, so the remainder's order-p symbol is
     itself zero.
 
+    det Theta, adj(Theta) and the word fold of the basis derivations are
+    kept for the basis's lifetime, so later calls and ``reassemble`` of
+    their results reuse the words that earlier calls formed.
+
     A successful decomposition certifies tangency, so no separate test
     runs: it reassembles to u exactly, and every word is a product of
     tangent derivations, so u is tangent.  Conversely, by Saito's theorem
@@ -395,19 +401,23 @@ def decompose(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> Decomposition:
     if u.nvars != n:
         raise ValueError("operator over a different ambient dimension")
     thetas = basis.thetas
-
-    # The certificate says det Theta = lambda * Q; Laplace along the first
-    # row of Theta reads det Theta off the cofactors in adj(Theta).
-    theta = [list(th.coeffs) for th in thetas]
-    adj = _adjugate(theta)
+    kept = _kept_for(basis)
+    if kept is None:
+        # Laplace along the first row of Theta reads det Theta off the
+        # cofactors in adj(Theta).
+        theta = [list(th.coeffs) for th in thetas]
+        adj = _adjugate(theta)
+        det = sum((a * adj[j][0] for j, a in enumerate(theta[0])), Poly.zero(thetas[0].nvars))
+        kept = _keep(basis, (det, adj, word_fold(thetas)))
+    det, adj, word_op = kept
+    # The certificate says det Theta = lambda * Q, for this arrangement's Q.
     lam_q = arr.q * basis.scalar
-    if not lam_q or sum((a * adj[j][0] for j, a in enumerate(theta[0])), Poly.zero(n)) != lam_q:
+    if not lam_q or det != lam_q:
         raise ValueError(
             "basis Jacobian is not the certified nonzero scalar times the defining polynomial"
         )
 
     xi_fold = _form_product_fold(adj)
-    word_op = word_fold(thetas)
 
     words: list[Word] = []
     cur = u

@@ -877,6 +877,25 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ("check-free", "--arrangement=--"),
+    ("check-free", "--arrangement", "builtin:triple2", "--basis=--"),
+    ("tangent", "--arrangement", "builtin:boolean1", "--op", "d1", "--tmax=--"),
+    ("decompose", "--arrangement", "builtin:boolean1", "--op=--"),
+    ("verify", "--lemma", "sym-power", "--p=--"),
+    ("verify", "--lemma", "sym-power", "--trials=--"),
+    ("verify", "--lemma", "sym-power", "--seed=--"),
+    ("verify", "--lemma=--"),
+])
+def test_a_double_dash_value_is_a_missing_value(capsys, argv):
+    # argparse drops a "--" value and would store [] for the option
+    code, out, err = run(capsys, *argv)
+    name = argv[-1].split("=")[0]
+    assert code == 2 and out == ""
+    assert f"argument {name}: expected one argument" in err and "usage:" in err
+    assert "Traceback" not in err
+
+
 # -- fuzzing ----------------------------------------------------------------------
 
 _op_text = st.lists(

@@ -512,8 +512,9 @@ def test_reassemble_of_transport_uses_the_frame_fold(monkeypatch):
 
 def test_decompositions_built_by_hand_reassemble(monkeypatch):
     # the word fold that formed a decomposition is no part of its value
-    folds = _count_word_folds(monkeypatch)
     arr, basis = fixture_basis("triple2")
+    tangent._frame(arr)
+    folds = _count_word_folds(monkeypatch)
     u = D("x2*(x1*d1 + x2*d2)*(x1^2*d1 - x2^2*d2) + 3*(x1*d1 + x2*d2)", 2)
     dec = decompose(u, arr, basis)
     assert folds == [basis.thetas]
@@ -537,20 +538,47 @@ def test_decompositions_built_by_hand_reassemble(monkeypatch):
     assert tangent._frame(back) is not tangent._frame(arr)
 
 
+def test_decompose_prepares_each_basis_once(monkeypatch):
+    arr, basis = fixture_basis("triple2")
+    twin = saito_check(arr, basis.thetas)
+    # one arrangement per call, each with its frame (and frame fold) built
+    arrs = [Arrangement(arr.forms) for _ in range(3)]
+    for a in (arr, *arrs):
+        tangent._frame(a)
+    adjugates = []
+    adjugate = tangent._adjugate
+    monkeypatch.setattr(tangent, "_adjugate", lambda m: adjugates.append(m) or adjugate(m))
+    folds = _count_word_folds(monkeypatch)
+    u = D("x2*(x1*d1 + x2*d2)*(x1^2*d1 - x2^2*d2) + 3*(x1*d1 + x2*d2)", 2)
+    expected = decompose(u, arr, basis)
+    for a in arrs:
+        dec = decompose(u, a, basis)
+        assert dec == expected and reassemble(dec) == u
+        with pytest.raises(DecompositionError):
+            decompose(D("d1", 2), arr, basis)
+        with pytest.raises(ValueError, match="certified"):
+            decompose(u, builtin_arrangement("boolean2")[0], basis)
+    # one adjugate and one word fold, which reassemble reuses
+    assert len(adjugates) == 1 and folds == [basis.thetas]
+    # an equal basis object is prepared once for itself
+    assert decompose(u, arr, twin) == decompose(u, arr, twin) == expected
+    assert len(adjugates) == 2 and folds == [basis.thetas] * 2
+
+
 def test_nothing_kept_for_collected_objects():
     arr = Arrangement(builtin_arrangement("triple2")[0].forms)
     _, basis = fixture_basis("triple2")
     u = D("x2*(x1*d1 + x2*d2)*(x1^2*d1 - x2^2*d2) + 3*(x1*d1 + x2*d2)", 2)
     assert is_tangent_q(u, arr, 2)
-    objects = [arr, transport(u, arr), decompose(u, arr, basis)]
-    hand = Decomposition(objects[2].words, objects[2].generators)
+    objects = [arr, basis, transport(u, arr), decompose(u, arr, basis)]
+    hand = Decomposition(objects[3].words, objects[3].generators)
     reassemble(hand)
     objects.append(hand)
     keys = {id(obj) for obj in objects}
     assert keys <= tangent._kept.keys()
     before = len(tangent._kept)
     refs = [weakref.ref(obj) for obj in objects]
-    del arr, hand, objects
+    del arr, basis, hand, objects
     gc.collect()
     assert all(ref() is None for ref in refs)
     assert not keys & tangent._kept.keys()
@@ -592,15 +620,18 @@ def test_decompose_checks_the_certificate():
     triple2, _ = builtin_arrangement("triple2")
     wrong = SaitoBasis(basis.thetas, 2 * basis.scalar, basis.degrees)
     u = D("x*y*d1*d2", 2)
-    # the zero operator is checked like any other
-    for op in (u, DiffOp.zero(2)):
-        # certified for the Boolean pair, offered with the three-line arrangement
-        with pytest.raises(ValueError, match="certified"):
-            decompose(op, triple2, basis)
-        # the right Jacobian but a wrong certified scalar
-        with pytest.raises(ValueError, match="certified"):
-            decompose(op, boolean2, wrong)
-    assert reassemble(decompose(u, boolean2, basis)) == u
+    # every call checks, also once a decompose has kept the basis's det Theta
+    for warm in (False, True):
+        assert (tangent._kept_for(basis) is not None) == warm
+        # the zero operator is checked like any other
+        for op in (u, DiffOp.zero(2)):
+            # certified for the Boolean pair, offered with the three-line arrangement
+            with pytest.raises(ValueError, match="certified"):
+                decompose(op, triple2, basis)
+            # the right Jacobian but a wrong certified scalar
+            with pytest.raises(ValueError, match="certified"):
+                decompose(op, boolean2, wrong)
+        assert reassemble(decompose(u, boolean2, basis)) == u
 
 
 def test_decompose_mixed_product():
