@@ -38,10 +38,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import prod
-from operator import attrgetter
 
 from .polyring import DegreeLimitError, Poly, Scalar
-from .weyl import DiffOp
+from .weyl import DiffOp, _size
 
 # Whitespace between tokens is skipped; any other character the grammar
 # has no token for matches ``bad``.
@@ -110,14 +109,6 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         out.append((kind, _integer(tok, at) if kind == "int" else tok, at))
     out.append(("end", None, len(text)))
     return out
-
-
-_terms = attrgetter("terms")
-
-
-def _size(value: DiffOp) -> int:
-    """Number of terms, counted over all coefficients."""
-    return sum(map(len, map(_terms, value.terms.values())))
 
 
 def _term_pairs(left: DiffOp, right: DiffOp) -> int:
@@ -274,6 +265,8 @@ class _Parser:
                 raise ParseError("expected ')'", at)
             self.depth -= 1
             return value
+        if kind == "end":
+            raise ParseError("unexpected end of input", at)
         raise ParseError(f"unexpected token {_quote(tok)}", at)
 
     def resolve(self, name: str, at: int) -> DiffOp:

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
-from .linalg import determinant, multiplicity_product, prefix_fold, sym_indices
+from .linalg import determinant, multiplicity_product, PrefixFold, sym_indices
 from .polyring import Poly
-from .weyl import DiffOp, commutator, word_fold
+from .weyl import DiffOp, _size, commutator, word_fold
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def commutator_value_matrix(fs: Sequence[Poly], fam: OpFamily) -> list[list[Poly
     if len(fs) != fam.nvars:
         raise ValueError("need one polynomial per variable")
     idxs = fam.index_tuples
-    folds = (prefix_fold(u, lambda w, j: commutator(w, fs[j - 1])) for u in fam.entries)
+    folds = (PrefixFold(u, lambda w, j: commutator(w, fs[j - 1]), _size) for u in fam.entries)
     return [[fold(k).value_at_one() for k in idxs] for fold in folds]
 
 

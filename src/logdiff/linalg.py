@@ -10,6 +10,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, factorial, prod
 from operator import add
+from threading import Lock
 from typing import Sequence
 
 from .polyring import Poly, exact_divide, simplify_scalar
@@ -174,7 +175,7 @@ def _det_bareiss(a: list[list], n: int):
     return -result if sign < 0 else result
 
 
-def prefix_fold(start, step):
+class PrefixFold:
     """The lookup fold(k): ``start`` folded with ``step`` along the tuple k.
 
     The value at () is ``start`` and the value at k + (j,) is
@@ -182,19 +183,44 @@ def prefix_fold(start, step):
     prefixes, so a later lookup extends the longest prefix already formed
     and ``step`` runs once per distinct prefix.  The walk is a loop, so a
     word of any length folds without recursion.
-    """
-    root = (start, {})
 
-    def fold(k):
-        value, children = root
+    ``terms`` is ``size`` summed over every value kept, ``start``
+    included, so that whoever keeps the fold can bound what it retains.
+    Each value is sized on the first read of ``terms`` after it was
+    formed, so a fold that nobody measures sizes nothing.  Threads may
+    share a fold: a prefix formed twice in a race is stored and counted
+    once.
+    """
+
+    __slots__ = ("_root", "_step", "_size", "_unsized", "_terms", "_lock")
+
+    def __init__(self, start, step, size):
+        self._root = (start, {})
+        self._step = step
+        self._size = size
+        self._unsized = [start]
+        self._terms = 0
+        self._lock = Lock()
+
+    def __call__(self, k):
+        value, children = self._root
         for j in k:
             node = children.get(j)
             if node is None:
-                node = children[j] = (step(value, j), {})
+                value = self._step(value, j)
+                node = children.setdefault(j, (value, {}))
+                if node[0] is value:
+                    self._unsized.append(value)
             value, children = node
         return value
 
-    return fold
+    @property
+    def terms(self) -> int:
+        with self._lock:
+            unsized = self._unsized
+            while unsized:
+                self._terms += self._size(unsized.pop())
+            return self._terms
 
 
 def _form_product_fold(m: Matrix):
@@ -220,8 +246,12 @@ def _form_product_fold(m: Matrix):
                 out[key] = c * x if acc is None else acc + c * x
         return out
 
-    one = Poly.one(m[0][0].nvars) if isinstance(m[0][0], Poly) else 1
-    return prefix_fold({(0,) * dim: one}, times_form)
+    # A value's terms are counted over all coefficients, one per scalar.
+    if isinstance(m[0][0], Poly):
+        one, size = Poly.one(m[0][0].nvars), lambda row: sum(len(c.terms) for c in row.values())
+    else:
+        one, size = 1, len
+    return PrefixFold({(0,) * dim: one}, times_form, size)
 
 
 def sym_power_matrix(m: Matrix, power: int) -> list[list]:

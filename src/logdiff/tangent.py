@@ -25,7 +25,7 @@ from math import comb
 from threading import Lock
 from typing import TYPE_CHECKING, Sequence
 
-from .exprparse import QUOTE_CHARS, _quote
+from .exprparse import MAX_TERMS, QUOTE_CHARS, _quote
 from .linalg import _form_product_fold, determinant
 from .polyring import NotDivisibleError, Poly, divides, exact_divide
 from .weyl import Derivation, DiffOp, _bracket_linear, commutator, word_fold
@@ -119,14 +119,17 @@ def is_tangent_q(u: DiffOp, arr: Arrangement, t_max: int) -> bool:
         raise ValueError("operator over a different ambient dimension")
     frame = _frame(arr)
     bracket = u
-    for k in range(1, t_max + 1):
-        bracket = commutator(bracket, arr.q)
-        if not bracket:
-            return True
-        power = frame.q_power(k)
-        if not all(divides(power, c) for c in bracket.terms.values()):
-            return False
-    return True
+    try:
+        for k in range(1, t_max + 1):
+            bracket = commutator(bracket, arr.q)
+            if not bracket:
+                return True
+            power = frame.q_power(k)
+            if not all(divides(power, c) for c in bracket.terms.values()):
+                return False
+        return True
+    finally:
+        frame.trim()
 
 
 @dataclass(frozen=True)
@@ -224,10 +227,11 @@ class _Frame:
 
     Every value is a function of Q alone, so threads may share a frame: a
     word formed twice in a race is the same word, and the powers grow
-    under a lock, so that ``powers[k]`` is always Q^k.
+    under a lock, so that ``powers[k]`` is always Q^k.  Each call that
+    used the frame ends with ``trim``, which bounds what it retains.
     """
 
-    __slots__ = ("q", "generators", "word", "powers", "_grow")
+    __slots__ = ("q", "generators", "word", "powers", "power_terms", "_grow")
 
     def __init__(self, arr: Arrangement):
         n = arr.dim
@@ -238,6 +242,7 @@ class _Frame:
         )
         self.word = word_fold(self.generators)
         self.powers = [Poly.one(n)]
+        self.power_terms = 1
         self._grow = Lock()
 
     def q_power(self, e: int) -> Poly:
@@ -245,9 +250,53 @@ class _Frame:
         powers = self.powers
         if e >= len(powers):
             with self._grow:
+                powers = self.powers
                 while len(powers) <= e:
                     powers.append(powers[-1] * self.q)
+                    self.power_terms += len(powers[-1].terms)
         return powers[e]
+
+    def trim(self) -> None:
+        """Start the word fold or the powers afresh once either keeps more
+        than ``MAX_TERMS`` terms: a call keeps every prefix and power it
+        forms, and the frame keeps at most a parsed operator's worth."""
+        if self.word.terms > MAX_TERMS:
+            self.word = word_fold(self.generators)
+        if self.power_terms > MAX_TERMS:
+            with self._grow:
+                self.powers = self.powers[:1]
+                self.power_terms = 1
+
+
+class _Basis:
+    """What ``decompose`` keeps of one ``SaitoBasis`` for its lifetime:
+    det Theta, adj Theta, the word fold of the basis derivations and the
+    product fold of the linear forms xi_j = sum_i adj(Theta)_ji y_i.
+
+    Both folds are functions of the basis alone, so threads may share
+    them, and ``trim`` bounds them as ``_Frame.trim`` bounds a frame.
+    """
+
+    __slots__ = ("thetas", "det", "adj", "word", "xi")
+
+    def __init__(self, basis: SaitoBasis):
+        thetas = basis.thetas
+        theta = [list(th.coeffs) for th in thetas]
+        self.thetas = thetas
+        self.adj = _adjugate(theta)
+        # Laplace along the first row of Theta reads det Theta off the
+        # cofactors in adj(Theta).
+        self.det = sum((a * self.adj[j][0] for j, a in enumerate(theta[0])),
+                       Poly.zero(thetas[0].nvars))
+        self.word = word_fold(thetas)
+        self.xi = _form_product_fold(self.adj)
+
+    def trim(self) -> None:
+        """Start either fold afresh once it keeps more than ``MAX_TERMS`` terms."""
+        if self.word.terms > MAX_TERMS:
+            self.word = word_fold(self.thetas)
+        if self.xi.terms > MAX_TERMS:
+            self.xi = _form_product_fold(self.adj)
 
 
 class _Entry(weakref.ref):
@@ -261,9 +310,11 @@ def _drop(entry: _Entry) -> None:
 
 
 # What this module keeps for a live object, by ``id``: an arrangement's
-# ``_Frame``, a basis's det Theta, adj Theta and word fold (``decompose``),
-# and the word fold that formed a decomposition.  The entry's
-# callback removes it when the object dies, before its ``id`` can be reused.
+# ``_Frame``, a basis's ``_Basis`` (``decompose``), and the word fold that
+# formed a decomposition.  A frame and a basis keep at most ``MAX_TERMS``
+# terms per fold or list of powers between calls (their ``trim``).  The
+# entry's callback removes it when the object dies, before its ``id`` can
+# be reused.
 _kept: dict[int, _Entry] = {}
 
 
@@ -302,8 +353,10 @@ def transport(u: DiffOp, arr: Arrangement) -> Decomposition:
     The generators, their words and the powers Q^e and Q^p come from the
     arrangement's frame (``_frame``), which keeps them for the
     arrangement's lifetime: the powers of Q up to max(p, C(p, 2)) and the
-    words up to the largest order p requested.  ``reassemble`` of the
-    result reuses the frame's word fold, so it forms none of them again.
+    words up to the largest order p requested, until either keeps more
+    than ``MAX_TERMS`` terms when a call ends (``_Frame.trim``).
+    ``reassemble`` of the result reuses the word fold that formed it, so
+    it forms none of them again.
     """
     if u.nvars != arr.dim:
         raise ValueError("operator over a different ambient dimension")
@@ -314,18 +367,21 @@ def transport(u: DiffOp, arr: Arrangement) -> Decomposition:
     words = []
     cur = u
     e = comb(u.order + 1, 2)
-    while cur and cur.order:
-        p = cur.order
-        e -= p
-        qe = frame.q_power(e)
-        level = [(coeff, _letters(beta)) for beta, coeff in cur.top_terms()]
-        words.extend(Word(qe * coeff, word) for coeff, word in level)
-        nxt = frame.q_power(p) * cur - _word_sum(word_op, level, arr.dim)
-        if nxt and nxt.order >= p:
-            raise AssertionError("transport must drop the order")
-        cur = nxt
-    if cur:
-        words.append(Word(frame.q_power(e) * cur.value_at_one(), ()))
+    try:
+        while cur and cur.order:
+            p = cur.order
+            e -= p
+            qe = frame.q_power(e)
+            level = [(coeff, _letters(beta)) for beta, coeff in cur.top_terms()]
+            words.extend(Word(qe * coeff, word) for coeff, word in level)
+            nxt = frame.q_power(p) * cur - _word_sum(word_op, level, arr.dim)
+            if nxt and nxt.order >= p:
+                raise AssertionError("transport must drop the order")
+            cur = nxt
+        if cur:
+            words.append(Word(frame.q_power(e) * cur.value_at_one(), ()))
+    finally:
+        frame.trim()
     dec = Decomposition(tuple(words), frame.generators)
     _keep(dec, word_op)
     return dec
@@ -386,9 +442,12 @@ def decompose(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> Decomposition:
     (lambda Q)^(n-1) is nonzero, so the remainder's order-p symbol is
     itself zero.
 
-    det Theta, adj(Theta) and the word fold of the basis derivations are
-    kept for the basis's lifetime, so later calls and ``reassemble`` of
-    their results reuse the words that earlier calls formed.
+    det Theta, adj(Theta), the word fold of the basis derivations and the
+    product fold of the xi_j are kept for the basis's lifetime (``_Basis``),
+    so later calls reuse the xi products and words that earlier calls
+    formed, and ``reassemble`` of a result reuses its words.  A call keeps
+    every prefix it forms, so a word of length p costs p products; when
+    it ends, a fold that keeps more than ``MAX_TERMS`` terms starts afresh.
 
     A successful decomposition certifies tangency, so no separate test
     runs: it reassembles to u exactly, and every word is a product of
@@ -400,59 +459,54 @@ def decompose(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> Decomposition:
     n = arr.dim
     if u.nvars != n:
         raise ValueError("operator over a different ambient dimension")
-    thetas = basis.thetas
-    kept = _kept_for(basis)
-    if kept is None:
-        # Laplace along the first row of Theta reads det Theta off the
-        # cofactors in adj(Theta).
-        theta = [list(th.coeffs) for th in thetas]
-        adj = _adjugate(theta)
-        det = sum((a * adj[j][0] for j, a in enumerate(theta[0])), Poly.zero(thetas[0].nvars))
-        kept = _keep(basis, (det, adj, word_fold(thetas)))
-    det, adj, word_op = kept
+    prepared = _kept_for(basis) or _keep(basis, _Basis(basis))
     # The certificate says det Theta = lambda * Q, for this arrangement's Q.
     lam_q = arr.q * basis.scalar
-    if not lam_q or det != lam_q:
+    if not lam_q or prepared.det != lam_q:
         raise ValueError(
             "basis Jacobian is not the certified nonzero scalar times the defining polynomial"
         )
-
-    xi_fold = _form_product_fold(adj)
-
+    frame = _frame(arr)
+    word_op, xi_fold = prepared.word, prepared.xi
     words: list[Word] = []
     cur = u
-    while cur and cur.order >= 1:
-        p = cur.order
-        numerators: dict[tuple[int, ...], Poly] = {}
-        for beta, a in cur.top_terms():
-            for mult, c in xi_fold(_letters(beta)).items():
-                acc = numerators.get(mult)
-                numerators[mult] = a * c if acc is None else acc + a * c
-        divisor = _frame(arr).q_power(p) * basis.scalar ** p
-        level_words: list[tuple[Poly, tuple[int, ...]]] = []
-        # Ascending letter tuples are in ``sym_indices`` order.
-        for k, numer in sorted((_letters(mult), c) for mult, c in numerators.items() if c):
-            try:
-                coeff = exact_divide(numer, divisor)
-            except NotDivisibleError:
-                # The rest of the line is about 170 bytes, so a long index
-                # is quoted shorter than a token; ``index`` keeps it whole.
-                raise DecompositionError(
-                    f"level {p}, index {_quote(k, QUOTE_CHARS // 2)}: symbol "
-                    "coefficient is not divisible by the scaled power of the "
-                    "defining polynomial; the operator is not a word "
-                    "combination at this level",
-                    level=p, index=k,
-                ) from None
-            level_words.append((coeff, k))
-        nxt = cur - _word_sum(word_op, level_words, n)
-        if nxt and nxt.order >= p:
-            raise AssertionError("decompose must drop the order")
-        words.extend(Word(coeff, k) for coeff, k in level_words)
-        cur = nxt
+    try:
+        while cur and cur.order >= 1:
+            p = cur.order
+            numerators: dict[tuple[int, ...], Poly] = {}
+            for beta, a in cur.top_terms():
+                for mult, c in xi_fold(_letters(beta)).items():
+                    acc = numerators.get(mult)
+                    numerators[mult] = a * c if acc is None else acc + a * c
+            divisor = frame.q_power(p) * basis.scalar ** p
+            level_words: list[tuple[Poly, tuple[int, ...]]] = []
+            # Ascending letter tuples are in ``sym_indices`` order.
+            for k, numer in sorted((_letters(mult), c) for mult, c in numerators.items() if c):
+                try:
+                    coeff = exact_divide(numer, divisor)
+                except NotDivisibleError:
+                    # The rest of the line is about 170 bytes, so a long
+                    # index is quoted shorter than a token; ``index`` keeps
+                    # it whole.
+                    raise DecompositionError(
+                        f"level {p}, index {_quote(k, QUOTE_CHARS // 2)}: symbol "
+                        "coefficient is not divisible by the scaled power of the "
+                        "defining polynomial; the operator is not a word "
+                        "combination at this level",
+                        level=p, index=k,
+                    ) from None
+                level_words.append((coeff, k))
+            nxt = cur - _word_sum(word_op, level_words, n)
+            if nxt and nxt.order >= p:
+                raise AssertionError("decompose must drop the order")
+            words.extend(Word(coeff, k) for coeff, k in level_words)
+            cur = nxt
+    finally:
+        prepared.trim()
+        frame.trim()
     if cur:
         words.append(Word(cur.value_at_one(), ()))
-    dec = Decomposition(tuple(words), thetas)
+    dec = Decomposition(tuple(words), basis.thetas)
     _keep(dec, word_op)
     return dec
 

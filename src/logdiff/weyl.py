@@ -15,10 +15,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice, product as cartesian
 from math import comb, prod
-from operator import mul
+from operator import attrgetter, mul
 from typing import Mapping, Sequence
 
-from .linalg import prefix_fold
+from .linalg import PrefixFold
 from .polyring import (MAX_DEGREE, DegreeLimitError, Monomial, Poly, Scalar, _canon, _FIELD,
                        _shifts, _Terms, _unit, _unpack, _WIDTH)
 
@@ -131,15 +131,23 @@ class DiffOp(_Terms):
         return other * self
 
 
+_terms = attrgetter("terms")
+
+
+def _size(value: DiffOp) -> int:
+    """Number of terms, counted over all coefficients."""
+    return sum(map(len, map(_terms, value.terms.values())))
+
+
 def word_fold(ops: Sequence[DiffOp]):
     """fold(word) is the product ops[i1] * ... * ops[ik] along the 1-based
     word (i1, ..., ik), and 1 for the empty word.
 
     Every word product in the package goes through here.  Words that share
-    a prefix share its product (``linalg.prefix_fold``), for as long as the
-    fold is kept.
+    a prefix share its product (``linalg.PrefixFold``), for as long as the
+    fold is kept; ``fold.terms`` counts the terms of the products kept.
     """
-    return prefix_fold(DiffOp.one(ops[0].nvars), lambda w, i: w * ops[i - 1])
+    return PrefixFold(DiffOp.one(ops[0].nvars), lambda w, i: w * ops[i - 1], _size)
 
 
 def _leibniz_into(out: dict[int, Poly], n: int, left: dict[int, Poly], right,

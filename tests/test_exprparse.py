@@ -70,11 +70,14 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as info:
         parse_poly("x @ y", 2)
     assert info.value.position == 2
-    # empty and blank text, a stray character after whitespace, a non-ASCII
-    # letter, and a missing ')' at the end of the text
+    # empty and blank text, text that ends after an operator, a stray
+    # character after whitespace, a non-ASCII letter, and a missing ')' at
+    # the end of the text
     for text, message, at in (
-        ("", "unexpected token None", 0),
-        ("   ", "unexpected token None", 3),
+        ("", "unexpected end of input", 0),
+        ("   ", "unexpected end of input", 3),
+        ("x1*", "unexpected end of input", 3),
+        ("x1 +", "unexpected end of input", 4),
         ("x1 $ 2", "unexpected character '$'", 3),
         ("\u00e9", "unexpected character '\u00e9'", 0),
         ("(x1 + x2 ", "expected ')'", 9),

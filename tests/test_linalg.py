@@ -14,7 +14,7 @@ from logdiff.linalg import (
     multiplicity_product,
     multiplicity_vector,
     permanent,
-    prefix_fold,
+    PrefixFold,
     sym_indices,
     sym_power_det_identity_holds,
     sym_power_matrix,
@@ -292,16 +292,18 @@ def test_prefix_fold_shares_prefixes():
     for dim, power in ((1, 3), (2, 0), (3, 2), (4, 3)):
         idxs = sym_indices(dim, power)
         calls.clear()
-        fold = prefix_fold((), step)
+        fold = PrefixFold((), step, len)
         assert [fold(k) for k in idxs] == idxs
         # one step per weakly increasing tuple of each length 1..power
         assert sorted(calls) == sorted(k for t in range(1, power + 1) for k in sym_indices(dim, t))
         # a subset out of order, asked twice: one step per distinct prefix
         subset = idxs[::-2]
         calls.clear()
-        fold = prefix_fold((), step)
+        fold = PrefixFold((), step, len)
         assert [fold(k) for k in subset + subset] == subset + subset
         assert sorted(calls) == prefixes(subset)
+        # the size of every kept value is counted once, the start's too
+        assert fold.terms == sum(map(len, prefixes(subset)))
 
 
 def test_prefix_fold_long_word_does_not_recurse():
@@ -316,11 +318,11 @@ def test_prefix_fold_long_word_does_not_recurse():
     values = [0]
     for j in word:
         values.append(2 * values[-1] + j)
-    fold = prefix_fold(0, step)
+    fold = PrefixFold(0, step, lambda value: 1)
     assert fold(word) == values[-1]
     # every prefix was kept: reading one back forms nothing new
     assert fold(word[:4000]) == values[4000]
-    assert len(calls) == len(word)
+    assert len(calls) == len(word) == fold.terms - 1
 
 
 def _random_entry(rng, kind):

@@ -430,6 +430,12 @@ def test_frame_shared_by_threads():
     basis = saito_check(Arrangement(forms), thetas)
     w = thetas[0] * thetas[1] * thetas[1] + P("x - y", 2) * thetas[1] * thetas[0]
     words = decompose(w, Arrangement(forms), basis).words
+    # what one call alone leaves in each fold, counted term by term
+    alone = Arrangement(forms)
+    transport(u, alone)
+    frame_terms = tangent._frame(alone).word.terms
+    kept = tangent._kept_for(basis)
+    basis_terms = kept.word.terms, kept.xi.terms
     errors = []
 
     def work(arr, seed):
@@ -458,6 +464,10 @@ def test_frame_shared_by_threads():
             assert not any(thread.is_alive() for thread in threads) and errors == []
             frame = tangent._frame(arr)
             assert frame.powers == powers[:len(frame.powers)]
+            # a prefix or power formed twice in a race is counted once
+            assert frame.power_terms == sum(len(p.terms) for p in frame.powers)
+            assert frame.word.terms == frame_terms
+            assert (kept.word.terms, kept.xi.terms) == basis_terms
     finally:
         sys.setswitchinterval(interval)
 
@@ -502,7 +512,9 @@ def test_reassemble_of_transport_uses_the_frame_fold(monkeypatch):
     u = D("x1*d1^2 + 3*d2", 2)
     frame = tangent._frame(arr)
     fold, looked_up = frame.word, []
-    frame.word = lambda word: looked_up.append(word) or fold(word)
+    frame.word = recording = lambda word: looked_up.append(word) or fold(word)
+    # the count that the frame's trim reads when transport ends
+    recording.terms = fold.terms
     dec = transport(u, arr)
     folds = _count_word_folds(monkeypatch)
     looked_up.clear()
@@ -545,9 +557,11 @@ def test_decompose_prepares_each_basis_once(monkeypatch):
     arrs = [Arrangement(arr.forms) for _ in range(3)]
     for a in (arr, *arrs):
         tangent._frame(a)
-    adjugates = []
-    adjugate = tangent._adjugate
+    adjugates, products = [], []
+    adjugate, product_fold = tangent._adjugate, tangent._form_product_fold
     monkeypatch.setattr(tangent, "_adjugate", lambda m: adjugates.append(m) or adjugate(m))
+    monkeypatch.setattr(tangent, "_form_product_fold",
+                        lambda m: products.append(m) or product_fold(m))
     folds = _count_word_folds(monkeypatch)
     u = D("x2*(x1*d1 + x2*d2)*(x1^2*d1 - x2^2*d2) + 3*(x1*d1 + x2*d2)", 2)
     expected = decompose(u, arr, basis)
@@ -558,11 +572,70 @@ def test_decompose_prepares_each_basis_once(monkeypatch):
             decompose(D("d1", 2), arr, basis)
         with pytest.raises(ValueError, match="certified"):
             decompose(u, builtin_arrangement("boolean2")[0], basis)
-    # one adjugate and one word fold, which reassemble reuses
-    assert len(adjugates) == 1 and folds == [basis.thetas]
+    # one adjugate, one xi product fold and one word fold, which reassemble reuses
+    assert len(adjugates) == len(products) == 1 and folds == [basis.thetas]
     # an equal basis object is prepared once for itself
     assert decompose(u, arr, twin) == decompose(u, arr, twin) == expected
-    assert len(adjugates) == 2 and folds == [basis.thetas] * 2
+    assert len(adjugates) == len(products) == 2 and folds == [basis.thetas] * 2
+
+
+@pytest.mark.parametrize("name", ["boolean3", "triple2", "D4"])
+def test_a_warm_basis_decomposes_like_a_fresh_one(name):
+    # the kept folds change no result: each operator gives the words, or the
+    # failure, of a basis certified afresh from the same derivations
+    arr, thetas = builtin_arrangement(name)
+    n = arr.dim
+    basis = saito_check(arr, thetas)
+    word_op = word_fold(basis.thetas)
+    rng = random.Random(71)
+    ops = []
+    for _ in range(8):
+        u = sum((sampling.random_word(rng, word_op, n, n, 2) for _ in range(rng.randint(1, 3))),
+                DiffOp.zero(n))
+        ops.append(u)
+        # a non-tangent control: a nonzero constant times a plain partial
+        ops.append(u + rng.choice([1, -2, 3]) * DiffOp.partial(n, rng.randint(1, n)))
+
+    def outcome(u, b):
+        try:
+            return True, decompose(u, arr, b).words
+        except DecompositionError as exc:
+            return False, (exc.level, exc.index, str(exc))
+
+    failures = 0
+    # the second pass runs against folds that every operator has grown
+    for u in ops + ops[::-1]:
+        expected = outcome(u, saito_check(arr, thetas))
+        failures += not expected[0]
+        assert outcome(u, basis) == expected
+    # every control fails, and no word sum does
+    assert failures == len(ops)
+
+
+def test_kept_folds_stay_bounded_between_calls():
+    # x1^150*d1^150 over x1*d1 forms the words (x1*d1)^k, of k terms, for
+    # k <= 150: 11,325 terms past the empty word, more than MAX_TERMS
+    boolean1, thetas = builtin_arrangement("boolean1")
+    arr = Arrangement(boolean1.forms)
+    basis = saito_check(arr, thetas)
+    u = D("x1^150*d1^150", 1)
+    dec = decompose(u, arr, basis)
+    kept, frame = tangent._kept_for(basis), tangent._frame(arr)
+    # the result keeps the fold that formed its words; the basis starts afresh
+    assert tangent._kept_for(dec).terms == 1 + 11_325
+    assert kept.word.terms == 1
+    # xi_1 = y_1 and Q = x1: one term per power, far below the bound, kept
+    assert kept.xi.terms == 151 and frame.power_terms == 151 == len(frame.powers)
+    assert decompose(u, arr, basis) == dec and reassemble(dec) == u
+    assert kept.word.terms == 1 and kept.xi.terms == 151
+    # transport forms the same words over Q*d1 = x1*d1, and Q^k up to
+    # k = C(151, 2) = 11,325; the frame starts both afresh
+    moved = transport(u, arr)
+    assert tangent._kept_for(moved).terms == 1 + 11_325
+    assert frame.word.terms == 1 and frame.powers == [Poly.one(1)] and frame.power_terms == 1
+    assert transport(u, arr) == moved
+    assert reassemble(moved) == arr.q ** 11_325 * u
+    assert frame.word.terms == 1 and frame.power_terms == 1
 
 
 def test_nothing_kept_for_collected_objects():
