@@ -1,10 +1,11 @@
 """Central hyperplane arrangements and Saito's freeness criterion.
 
 An arrangement is a list of pairwise non-proportional linear forms through
-the origin; its defining polynomial is their product.  A candidate basis of
-tangent derivations is certified free when it passes the three Saito
-conditions: tangency, homogeneity, and coefficient determinant equal to a
-nonzero scalar multiple of the defining polynomial.
+the origin; its defining polynomial Q, their product, is formed by the
+arrangement's frame (``tangent._frame``) on first use.  A candidate basis
+is certified free by the degree form of Saito's criterion (Orlik-Terao
+1992, Thm. 4.23): tangent, homogeneous, a nonzero coefficient determinant,
+and degrees summing to the number of forms; no division by Q is needed.
 """
 
 from __future__ import annotations
@@ -19,15 +20,15 @@ from typing import Sequence
 
 from .exprparse import MAX_DIGITS, _quote, parse_diffop
 from .linalg import determinant
-from .polyring import LinearForm, NotDivisibleError, Poly, Scalar, exact_divide
-from .tangent import is_tangent
+from .polyring import LinearForm, Poly, Scalar, simplify_scalar
+from .tangent import _frame, is_tangent
 from .weyl import Derivation
 
 
 class Arrangement:
-    """A central arrangement: forms and defining polynomial."""
+    """A central arrangement: its ambient dimension and its forms."""
 
-    __slots__ = ("dim", "forms", "q", "__weakref__")
+    __slots__ = ("dim", "forms", "__weakref__")
 
     def __init__(self, forms: Sequence[LinearForm]):
         forms = tuple(forms)
@@ -42,7 +43,11 @@ class Arrangement:
                                  "the defining polynomial would not be reduced")
         self.dim = dim
         self.forms = forms
-        self.q = prod((f.as_poly() for f in forms), start=Poly.one(dim))
+
+    @property
+    def q(self) -> Poly:
+        """The defining polynomial, formed once, by the arrangement's frame."""
+        return _frame(self).q
 
     @property
     def size(self) -> int:
@@ -60,7 +65,7 @@ def euler_derivation(dim: int) -> Derivation:
 
 @dataclass(frozen=True)
 class SaitoBasis:
-    """A certified basis: tangent, homogeneous, determinant = scalar * Q."""
+    """A certified basis: tangent, homogeneous, det != 0, degrees sum to |A|."""
 
     thetas: tuple[Derivation, ...]
     scalar: Scalar
@@ -84,8 +89,10 @@ def saito_check(arr: Arrangement, thetas: Sequence[Derivation]) -> SaitoBasis | 
     Checks, in order: every candidate is tangent, which for an order-one
     operator is the single ``is_tangent`` cell t = 1, a | theta(a) for
     every form a; every candidate is homogeneous; the coefficient matrix
-    (theta_i applied to x_j) has determinant equal to a nonzero scalar
-    times the defining polynomial.
+    (theta_i applied to x_j) has a nonzero determinant, and the degrees
+    sum to ``arr.size``.  Each form divides the determinant by tangency,
+    so it is lambda * Q, and lambda is its graded-lex leading coefficient
+    over the product of the forms' first nonzero coefficients.
     """
     thetas = tuple(thetas)
     if len(thetas) != arr.dim:
@@ -102,19 +109,13 @@ def saito_check(arr: Arrangement, thetas: Sequence[Derivation]) -> SaitoBasis | 
             return SaitoFailure("derivation is zero or not homogeneous", index=i)
         degrees.append(d)
     det = determinant([list(th.coeffs) for th in thetas])
-    try:
-        quot = exact_divide(det, arr.q)
-    except NotDivisibleError:
-        return SaitoFailure(
-            "coefficient determinant is not a multiple of the defining polynomial",
-            determinant=det,
-        )
-    if not quot or quot.degree != 0:
+    if not det or sum(degrees) != arr.size:
         return SaitoFailure(
             "coefficient determinant is not a nonzero scalar multiple of the defining polynomial",
             determinant=det,
         )
-    return SaitoBasis(thetas, quot.constant_term(), tuple(degrees))
+    lead = prod(next(c for c in f.coeffs if c) for f in arr.forms)
+    return SaitoBasis(thetas, simplify_scalar(Fraction(det.sorted_terms()[0][1], lead)), tuple(degrees))
 
 
 def rank2_basis(arr: Arrangement) -> tuple[Derivation, Derivation]:

@@ -71,6 +71,8 @@ def _load_json(path: str, load):
         raise CliError(f"cannot read {_quote(path)}: {exc.strerror}") from None
     except ValueError as exc:
         raise CliError(f"{_quote(path)} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise CliError(f"{_quote(path)} is nested too deeply") from None
     try:
         return load(data)
     except ValueError as exc:

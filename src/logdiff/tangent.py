@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 from threading import Lock
 from typing import TYPE_CHECKING, Sequence
 
@@ -121,7 +121,7 @@ def is_tangent_q(u: DiffOp, arr: Arrangement, t_max: int) -> bool:
     bracket = u
     try:
         for k in range(1, t_max + 1):
-            bracket = commutator(bracket, arr.q)
+            bracket = commutator(bracket, frame.q)
             if not bracket:
                 return True
             power = frame.q_power(k)
@@ -222,8 +222,9 @@ def _word_sum(word_op, pairs, n: int) -> DiffOp:
 
 class _Frame:
     """What ``transport``, ``is_tangent_q`` and ``decompose`` keep of one
-    arrangement for its lifetime: the generators Q*d_1 .. Q*d_l, their
-    word fold, and the powers of Q, up to the largest order requested.
+    arrangement for its lifetime: Q, formed here alone (``Arrangement.q``
+    reads it), the generators Q*d_1 .. Q*d_l, their word fold, and the
+    powers of Q, up to the largest order requested.
 
     Every value is a function of Q alone, so threads may share a frame: a
     word formed twice in a race is the same word, and the powers grow
@@ -235,9 +236,9 @@ class _Frame:
 
     def __init__(self, arr: Arrangement):
         n = arr.dim
-        self.q = arr.q
+        self.q = prod((f.as_poly() for f in arr.forms), start=Poly.one(n))
         self.generators = tuple(
-            Derivation(tuple(arr.q if j == i else Poly.zero(n) for j in range(n)))
+            Derivation(tuple(self.q if j == i else Poly.zero(n) for j in range(n)))
             for i in range(n)
         )
         self.word = word_fold(self.generators)
@@ -460,13 +461,13 @@ def decompose(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> Decomposition:
     if u.nvars != n:
         raise ValueError("operator over a different ambient dimension")
     prepared = _kept_for(basis) or _keep(basis, _Basis(basis))
+    frame = _frame(arr)
     # The certificate says det Theta = lambda * Q, for this arrangement's Q.
-    lam_q = arr.q * basis.scalar
+    lam_q = frame.q * basis.scalar
     if not lam_q or prepared.det != lam_q:
         raise ValueError(
             "basis Jacobian is not the certified nonzero scalar times the defining polynomial"
         )
-    frame = _frame(arr)
     word_op, xi_fold = prepared.word, prepared.xi
     words: list[Word] = []
     cur = u

@@ -10,7 +10,7 @@ from math import comb
 from typing import Sequence
 
 from logdiff import sampling
-from logdiff.arrangement import Arrangement, SaitoBasis
+from logdiff.arrangement import Arrangement, SaitoBasis, SaitoFailure
 from logdiff.jacobian import OpFamily, commutator_value_matrix, product_family
 from logdiff.linalg import determinant, multiplicity_product, permanent, sym_indices
 from logdiff.polyring import (
@@ -22,7 +22,7 @@ from logdiff.polyring import (
     simplify_scalar,
 )
 from logdiff.sampling import random_monomial, random_word
-from logdiff.tangent import Decomposition, DecompositionError, TangencyRow, Word
+from logdiff.tangent import Decomposition, DecompositionError, TangencyRow, Word, is_tangent
 from logdiff.weyl import Derivation, DiffOp, iterated_commutator, word_fold
 
 
@@ -267,13 +267,43 @@ def is_tangent_q_by_products(u: DiffOp, arr: Arrangement, t_max: int) -> bool:
     return True
 
 
+def saito_check_by_division(arr: Arrangement,
+                            thetas: Sequence[Derivation]) -> SaitoBasis | SaitoFailure:
+    """Reference route for ``saito_check``: Saito's criterion in its
+    division form, det Theta = lambda * Q with lambda a nonzero scalar.
+
+    After the same tangency and homogeneity checks, det Theta is divided by
+    the whole defining polynomial Q, with no appeal to the degrees; the
+    quotient is lambda.  The failures carry the reasons of ``saito_check``.
+    """
+    thetas = tuple(thetas)
+    for i, th in enumerate(thetas, start=1):
+        if not is_tangent(th, arr):
+            return SaitoFailure("derivation is not tangent to the arrangement", index=i)
+    degrees = tuple(th.homogeneous_degree() for th in thetas)
+    if None in degrees:
+        return SaitoFailure("derivation is zero or not homogeneous", index=degrees.index(None) + 1)
+    det = determinant([list(th.coeffs) for th in thetas])
+    try:
+        quot = exact_divide(det, arr.q)
+    except NotDivisibleError:
+        quot = None
+    if not quot or quot.degree != 0:
+        return SaitoFailure(
+            "coefficient determinant is not a nonzero scalar multiple of the defining polynomial",
+            determinant=det,
+        )
+    return SaitoBasis(thetas, quot.constant_term(), degrees)
+
+
 def decompose_by_jacobians(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> Decomposition:
     """Reference route for ``decompose``: Cramer's rule.
 
     At level p the coefficient of the word at index k is read off a higher
     Jacobian: substituting the current operator for the k-th entry of the
     basis product family makes the Jacobian equal (multiplicity product) *
-    scalar^E * Q^E times that coefficient, with E = C(p+dim-1, dim).  Exact
+    scalar^E * Q^E times that coefficient, with E = C(p+dim-1, dim) and the
+    scalar from ``saito_check_by_division``, not ``basis.scalar``.  Exact
     division extracts it, and subtracting the recovered words must strictly
     drop the order, which it always does once every division succeeds.  A
     failed division raises DecompositionError with the same level and index
@@ -284,8 +314,7 @@ def decompose_by_jacobians(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> De
     thetas = basis.thetas
     if not u:
         return Decomposition((), thetas)
-    base1 = determinant(commutator_value_matrix(fs, product_family(thetas, 1)))
-    lam = exact_divide(base1, arr.q).constant_term()
+    lam = saito_check_by_division(arr, thetas).scalar
 
     words: list[Word] = []
     cur = u

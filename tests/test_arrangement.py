@@ -2,8 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_derivation
+import logdiff.linalg
+from helpers import random_derivation, saito_check_by_division
+from logdiff import tangent
 from logdiff.arrangement import (
     _BUILTINS,
     Arrangement,
@@ -14,9 +18,10 @@ from logdiff.arrangement import (
     rank2_basis,
     saito_check,
 )
-from logdiff.exprparse import parse_poly, render
+from logdiff.exprparse import parse_diffop, parse_poly, render
+from logdiff.linalg import determinant
 from logdiff.polyring import LinearForm, Poly, exact_divide
-from logdiff.tangent import is_tangent, is_tangent_q
+from logdiff.tangent import is_tangent, is_tangent_q, tangency_table
 from logdiff.weyl import Derivation
 
 
@@ -26,6 +31,31 @@ def P(text, nvars):
 
 def derivation(texts, nvars):
     return Derivation(tuple(P(t, nvars) for t in texts))
+
+
+def _reflection(dim, kind):
+    """A_l (forms x_i and x_i - x_j, basis sum_i x_i^k d_i for k = 1..l) or
+    B_l (forms x_i and x_i +- x_j, basis sum_i x_i^(2k-1) d_i)."""
+    unit = [[int(k == i) for k in range(dim)] for i in range(dim)]
+    signs = (-1,) if kind == "A" else (1, -1)
+    pairs = [[1 if k == i else s if k == j else 0 for k in range(dim)]
+             for i in range(dim) for j in range(i + 1, dim) for s in signs]
+    powers = range(1, dim + 1) if kind == "A" else range(1, 2 * dim, 2)
+    thetas = tuple(Derivation(tuple(Poly.variable(dim, i) ** k for i in range(1, dim + 1)))
+                   for k in powers)
+    return Arrangement([LinearForm(tuple(f)) for f in unit + pairs]), thetas
+
+
+def _agrees_with_division(arr, thetas):
+    got, expected = saito_check(arr, thetas), saito_check_by_division(arr, thetas)
+    assert got.ok == expected.ok
+    if got.ok:
+        assert (got.scalar, type(got.scalar), got.degrees) == (
+            expected.scalar, type(expected.scalar), expected.degrees)
+    else:
+        assert (got.reason, got.index, got.determinant) == (
+            expected.reason, expected.index, expected.determinant)
+    return got
 
 
 # -- construction -------------------------------------------------------------
@@ -167,7 +197,7 @@ def test_saito_wrong_count_is_usage_error():
 def test_saito_basis_degrees_sum_to_size():
     for name in ("boolean1", "boolean2", "boolean3", "triple2", "D4"):
         arr, thetas = builtin_arrangement(name)
-        result = saito_check(arr, thetas)
+        result = _agrees_with_division(arr, thetas)
         assert isinstance(result, SaitoBasis)
         assert sum(result.degrees) == arr.size
 
@@ -195,6 +225,93 @@ def test_saito_invariant_under_invertible_scalar_change():
     result2 = saito_check(arr, scaled)
     assert isinstance(result2, SaitoBasis)
     assert result2.scalar == 3 * base.scalar
+
+
+@pytest.mark.parametrize("kind, dim", [("A", 3), ("A", 4), ("A", 5), ("A", 6),
+                                       ("B", 2), ("B", 3), ("B", 4), ("B", 5), ("B", 6)])
+def test_saito_degree_form_agrees_with_division_on_reflection_arrangements(kind, dim):
+    # A3, B2 and B3 are benchmark fixtures; the others grow Q to 36 forms
+    arr, thetas = _reflection(dim, kind)
+    result = _agrees_with_division(arr, thetas)
+    assert result.ok and abs(result.scalar) == 1 and sum(result.degrees) == arr.size
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any),
+                min_size=1, max_size=6))
+def test_saito_degree_form_agrees_with_division_on_rank2(rows):
+    # pairwise non-proportional forms, a first coefficient of either sign
+    forms = []
+    for row in map(LinearForm, rows):
+        if not any(row.proportional_to(f) for f in forms):
+            forms.append(row)
+    arr = Arrangement(forms)
+    assert _agrees_with_division(arr, rank2_basis(arr)).ok
+    # the Q-scaled partials: tangent, homogeneous, det Q^2, degrees 2|A|
+    q = arr.q
+    scaled = (Derivation((q, Poly.zero(2))), Derivation((Poly.zero(2), q)))
+    result = _agrees_with_division(arr, scaled)
+    assert not result.ok and result.determinant == q * q
+
+
+@pytest.mark.parametrize("name, texts, det", [
+    # tangent and homogeneous, a nonzero det, but degrees 2 + 1 != 2
+    ("boolean2", ["x1^2*d1", "x2*d2"], "x1^2*x2"),
+    # a zero det, and degrees that miss |A| as well
+    ("generic3", ["x1*d1 + x2*d2 + x3*d3"] * 3, "0"),
+    ("triple2", ["x1*d1 + x2*d2", "2*x1*d1 + 2*x2*d2"], "0"),
+    # degrees 2 + 2 != 3, and a zero det
+    ("triple2", ["x1^2*d1 - x2^2*d2", "x1^2*d1 - x2^2*d2"], "0"),
+])
+def test_saito_controls_carry_the_determinant(name, texts, det):
+    arr, _ = builtin_arrangement(name)
+    thetas = tuple(Derivation.from_diffop(parse_diffop(t, arr.dim)) for t in texts)
+    result = _agrees_with_division(arr, thetas)
+    assert not result.ok
+    assert result.reason == ("coefficient determinant is not a nonzero scalar multiple "
+                             "of the defining polynomial")
+    assert result.determinant == P(det, arr.dim)
+    assert result.determinant == determinant([list(th.coeffs) for th in thetas])
+
+
+# -- Q is formed only where a route divides by it ---------------------------------
+
+def test_arrangement_keeps_only_its_forms():
+    assert Arrangement.__slots__ == ("dim", "forms", "__weakref__")
+    arr = Arrangement(builtin_arrangement("triple2")[0].forms)
+    assert tangent._kept_for(arr) is None
+    assert arr.q is tangent._frame(arr).q and arr.q is arr.q
+    assert arr.q == P("x*y*(x+y)", 2)
+
+
+def test_nothing_forms_q_before_a_route_needs_it():
+    # the 66 forms x_i + x_j in 12 variables: Q would be a product of 66
+    # sums, far too large to expand, and no route below divides by it
+    dim = 12
+    forms = [LinearForm(tuple(int(k in (i, j)) for k in range(dim)))
+             for i in range(dim) for j in range(i + 1, dim)]
+    arr = Arrangement(forms)
+    assert arr.size == 66 and tangent._kept_for(arr) is None
+    euler = euler_derivation(dim)
+    partial = Derivation.from_diffop(parse_diffop("d1", dim))
+    assert is_tangent(euler, arr) and not is_tangent(partial, arr)
+    rows = tangency_table(partial, arr, 2)
+    assert len(rows) == 132 and not all(row.ok for row in rows)
+    assert tangent._kept_for(arr) is None
+
+
+@pytest.mark.parametrize("name", [n for n in _BUILTINS if "basis" in _BUILTINS[n]])
+def test_saito_check_divides_by_nothing_and_builds_no_frame(monkeypatch, name):
+    def refuse(*args):
+        raise AssertionError("exact_divide called")
+
+    # a fresh arrangement: the cached builtin may have a frame from another test
+    cached, thetas = builtin_arrangement(name)
+    arr = Arrangement(cached.forms)
+    monkeypatch.setattr(logdiff.linalg, "exact_divide", refuse)
+    monkeypatch.setattr(tangent, "exact_divide", refuse)
+    assert saito_check(arr, thetas).ok
+    assert tangent._kept_for(arr) is None
 
 
 # -- the rank-2 family -------------------------------------------------------------

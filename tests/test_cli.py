@@ -169,6 +169,41 @@ def test_long_file_paths_are_quoted_short(tmp_path, capsys, content, message, op
     assert "/in.json'" in err
 
 
+@pytest.mark.parametrize("depth", [1_000, 100_000])
+@pytest.mark.parametrize("option", ["--arrangement", "--basis"])
+def test_deeply_nested_json_file_is_a_usage_error(tmp_path, capsys, option, depth):
+    # 1,000 levels pass the JSON decoder on some Python versions and not on
+    # others; 100,000 exceed its recursion limit on every one
+    path = tmp_path / "deep.json"
+    path.write_text("[" * depth + "]" * depth)
+    files = ["--arrangement", str(path)] if option == "--arrangement" else [
+        "--arrangement", "builtin:boolean2", "--basis", str(path)]
+    code, out, err = run(capsys, "check-free", *files)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {_quote(str(path))}") and len(err.encode()) < 200
+    if depth == 100_000:
+        assert err == f"error: {_quote(str(path))} is nested too deeply\n"
+
+
+def test_routes_that_need_no_q_form_none(tmp_path, capsys, monkeypatch):
+    # the 66 forms x_i + x_j in 12 variables, 2,530 bytes: expanding Q takes
+    # minutes, and neither command below divides by it
+    dim = 12
+    forms = [[int(k in (i, j)) for k in range(dim)] for i in range(dim) for j in range(i + 1, dim)]
+    path = tmp_path / "dim12.json"
+    path.write_text(json.dumps({"dim": dim, "forms": forms}))
+
+    def refuse(arr):
+        raise AssertionError("a frame was built")
+
+    monkeypatch.setattr(logdiff.tangent, "_Frame", refuse)
+    code, out, err = run(capsys, "check-free", "--arrangement", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: no candidate basis: pass --basis or use a builtin with one\n"
+    code, out, _ = run(capsys, "tangent", "--arrangement", str(path), "--op", "d1")
+    assert code == 1 and out.endswith("overall: not tangent\n")
+
+
 @pytest.mark.parametrize("op, message, at", [
     ("a" * 20_000, "unknown name 'aaaa", 0),
     ("x1 " + "b" * 20_000, "unexpected trailing input 'bbbb", 3),
