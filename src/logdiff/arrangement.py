@@ -178,7 +178,7 @@ def _load_spec(spec) -> tuple[Arrangement, tuple[Derivation, ...] | None]:
         raise ValueError("expected an object with 'dim' and 'forms'")
     dim, rows = spec["dim"], spec["forms"]
     if type(dim) is not int or dim < 1:
-        raise ValueError(f"'dim' must be a positive integer, got {dim!r}")
+        raise ValueError(f"'dim' must be a positive integer, got {_quote(dim)}")
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("'forms' must be a list of coefficient lists")
     try:
@@ -186,7 +186,7 @@ def _load_spec(spec) -> tuple[Arrangement, tuple[Derivation, ...] | None]:
     except ZeroDivisionError as exc:
         raise ValueError(str(exc)) from None
     if arr.dim != dim:
-        raise ValueError(f"forms have {arr.dim} coefficients but dim is {dim}")
+        raise ValueError(f"forms have {arr.dim} coefficients but dim is {_quote(dim)}")
     return arr, (_load_basis(spec["basis"], dim) if "basis" in spec else None)
 
 
@@ -194,10 +194,10 @@ _COEFFICIENT = re.compile(rf"[-+]?\d{{1,{MAX_DIGITS}}}(?:/\d{{1,{MAX_DIGITS}}})?
 
 
 def _coefficient(c) -> Fraction:
-    """A form coefficient of a spec: a number, or a string INT ('/' INT)?
+    """A form coefficient of a spec: a JSON number, or a string INT ('/' INT)?
     with an optional sign as in operator text, so that no spelling such as
     "1e100000000" builds a huge rational; ``ValueError`` otherwise."""
-    if isinstance(c, str) and not _COEFFICIENT.fullmatch(c):
+    if not (type(c) in (int, float) or isinstance(c, str) and _COEFFICIENT.fullmatch(c)):
         raise ValueError(f"coefficient {_quote(c)} is not an integer or a fraction a/b")
     return Fraction(str(c))
 

@@ -185,11 +185,11 @@ class PrefixFold:
     word of any length folds without recursion.
 
     ``terms`` is ``size`` summed over every value kept, ``start``
-    included, so that whoever keeps the fold can bound what it retains.
-    Each value is sized on the first read of ``terms`` after it was
-    formed, so a fold that nobody measures sizes nothing.  Threads may
-    share a fold: a prefix formed twice in a race is stored and counted
-    once.
+    included.  Each value is sized on the first read of ``terms`` after
+    it was formed, so a fold that nobody measures sizes nothing.  Threads
+    may share a fold: a prefix formed twice in a race is stored and
+    counted once.  Whoever keeps a fold across calls bounds it through
+    ``trimmed``, the one rule for starting a kept fold afresh.
     """
 
     __slots__ = ("_root", "_step", "_size", "_unsized", "_terms", "_lock")
@@ -221,6 +221,13 @@ class PrefixFold:
             while unsized:
                 self._terms += self._size(unsized.pop())
             return self._terms
+
+    def trimmed(self, limit: int) -> PrefixFold:
+        """This fold while it keeps at most ``limit`` terms, else a fresh
+        fold with the same start, step and size; this one is left as it is."""
+        if self.terms <= limit:
+            return self
+        return PrefixFold(self._root[0], self._step, self._size)
 
 
 def _form_product_fold(m: Matrix):

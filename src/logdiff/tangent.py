@@ -22,7 +22,6 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from math import comb, prod
-from threading import Lock
 from typing import TYPE_CHECKING, Sequence
 
 from .exprparse import MAX_TERMS, QUOTE_CHARS, _quote
@@ -227,12 +226,12 @@ class _Frame:
     powers of Q, up to the largest order requested.
 
     Every value is a function of Q alone, so threads may share a frame: a
-    word formed twice in a race is the same word, and the powers grow
-    under a lock, so that ``powers[k]`` is always Q^k.  Each call that
-    used the frame ends with ``trim``, which bounds what it retains.
+    word formed twice in a race is the same word, and ``q_power`` installs
+    a longer list of powers whole, so every list a thread reads has Q^k at
+    index k.  Each call that used the frame ends with ``trim``.
     """
 
-    __slots__ = ("q", "generators", "word", "powers", "power_terms", "_grow")
+    __slots__ = ("q", "generators", "word", "powers")
 
     def __init__(self, arr: Arrangement):
         n = arr.dim
@@ -243,95 +242,71 @@ class _Frame:
         )
         self.word = word_fold(self.generators)
         self.powers = [Poly.one(n)]
-        self.power_terms = 1
-        self._grow = Lock()
 
     def q_power(self, e: int) -> Poly:
-        """Q^e, extending the running list of powers as far as e."""
+        """Q^e, extending a copy of the list of powers as far as e."""
         powers = self.powers
         if e >= len(powers):
-            with self._grow:
-                powers = self.powers
-                while len(powers) <= e:
-                    powers.append(powers[-1] * self.q)
-                    self.power_terms += len(powers[-1].terms)
+            powers = powers[:]
+            while len(powers) <= e:
+                powers.append(powers[-1] * self.q)
+            self.powers = powers
         return powers[e]
 
     def trim(self) -> None:
         """Start the word fold or the powers afresh once either keeps more
         than ``MAX_TERMS`` terms: a call keeps every prefix and power it
         forms, and the frame keeps at most a parsed operator's worth."""
-        if self.word.terms > MAX_TERMS:
-            self.word = word_fold(self.generators)
-        if self.power_terms > MAX_TERMS:
-            with self._grow:
-                self.powers = self.powers[:1]
-                self.power_terms = 1
+        self.word = self.word.trimmed(MAX_TERMS)
+        if sum(len(power.terms) for power in self.powers) > MAX_TERMS:
+            self.powers = self.powers[:1]
 
 
 class _Basis:
     """What ``decompose`` keeps of one ``SaitoBasis`` for its lifetime:
-    det Theta, adj Theta, the word fold of the basis derivations and the
-    product fold of the linear forms xi_j = sum_i adj(Theta)_ji y_i.
+    det Theta, the word fold of the basis derivations and the product fold
+    of the linear forms xi_j = sum_i adj(Theta)_ji y_i.
 
     Both folds are functions of the basis alone, so threads may share
     them, and ``trim`` bounds them as ``_Frame.trim`` bounds a frame.
     """
 
-    __slots__ = ("thetas", "det", "adj", "word", "xi")
+    __slots__ = ("det", "word", "xi")
 
     def __init__(self, basis: SaitoBasis):
         thetas = basis.thetas
         theta = [list(th.coeffs) for th in thetas]
-        self.thetas = thetas
-        self.adj = _adjugate(theta)
+        adj = _adjugate(theta)
         # Laplace along the first row of Theta reads det Theta off the
         # cofactors in adj(Theta).
-        self.det = sum((a * self.adj[j][0] for j, a in enumerate(theta[0])),
+        self.det = sum((a * adj[j][0] for j, a in enumerate(theta[0])),
                        Poly.zero(thetas[0].nvars))
         self.word = word_fold(thetas)
-        self.xi = _form_product_fold(self.adj)
+        self.xi = _form_product_fold(adj)
 
     def trim(self) -> None:
-        """Start either fold afresh once it keeps more than ``MAX_TERMS`` terms."""
-        if self.word.terms > MAX_TERMS:
-            self.word = word_fold(self.thetas)
-        if self.xi.terms > MAX_TERMS:
-            self.xi = _form_product_fold(self.adj)
-
-
-class _Entry(weakref.ref):
-    """A weak reference to a live object, with the value kept for it."""
-
-    __slots__ = ("key", "value")
-
-
-def _drop(entry: _Entry) -> None:
-    _kept.pop(entry.key, None)
+        self.word, self.xi = self.word.trimmed(MAX_TERMS), self.xi.trimmed(MAX_TERMS)
 
 
 # What this module keeps for a live object, by ``id``: an arrangement's
-# ``_Frame``, a basis's ``_Basis`` (``decompose``), and the word fold that
-# formed a decomposition.  A frame and a basis keep at most ``MAX_TERMS``
-# terms per fold or list of powers between calls (their ``trim``).  The
-# entry's callback removes it when the object dies, before its ``id`` can
-# be reused.
-_kept: dict[int, _Entry] = {}
+# ``_Frame`` and a basis's ``_Basis``, which their ``trim`` bounds between
+# calls (``PrefixFold.trimmed``), and the word fold that formed a
+# decomposition.  The weak reference in each entry removes it when the
+# object dies, before its ``id`` can be reused.
+_kept: dict[int, tuple[weakref.ref, object]] = {}
 
 
 def _keep(obj, value):
     """Keep ``value`` for ``obj`` while ``obj`` lives; return ``value``."""
-    entry = _Entry(obj, _drop)
-    entry.key = id(obj)
-    entry.value = value
-    _kept[entry.key] = entry
+    key = id(obj)
+    _kept[key] = (weakref.ref(obj, lambda _, key=key: _kept.pop(key, None)), value)
     return value
 
 
 def _kept_for(obj):
     """The value kept for ``obj``, or None."""
     entry = _kept.get(id(obj))
-    return None if entry is None else entry.value
+    return None if entry is None else entry[1]
 
 
 def _frame(arr: Arrangement) -> _Frame:
@@ -355,9 +330,10 @@ def transport(u: DiffOp, arr: Arrangement) -> Decomposition:
     arrangement's frame (``_frame``), which keeps them for the
     arrangement's lifetime: the powers of Q up to max(p, C(p, 2)) and the
     words up to the largest order p requested, until either keeps more
-    than ``MAX_TERMS`` terms when a call ends (``_Frame.trim``).
-    ``reassemble`` of the result reuses the word fold that formed it, so
-    it forms none of them again.
+    than ``MAX_TERMS`` terms when a call ends (``_Frame.trim``, through
+    ``PrefixFold.trimmed`` for the words).  The result keeps the word fold
+    that formed it, trimmed or not, so ``reassemble`` forms none of its
+    words again.
     """
     if u.nvars != arr.dim:
         raise ValueError("operator over a different ambient dimension")
@@ -443,12 +419,13 @@ def decompose(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> Decomposition:
     (lambda Q)^(n-1) is nonzero, so the remainder's order-p symbol is
     itself zero.
 
-    det Theta, adj(Theta), the word fold of the basis derivations and the
-    product fold of the xi_j are kept for the basis's lifetime (``_Basis``),
-    so later calls reuse the xi products and words that earlier calls
-    formed, and ``reassemble`` of a result reuses its words.  A call keeps
-    every prefix it forms, so a word of length p costs p products; when
-    it ends, a fold that keeps more than ``MAX_TERMS`` terms starts afresh.
+    det Theta, the word fold of the basis derivations and the product fold
+    of the xi_j are kept for the basis's lifetime (``_Basis``), so later
+    calls reuse the xi products and words that earlier calls formed.  A
+    call keeps every prefix it forms, so a word of length p costs p
+    products; when it ends, a fold that keeps more than ``MAX_TERMS`` terms
+    starts afresh (``PrefixFold.trimmed``).  The result keeps the word fold
+    that formed it, trimmed or not, and ``reassemble`` reuses its words.
 
     A successful decomposition certifies tangency, so no separate test
     runs: it reassembles to u exactly, and every word is a product of

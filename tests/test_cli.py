@@ -91,19 +91,33 @@ def test_bad_arrangement_file(tmp_path, capsys):
     assert "proportional" in err
 
 
+_NOT_A_COEFFICIENT = "is not an integer or a fraction a/b"
+
+
 @pytest.mark.parametrize("spec, message", [
     ({"dim": 0, "forms": [["1"]]}, "'dim' must be a positive integer"),
     ({"dim": "2", "forms": [["1", "0"]]}, "'dim' must be a positive integer"),
     ({"dim": 2, "forms": 5}, "'forms' must be a list of coefficient lists"),
     ({"dim": 2, "forms": [["1", "0"], "01"]}, "'forms' must be a list of coefficient lists"),
     ({"dim": 1, "forms": [["1"]], "basis": "x1*d1"}, "'basis' must be a list of operator strings"),
-], ids=["dim-zero", "dim-string", "forms-int", "forms-row-string", "basis-string"])
+    ('{"dim": 1, "forms": [' + "[" * 900 + "]" * 900 + "]}", _NOT_A_COEFFICIENT),
+    ({"dim": 1, "forms": [[{"a": 1}]]}, _NOT_A_COEFFICIENT),
+    ({"dim": 1, "forms": [[True]]}, f"coefficient True {_NOT_A_COEFFICIENT}"),
+    ({"dim": 1, "forms": [[None]]}, f"coefficient None {_NOT_A_COEFFICIENT}"),
+    ('{"dim": ' + "9" * 600 + ', "forms": [[1]]}', "forms have 1 coefficients but dim is 999"),
+    ('{"dim": -' + "9" * 600 + ', "forms": [[1]]}', "'dim' must be a positive integer, got -999"),
+    ({"dim": {"a": "b" * 3000}, "forms": [[1]]}, "'dim' must be a positive integer, got {'a'"),
+], ids=["dim-zero", "dim-string", "forms-int", "forms-row-string", "basis-string",
+        "coefficient-nested-list", "coefficient-dict", "coefficient-bool", "coefficient-null",
+        "dim-huge", "dim-huge-negative", "dim-long-dict"])
 def test_malformed_arrangement_file(tmp_path, capsys, spec, message):
     path = tmp_path / "arr.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
     code, _, err = run(capsys, "check-free", "--arrangement", str(path))
     assert code == 2
     assert err.startswith("error: ") and message in err
+    # every spec error is quoted short, whatever the file holds
+    assert len(err.encode()) < 200
 
 
 # The interpreter's own limit on int() of a decimal string, where it has

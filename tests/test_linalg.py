@@ -325,6 +325,33 @@ def test_prefix_fold_long_word_does_not_recurse():
     assert len(calls) == len(word) == fold.terms - 1
 
 
+def test_prefix_fold_trimmed():
+    calls = []
+
+    def step(k, j):
+        calls.append(k + (j,))
+        return k + (j,)
+
+    fold = PrefixFold((), step, lambda value: len(value) + 1)
+    fold((1, 2, 3))
+    fold((2,))
+    # sizes 1 (start) + 2 + 3 + 4 + 2
+    assert fold.terms == 12
+    assert fold.trimmed(12) is fold and fold.trimmed(100) is fold
+    fresh = fold.trimmed(11)
+    assert fresh is not fold
+    # the same start, sized alone
+    assert fresh(()) == () and fresh.terms == 1
+    # it forms values again, through the same step
+    calls.clear()
+    assert fresh((1, 2)) == (1, 2) and calls == [(1,), (1, 2)]
+    assert fresh.terms == 1 + 2 + 3
+    # the old fold still answers from its trie, with its count
+    calls.clear()
+    assert fold((1, 2, 3)) == (1, 2, 3) and fold((2,)) == (2,) and calls == []
+    assert fold.terms == 12
+
+
 def _random_entry(rng, kind):
     if kind == "int":
         return rng.randint(-5, 5)
