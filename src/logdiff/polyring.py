@@ -342,9 +342,6 @@ class Poly(_Terms):
         shift = _WIDTH * self.nvars
         return len({m >> shift for m in self.terms}) <= 1
 
-    def constant_term(self) -> Scalar:
-        return self.terms.get(0, 0)
-
     def linear_coefficients(self) -> list[Scalar] | None:
         """[c1, ..., cl] when the polynomial is c0 + c1*x1 + ... + cl*xl,
         None when its degree is 2 or more."""

@@ -137,6 +137,11 @@ def eval_poly(f: Poly, point) -> Fraction:
     return total
 
 
+def constant_term(f: Poly):
+    """The coefficient of x^0, read through ``as_dict``."""
+    return f.as_dict().get((0,) * f.nvars, 0)
+
+
 def mul_by_terms(a: Poly, b: Poly) -> Poly:
     """Reference route for ``Poly.__mul__``: every pair of terms multiplied
     as Fractions under exponent tuples read through ``Poly.as_dict``,
@@ -293,7 +298,7 @@ def saito_check_by_division(arr: Arrangement,
             "coefficient determinant is not a nonzero scalar multiple of the defining polynomial",
             determinant=det,
         )
-    return SaitoBasis(thetas, quot.constant_term(), degrees)
+    return SaitoBasis(thetas, constant_term(quot), degrees)
 
 
 def decompose_by_jacobians(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> Decomposition:
