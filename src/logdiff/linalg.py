@@ -6,10 +6,10 @@ every routine is exact.  Matrices are plain rectangular sequences of rows.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, factorial, prod
+from operator import add
 from threading import Lock
 from typing import Sequence
 
@@ -232,20 +232,25 @@ class PrefixFold:
 
 def _form_product_fold(m: Matrix):
     """fold(k) is the product over i in the 1-based tuple k of the linear
-    forms sum_j m[i-1][j] y_j, as a dict from ``sym_indices`` tuples to
-    coefficients: (j1, ..., jp) stands for y_j1 * ... * y_jp.  Rows of
-    ``sym_power_matrix`` and the substituted symbols of
-    ``tangent.decompose`` are both read off it.
+    forms sum_j m[i-1][j] y_j, as a dict from exponent vectors of y to
+    coefficients.  Rows of ``sym_power_matrix`` and the substituted
+    symbols of ``tangent.decompose`` are both read off it.  Every prefix
+    is kept, so keys of length dim hold O(p * dim) for a word of p
+    letters, where index-tuple keys would hold O(p^2).
     """
-    # Row i of m as (1-based j, nonzero m[i][j]) pairs.
-    forms = [[(j, x) for j, x in enumerate(row, start=1) if x] for row in m]
+    dim = len(m)
+    # Row i of m as (unit exponent vector of y_j, nonzero m[i][j]) pairs.
+    forms = [
+        [(tuple(int(k == j) for k in range(dim)), x)
+         for j, x in enumerate(row) if x]
+        for row in m
+    ]
 
     def times_form(prev: dict, i: int) -> dict:
         out: dict = {}
-        for idx, c in prev.items():
-            for j, x in forms[i - 1]:
-                at = bisect_right(idx, j)
-                key = idx[:at] + (j,) + idx[at:]
+        for mono, c in prev.items():
+            for unit, x in forms[i - 1]:
+                key = tuple(map(add, mono, unit))
                 acc = out.get(key)
                 out[key] = c * x if acc is None else acc + c * x
         return out
@@ -255,7 +260,7 @@ def _form_product_fold(m: Matrix):
         one, size = Poly.one(m[0][0].nvars), lambda row: sum(len(c.terms) for c in row.values())
     else:
         one, size = 1, len
-    return PrefixFold({(): one}, times_form, size)
+    return PrefixFold({(0,) * dim: one}, times_form, size)
 
 
 def sym_power_matrix(m: Matrix, power: int) -> list[list]:
@@ -266,20 +271,23 @@ def sym_power_matrix(m: Matrix, power: int) -> list[list]:
     Row I is read off the product over a of the linear forms
     sum_j m[i_a][j] y_j (``_form_product_fold``): the permanent counts each
     way of giving the factors the columns of J once per reordering of equal
-    columns, so entry (I, J) is the coefficient at index tuple J times the
+    columns, so entry (I, J) is the coefficient of y^mult(J) times the
     product of the multiplicity factorials of J.
     """
     dim = _square_size(m)
     idxs = sym_indices(dim, power)
     zero = _zero_like(m[0][0])
     fold = _form_product_fold(m)
-    factors = [prod(map(factorial, multiplicity_vector(j, dim))) for j in idxs]
+    cols = []
+    for j in idxs:
+        mult = multiplicity_vector(j, dim)
+        cols.append((mult, prod(map(factorial, mult))))
     out = []
     for i in idxs:
         row = fold(i)
         entries = []
-        for j, f in zip(idxs, factors):
-            c = row.get(j)
+        for mult, f in cols:
+            c = row.get(mult)
             entries.append(zero if c is None else c if f == 1 else c * f)
         out.append(entries)
     return out

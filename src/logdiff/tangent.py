@@ -397,9 +397,7 @@ def decompose(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> Decomposition:
     Level p is thus read off rows of Sym^p(adj Theta): the top term
     a_beta d^beta becomes a_beta times the product of the linear forms
     xi_j = sum_i adj(Theta)_ji y_i over the letters of beta, expanded by
-    the fold that builds ``sym_power_matrix`` rows.  Its keys are index
-    tuples, K = (k1, ..., kp) standing for y_k1 * ... * y_kp, and the
-    numerators are summed and divided under those keys.  lambda is the
+    the fold that builds ``sym_power_matrix`` rows.  lambda is the
     certified ``basis.scalar``.  det Theta is read off adj(Theta) once per
     basis, and every call compares it with lambda * Q for the arrangement
     given: a mismatch is a ValueError.  Exact division by Q^p lambda^p
@@ -455,13 +453,13 @@ def decompose(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> Decomposition:
             p = cur.order
             numerators: dict[tuple[int, ...], Poly] = {}
             for beta, a in cur.top_terms():
-                for k, c in xi_fold(_letters(beta)).items():
-                    acc = numerators.get(k)
-                    numerators[k] = a * c if acc is None else acc + a * c
+                for mult, c in xi_fold(_letters(beta)).items():
+                    acc = numerators.get(mult)
+                    numerators[mult] = a * c if acc is None else acc + a * c
             divisor = frame.q_power(p) * basis.scalar ** p
             level_words: list[tuple[Poly, tuple[int, ...]]] = []
-            # Index tuples of one length ascend in ``sym_indices`` order.
-            for k, numer in sorted((k, c) for k, c in numerators.items() if c):
+            # Ascending letter tuples are in ``sym_indices`` order.
+            for k, numer in sorted((_letters(mult), c) for mult, c in numerators.items() if c):
                 try:
                     coeff = exact_divide(numer, divisor)
                 except NotDivisibleError:

@@ -3,6 +3,7 @@ import pickle
 import random
 import sys
 import threading
+import tracemalloc
 import weakref
 from dataclasses import replace
 from fractions import Fraction
@@ -636,6 +637,25 @@ def test_kept_folds_stay_bounded_between_calls():
     assert transport(u, arr) == moved
     assert reassemble(moved) == arr.q ** 11_325 * u
     assert frame.word.terms == 1 and frame.powers == [Poly.one(1)]
+
+
+def test_high_order_decompose_peak_stays_small():
+    # d1^10000 on boolean1 folds xi_1 over 10,000 letters, keeping every
+    # prefix: keys of length dim peak near 11 MiB, where index-tuple keys
+    # of every length up to 10,000 peaked at 392 MiB
+    arr, thetas = builtin_arrangement("boolean1")
+    basis = saito_check(arr, thetas)
+    u = D("(d1^100)^100", 1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with pytest.raises(DecompositionError) as info:
+            decompose(u, arr, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.level == 10_000 and info.value.index == (1,) * 10_000
+    assert peak < 32 * 2**20
 
 
 def test_nothing_kept_for_collected_objects():
