@@ -55,7 +55,7 @@ class Arrangement:
         return len(self.forms)
 
     def __repr__(self) -> str:
-        return f"Arrangement({[str(f.as_poly()) for f in self.forms]})"
+        return f"Arrangement({[str(f) for f in self.forms]})"
 
 
 def euler_derivation(dim: int) -> Derivation:

@@ -171,7 +171,7 @@ def cmd_tangent(args) -> int:
     for i, form in enumerate(arr.forms, start=1):
         cells = [r for r in rows if r.form_index == i]
         line = ", ".join(f"t={r.t} {'pass' if r.ok else 'FAIL'}" for r in cells)
-        print(f"form {i} ({render(form.as_poly())}): {line}")
+        print(f"form {i} ({render(form)}): {line}")
         for r in cells:
             if not r.ok:
                 all_ok = False
@@ -179,7 +179,7 @@ def cmd_tangent(args) -> int:
                 print(
                     f"  witness at t={r.t}: coefficient {render(coeff)} of "
                     f"{render(DiffOp(arr.dim, {beta: Poly.one(arr.dim)}))} not "
-                    f"divisible by ({render(form.as_poly())})^{r.t}"
+                    f"divisible by ({render(form)})^{r.t}"
                 )
     if args.tmax is None:
         print("overall: tangent" if all_ok else "overall: not tangent")

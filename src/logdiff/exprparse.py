@@ -39,7 +39,7 @@ import re
 from fractions import Fraction
 from math import prod
 
-from .polyring import DegreeLimitError, Poly, Scalar
+from .polyring import DegreeLimitError, Poly, Scalar, _canon
 from .weyl import DiffOp, _size
 
 # Whitespace between tokens is skipped; any other character the grammar
@@ -157,10 +157,9 @@ class _Parser:
         if self.depth > MAX_NESTING:
             raise ParseError("expression is nested too deeply", at)
 
-    def bounded(self, value: DiffOp, at: int) -> DiffOp:
-        if _size(value) > MAX_TERMS:
+    def bounded(self, size: int, at: int) -> None:
+        if size > MAX_TERMS:
             raise ParseError(f"expression has more than {MAX_TERMS} terms", at)
-        return value
 
     def product(self, left: DiffOp, right: DiffOp, at: int) -> DiffOp:
         # A term of f d^beta meets each right term at most prod_j (beta_j +
@@ -176,7 +175,8 @@ class _Parser:
             value = left * right
         except DegreeLimitError as exc:
             raise ParseError(str(exc), at) from None
-        return self.bounded(value, at)
+        self.bounded(_size(value), at)
+        return value
 
     def parse(self) -> DiffOp:
         value = self.expr()
@@ -187,14 +187,29 @@ class _Parser:
 
     def expr(self) -> DiffOp:
         value = self.term()
-        while True:
+        kind, tok, at = self.peek()
+        if kind != "op" or tok not in "+-":
+            return value
+        # Summands are added in place, one map of terms per d^beta, and a term
+        # that cancels leaves, so ``size`` counts the running sum's terms.
+        sums = {beta: dict(f.terms) for beta, f in value.terms.items()}
+        size = _size(value)
+        while kind == "op" and tok in "+-":
+            self.advance()
+            sign = 1 if tok == "+" else -1
+            for beta, f in self.term().terms.items():
+                acc = sums.setdefault(beta, {})
+                for m, c in f.terms.items():
+                    if c := acc.get(m, 0) + c * sign:
+                        size += m not in acc
+                        acc[m] = c
+                    else:
+                        size -= 1
+                        del acc[m]
+            self.bounded(size, at)
             kind, tok, at = self.peek()
-            if kind == "op" and tok in "+-":
-                self.advance()
-                rhs = self.term()
-                value = self.bounded(value + rhs if tok == "+" else value - rhs, at)
-            else:
-                return value
+        coeffs = {beta: Poly._make(self.nvars, _canon(acc)) for beta, acc in sums.items() if acc}
+        return DiffOp._make(self.nvars, coeffs)
 
     def term(self) -> DiffOp:
         value = self.factor()

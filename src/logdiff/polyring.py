@@ -4,7 +4,7 @@ A polynomial is a finite map from monomials to nonzero rational
 coefficients.  Coefficients are arbitrary-precision rationals; integral
 values are stored as plain ``int`` (``hash``/``==`` compatible with
 ``Fraction`` and much faster).  Nothing in this module touches floating
-point.
+point.  A ``LinearForm`` is the degree-one ``Poly`` it stands for.
 
 An operator ``sum_b f_b d^b`` (``weyl.DiffOp``) is the same kind of map,
 from monomials d^b to nonzero polynomials.  Both store a monomial as one
@@ -32,7 +32,6 @@ Variables are positional and 1-based in the public API: ``x1 .. xl``.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import perm
@@ -230,7 +229,7 @@ class _Terms:
             raise DegreeLimitError()
         if not n:
             return self._coerce(1)
-        # A fresh copy at 1, so that a Derivation's power is a plain DiffOp.
+        # A fresh copy at 1, so that a form's or a derivation's power is plain.
         out = self if n > 1 else self._make(self.nvars, dict(self.terms))
         for _ in range(n - 1):
             out = out * self
@@ -292,46 +291,47 @@ class Poly(_Terms):
     def _coefficient(c: Scalar, nvars: int) -> Scalar:
         return _exact(c)
 
-    @classmethod
-    def _make(cls, nvars: int, terms: dict[int, Scalar]) -> Poly:
+    @staticmethod
+    def _make(nvars: int, terms: dict[int, Scalar]) -> Poly:
         """Wrap an already canonical map without validating it.
 
         Internal results only: every key is a packed ``nvars``-variable
         monomial and every value a nonzero int or non-integral Fraction.
         The map is owned by the new polynomial.
         """
-        out = object.__new__(cls)
+        out = object.__new__(Poly)
         out.nvars = nvars
         out.terms = terms
         return out
 
     # -- constructors -----------------------------------------------------
+    # Static, so that they build a plain Poly on a subclass too.
 
-    @classmethod
-    def zero(cls, nvars: int) -> Poly:
-        return cls(nvars)
+    @staticmethod
+    def zero(nvars: int) -> Poly:
+        return Poly(nvars)
 
-    @classmethod
-    def one(cls, nvars: int) -> Poly:
-        return cls.constant(nvars, 1)
+    @staticmethod
+    def one(nvars: int) -> Poly:
+        return Poly.constant(nvars, 1)
 
-    @classmethod
-    def constant(cls, nvars: int, value: Scalar) -> Poly:
-        out = cls(nvars)
+    @staticmethod
+    def constant(nvars: int, value: Scalar) -> Poly:
+        out = Poly(nvars)
         if value := _exact(value):
             out.terms[0] = value
         return out
 
-    @classmethod
-    def variable(cls, nvars: int, index: int) -> Poly:
+    @staticmethod
+    def variable(nvars: int, index: int) -> Poly:
         """The polynomial ``x<index>`` (1-based index)."""
         if not 1 <= index <= nvars:
             raise ValueError(f"variable index {index} out of range 1..{nvars}")
-        return cls._make(nvars, {_unit(nvars, index - 1): 1})
+        return Poly._make(nvars, {_unit(nvars, index - 1): 1})
 
-    @classmethod
-    def monomial(cls, nvars: int, exponents: Sequence[int], coeff: Scalar = 1) -> Poly:
-        return cls(nvars, {tuple(exponents): coeff})
+    @staticmethod
+    def monomial(nvars: int, exponents: Sequence[int], coeff: Scalar = 1) -> Poly:
+        return Poly(nvars, {tuple(exponents): coeff})
 
     # -- basic queries -----------------------------------------------------
 
@@ -462,25 +462,19 @@ def _unit(nvars: int, index: int) -> int:
     return 1 << _WIDTH * nvars | 1 << _shifts(nvars)[index]
 
 
-@dataclass(frozen=True)
-class LinearForm:
-    """A nonzero homogeneous degree-1 form given by its coefficient vector."""
+class LinearForm(Poly):
+    """A nonzero form sum_i coeffs[i] * x_i, the degree-one Poly it stands
+    for; ``coeffs`` keeps every coefficient, zeros included."""
 
-    coeffs: tuple[Scalar, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        coeffs = tuple(map(_exact, self.coeffs))
-        if not coeffs or all(c == 0 for c in coeffs):
+    def __init__(self, coeffs: Sequence[Scalar]):
+        coeffs = tuple(map(_exact, coeffs))
+        if not any(coeffs):
             raise ValueError("linear form must have a nonzero coefficient")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def nvars(self) -> int:
-        return len(self.coeffs)
-
-    def as_poly(self) -> Poly:
-        n = self.nvars
-        return Poly._make(n, {_unit(n, i): c for i, c in enumerate(self.coeffs) if c != 0})
+        self.nvars = n = len(coeffs)
+        self.terms = {_unit(n, i): c for i, c in enumerate(coeffs) if c}
+        self.coeffs = coeffs
 
     def proportional_to(self, other: LinearForm) -> bool:
         if self.nvars != other.nvars:

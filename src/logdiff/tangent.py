@@ -165,7 +165,6 @@ def _tangency_rows(u: DiffOp, arr: Arrangement, t_max: int):
         raise ValueError("operator over a different ambient dimension")
     zero = Poly.zero(arr.dim)
     for i, form in enumerate(arr.forms, start=1):
-        fp = form.as_poly()
         brackets = [u.terms]
         while len(brackets) <= t_max and (nxt := _bracket_linear(brackets[-1], form.coeffs)):
             brackets.append(nxt)
@@ -175,7 +174,7 @@ def _tangency_rows(u: DiffOp, arr: Arrangement, t_max: int):
         powers = [Poly.one(arr.dim)]
         failed = False
         for t in range(1, t_max + 1):
-            powers.append(powers[-1] * fp)
+            powers.append(powers[-1] * form)
             witness = None
             for gamma in gammas:
                 if not failed:
@@ -185,7 +184,7 @@ def _tangency_rows(u: DiffOp, arr: Arrangement, t_max: int):
                 k_max = min(t, last)
                 r = brackets[0].get(gamma, zero)
                 for k in range(1, k_max + 1):
-                    r = r * fp + brackets[k].get(gamma, zero) * comb(t, k)
+                    r = r * form + brackets[k].get(gamma, zero) * comb(t, k)
                 if failed and divides(powers[k_max], r):
                     continue
                 witness = DiffOp._make(arr.dim, {gamma: r * powers[t - k_max]}).sorted_terms()[0]
@@ -235,7 +234,7 @@ class _Frame:
 
     def __init__(self, arr: Arrangement):
         n = arr.dim
-        self.q = prod((f.as_poly() for f in arr.forms), start=Poly.one(n))
+        self.q = prod(arr.forms, start=Poly.one(n))
         self.generators = tuple(
             Derivation(tuple(self.q if j == i else Poly.zero(n) for j in range(n)))
             for i in range(n)

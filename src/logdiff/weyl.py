@@ -78,7 +78,7 @@ class DiffOp(_Terms):
 
     def value_at_one(self) -> Poly:
         """The operator applied to 1, i.e. the pure polynomial part."""
-        return self.terms.get(self._one, Poly.zero(self.nvars))
+        return self.terms.get(self._one) or Poly.zero(self.nvars)
 
     def apply(self, f: Poly) -> Poly:
         """Evaluate the operator on a polynomial."""

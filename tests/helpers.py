@@ -202,10 +202,9 @@ def tangency_table_by_products(u: DiffOp, arr: Arrangement, t_max: int) -> list[
         raise ValueError("operator over a different ambient dimension")
     rows = []
     for i, form in enumerate(arr.forms, start=1):
-        fp = form.as_poly()
         prod, ft = u, Poly.one(arr.dim)
         for t in range(1, t_max + 1):
-            prod, ft = prod * fp, ft * fp
+            prod, ft = prod * form, ft * form
             witness = None
             for beta, coeff in sorted(prod.as_dict().items(), key=lambda kv: (sum(kv[0]), kv[0])):
                 try:

@@ -257,7 +257,7 @@ def test_negative_controls():
     if not is_tangent(eu, arrg):
         failures.append("euler not tangent")
 
-    w = arrg.forms[3].as_poly()  # x + y + z
+    w = arrg.forms[3]  # x + y + z
     yz = Poly.variable(3, 2) * Poly.variable(3, 3)
     degree_two = [
         Derivation(tuple(w * c for c in eu.coeffs)),                 # w * euler

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -63,7 +64,7 @@ def _agrees_with_division(arr, thetas):
 def test_boolean_defining_polynomial():
     arr = Arrangement([LinearForm((1, 0)), LinearForm((0, 1))])
     assert arr.q == P("x*y", 2)
-    assert [exact_divide(arr.q, f.as_poly()) for f in arr.forms] == [P("y", 2), P("x", 2)]
+    assert [exact_divide(arr.q, f) for f in arr.forms] == [P("y", 2), P("x", 2)]
 
 
 def test_three_line_defining_polynomial():
@@ -79,10 +80,18 @@ def test_proportional_forms_rejected():
         Arrangement([])
 
 
+@pytest.mark.parametrize("name", _BUILTINS)
+def test_q_is_the_product_of_the_forms(name):
+    arr, _ = builtin_arrangement(name)
+    assert type(arr.q) is Poly
+    assert arr.q == prod(arr.forms, start=Poly.one(arr.dim))
+    assert arr.q == prod((parse_poly(str(f), arr.dim) for f in arr.forms), start=Poly.one(arr.dim))
+
+
 def test_cofactor_identity():
     arr, _ = builtin_arrangement("triple2")
     for form in arr.forms:
-        assert form.as_poly() * exact_divide(arr.q, form.as_poly()) == arr.q
+        assert form * exact_divide(arr.q, form) == arr.q
 
 
 # -- tangency of derivations ----------------------------------------------------

@@ -1,5 +1,7 @@
+import gc
 import random
 import time
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from math import comb
@@ -286,6 +288,52 @@ def test_term_limit_stops_a_power_early():
         with pytest.raises(ParseError, match="terms") as info:
             parse_diffop(text, 6)
         assert info.value.position == text.index("^") + 1
+
+
+def test_a_long_sum_is_linear_in_its_text():
+    # Each summand is added in place, so no "+" copies the 10,000-term sum;
+    # copying it at every "+" took seconds per thousand summands.
+    head = "(x1 + 1)^99 * (x2 + 1)^99"
+    text = head + " + x1" * 20_000
+    assert len(text) == 100_025
+    start = time.process_time()
+    got = parse_poly(text, 2)
+    assert time.process_time() - start < 3
+    assert got == parse_poly(head + " + 20000*x1", 2)
+    # A term that cancels leaves the running count: 9,999 terms, then 10,000.
+    assert len(parse_poly(head + " - 1 + x3", 3).terms) == MAX_TERMS
+    text = head + " - 1 + x3 + x1*x3"
+    with pytest.raises(ParseError, match=f"more than {MAX_TERMS} terms") as info:
+        parse_poly(text, 3)
+    assert info.value.position == text.index("+ x1*x3")
+
+
+def test_sums_canonicalise_their_coefficients():
+    half = parse_poly("1/2*x1 + 1/2*x1", 1)
+    assert half == parse_poly("x1", 1) and all(type(c) is int for c in half.terms.values())
+    assert parse_diffop("x1*d1 + 1 - x1*d1", 1) == parse_diffop("1", 1)
+    assert parse_diffop("x1*d1 + 1 - x1*d1", 1).as_dict().keys() == {(0,)}
+    zero = parse_diffop("x1*d1 - d1*x1 + 1", 1)
+    assert zero == DiffOp.zero(1) and not zero.terms
+
+
+def test_a_cancelling_sum_keeps_only_its_running_terms():
+    # x1 + P_k - P_k for twenty 91-term P_k: each cancelled term leaves the
+    # sum, so the peak is that of the same pairs cancelled in parentheses.
+    pairs = [f"x1^{k}*(x1+x2+x3)^12" for k in range(1, 21)]
+    flat = "x1" + "".join(f" + {p} - {p}" for p in pairs)
+    grouped = "x1" + "".join(f" + ({p} - {p})" for p in pairs)
+    parse_poly(grouped, 3)
+    peaks = []
+    for text in (grouped, flat):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert parse_poly(text, 3) == parse_poly("x1", 3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0]
 
 
 # -- rendering ----------------------------------------------------------------------

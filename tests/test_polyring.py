@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import factorial
@@ -68,11 +70,11 @@ def test_mixed_dimension_rejected():
     (lambda: Poly.constant(1, 0.25) * P("x", 1), "float"),
     (lambda: Arrangement([LinearForm((1, 0)), LinearForm((0.5, 1))]).q, "float"),
     (lambda: Poly(1, {(1,): None}), "NoneType"),
-    (lambda: LinearForm(("1", 2)).as_poly(), "str"),
+    (lambda: LinearForm(("1", 2)), "str"),
     (lambda: DiffOp(1, {(1,): 3}), "int"),
     (lambda: Poly.constant(1, True), None),
     (lambda: Poly(2, {(1, 0): True, (0, 1): False}), None),
-    (lambda: LinearForm((True, 2)).as_poly(), None),
+    (lambda: LinearForm((True, 2)), None),
 ], ids=["poly-float", "constant-float", "form-float", "poly-none", "form-str", "diffop-int",
         "constant-bool", "poly-bool", "form-bool"])
 def test_checked_constructors_take_exact_scalars(build, refused):
@@ -154,9 +156,41 @@ def test_apply_linear_map_size_mismatch():
 
 def test_linear_form_validation_and_conversion():
     f = LinearForm((1, -2))
-    assert f.as_poly() == P("x - 2*y", 2)
+    assert f == P("x - 2*y", 2)
     with pytest.raises(ValueError):
         LinearForm((0, 0))
+
+
+def test_linear_form_is_its_polynomial():
+    f = LinearForm((1, -2))
+    assert isinstance(f, Poly)
+    assert f == parse_poly("x1 - 2*x2", 2) and hash(f) == hash(parse_poly("x1 - 2*x2", 2))
+    assert len({f, parse_poly("x1 - 2*x2", 2)}) == 1
+    assert repr(f) == "LinearForm(x1 - 2*x2, nvars=2)"
+    g = LinearForm((0, Fraction(3, 1), 0))
+    assert g.coeffs == (0, 3, 0) and type(g.coeffs[1]) is int
+    assert g == P("3*x2", 3) and g.degree == 1 and g.nvars == 3
+
+
+def test_linear_form_arithmetic_gives_plain_polynomials():
+    f = LinearForm((1, -2))
+    results = [-f, f + f, f - f, 2 * f, f * 2, f * f, f ** 1, f ** 2, f.diff(1)]
+    assert all(type(r) is Poly for r in results)
+    assert results == [P(t, 2) for t in ("-x + 2*y", "2*x - 4*y", "0", "2*x - 4*y",
+                                         "2*x - 4*y", "(x - 2*y)^2", "x - 2*y", "(x - 2*y)^2",
+                                         "1")]
+
+
+def test_linear_form_copies_and_pickles():
+    f = LinearForm((0, 1, -2))
+    for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert type(g) is LinearForm and g.coeffs == (0, 1, -2) and g == f
+
+
+@pytest.mark.parametrize("coeffs", [(), (0, 0), (0, Fraction(0))], ids=["empty", "zero", "zero-fraction"])
+def test_linear_form_needs_a_nonzero_coefficient(coeffs):
+    with pytest.raises(ValueError, match="^linear form must have a nonzero coefficient$"):
+        LinearForm(coeffs)
 
 
 def test_linear_form_proportionality():
