@@ -14,7 +14,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
 from math import prod
 from typing import Sequence
 
@@ -37,10 +36,15 @@ class Arrangement:
         dim = forms[0].nvars
         if any(f.nvars != dim for f in forms):
             raise ValueError("forms over mixed ambient dimensions")
-        for (i, a), (j, b) in combinations(enumerate(forms, start=1), 2):
-            if a.proportional_to(b):
-                raise ValueError(f"forms {i} and {j} are proportional; "
-                                 "the defining polynomial would not be reduced")
+        # Proportional forms share their monic form, the form over its first
+        # nonzero coefficient; the least repeat is the first proportional pair.
+        first: dict[Poly, int] = {}
+        pairs = [(first.setdefault(f * Fraction(1, next(c for c in f.coeffs if c)), j), j)
+                 for j, f in enumerate(forms, start=1)]
+        if repeats := [(i, j) for i, j in pairs if i < j]:
+            i, j = min(repeats)
+            raise ValueError(f"forms {i} and {j} are proportional; "
+                             "the defining polynomial would not be reduced")
         self.dim = dim
         self.forms = forms
 

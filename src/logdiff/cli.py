@@ -169,7 +169,7 @@ def cmd_tangent(args) -> int:
     rows = tangency_table(op, arr, t_max)
     all_ok = True
     for i, form in enumerate(arr.forms, start=1):
-        cells = [r for r in rows if r.form_index == i]
+        cells = rows[(i - 1) * t_max:i * t_max]
         line = ", ".join(f"t={r.t} {'pass' if r.ok else 'FAIL'}" for r in cells)
         print(f"form {i} ({render(form)}): {line}")
         for r in cells:

@@ -23,8 +23,10 @@ Both classes inherit the format, sums, negation, truth, equality, hashing,
 printing and powers from one base, ``_Terms``; each keeps its own
 products.  The constructors take exponent tuples, and ``as_dict``,
 ``sorted_terms``, ``top_terms`` and ``degrees`` give them back.  Outside
-this module only weyl's operator product reads keys, with ``_WIDTH``,
-``_FIELD``, ``_shifts``, ``_unit`` and ``_unpack``.
+this module only weyl reads or builds keys, with ``_WIDTH``, ``_FIELD``,
+``_shifts``, ``_unit`` and ``_unpack``: its operator product,
+``_bracket_linear``, ``DiffOp.partial`` and ``Derivation.__init__``.
+exprparse's sums (``_Parser.expr``) carry keys as opaque dict keys only.
 
 Variables are positional and 1-based in the public API: ``x1 .. xl``.
 """
@@ -475,12 +477,6 @@ class LinearForm(Poly):
         self.nvars = n = len(coeffs)
         self.terms = {_unit(n, i): c for i, c in enumerate(coeffs) if c}
         self.coeffs = coeffs
-
-    def proportional_to(self, other: LinearForm) -> bool:
-        if self.nvars != other.nvars:
-            raise ValueError("mixed ambient dimensions")
-        a, b = self.coeffs, other.coeffs
-        return all(a[i] * b[j] == a[j] * b[i] for i in range(len(a)) for j in range(i + 1, len(a)))
 
 
 def exact_divide(a: Poly, b: Poly) -> Poly:

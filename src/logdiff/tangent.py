@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from math import comb, prod
 from typing import TYPE_CHECKING, Sequence
 
-from .exprparse import MAX_TERMS, QUOTE_CHARS, _quote
+from .exprparse import MAX_TERMS, QUOTE_CHARS, _quote, render
 from .linalg import _form_product_fold, determinant
 from .polyring import NotDivisibleError, Poly, divides, exact_divide
 from .weyl import Derivation, DiffOp, _bracket_linear, commutator, word_fold
@@ -490,7 +490,5 @@ def decompose(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> Decomposition:
 
 def decomposition_to_json(dec: Decomposition) -> list[dict]:
     """Stable JSON form: longest words first, then lexicographic order."""
-    from .exprparse import render
-
     ordered = sorted(dec.words, key=lambda w: (-len(w.word), w.word))
     return [{"coeff": render(w.coeff), "word": list(w.word)} for w in ordered]

@@ -14,6 +14,7 @@ from logdiff.arrangement import Arrangement, SaitoBasis, SaitoFailure
 from logdiff.jacobian import OpFamily, commutator_value_matrix, product_family
 from logdiff.linalg import determinant, multiplicity_product, permanent, sym_indices
 from logdiff.polyring import (
+    LinearForm,
     NotDivisibleError,
     Poly,
     coordinates,
@@ -186,6 +187,16 @@ def exact_divide_by_rescan(a: Poly, b: Poly) -> Poly:
             else:
                 rem[key] = s
     return Poly(a.nvars, quot)
+
+
+def proportional(a: LinearForm, b: LinearForm) -> bool:
+    """Reference route for the proportionality test of ``Arrangement``:
+    every 2 x 2 minor of the two coefficient vectors vanishes,
+    a_i * b_j == a_j * b_i for every i < j."""
+    if a.nvars != b.nvars:
+        raise ValueError("mixed ambient dimensions")
+    a, b = a.coeffs, b.coeffs
+    return all(a[i] * b[j] == a[j] * b[i] for i in range(len(a)) for j in range(i + 1, len(a)))
 
 
 def tangency_table_by_products(u: DiffOp, arr: Arrangement, t_max: int) -> list[TangencyRow]:

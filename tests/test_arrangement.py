@@ -1,5 +1,7 @@
 import random
+import time
 from fractions import Fraction
+from itertools import combinations
 from math import prod
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import logdiff.linalg
-from helpers import random_derivation, saito_check_by_division
+from helpers import proportional, random_derivation, saito_check_by_division
 from logdiff import tangent
 from logdiff.arrangement import (
     _BUILTINS,
@@ -78,6 +80,47 @@ def test_proportional_forms_rejected():
         Arrangement([LinearForm((1,)), LinearForm((2,))])
     with pytest.raises(ValueError):
         Arrangement([])
+
+
+def test_proportional_forms_named_as_the_pairwise_scan_names_them():
+    # small random arrangements with 0-3 planted classes of copies scaled
+    # by nonzero rationals of either sign, inserted at random positions;
+    # the first pair that the pairwise oracle meets in order is the pair named
+    rng = random.Random(30)
+    verdicts = set()
+    for _ in range(400):
+        dim = rng.randint(1, 4)
+        forms, size = [], rng.randint(1, 5)
+        while len(forms) < size:
+            row = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim)]
+            if any(row):
+                forms.append(LinearForm(row))
+        for _ in range(rng.randint(0, 3)):
+            base = rng.choice(forms)
+            for _ in range(rng.randint(1, 2)):
+                scale = Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 7))
+                forms.insert(rng.randint(0, len(forms)),
+                             LinearForm([scale * c for c in base.coeffs]))
+        pair = next(((i, j) for (i, a), (j, b) in combinations(enumerate(forms, start=1), 2)
+                     if proportional(a, b)), None)
+        verdicts.add(pair is None)
+        if pair is None:
+            assert Arrangement(forms).forms == tuple(forms)
+        else:
+            with pytest.raises(ValueError, match=(
+                    f"^forms {pair[0]} and {pair[1]} are proportional; "
+                    "the defining polynomial would not be reduced$")):
+                Arrangement(forms)
+    assert verdicts == {True, False}
+
+
+def test_large_arrangement_builds_in_one_pass():
+    # B_30, 900 forms: a pairwise scan of the coefficients took 5-7 s
+    forms = list(_reflection(30, "B")[0].forms)
+    start = time.process_time()
+    arr = Arrangement(forms)
+    assert time.process_time() - start < 1.0
+    assert arr.size == 900
 
 
 @pytest.mark.parametrize("name", _BUILTINS)
@@ -252,7 +295,7 @@ def test_saito_degree_form_agrees_with_division_on_rank2(rows):
     # pairwise non-proportional forms, a first coefficient of either sign
     forms = []
     for row in map(LinearForm, rows):
-        if not any(row.proportional_to(f) for f in forms):
+        if not any(proportional(row, f) for f in forms):
             forms.append(row)
     arr = Arrangement(forms)
     assert _agrees_with_division(arr, rank2_basis(arr)).ok

@@ -405,6 +405,30 @@ def test_tangent_table_pass(capsys):
     assert "tangent up to t_max = 5" in out
 
 
+def test_tangent_tmax_table_golden(capsys):
+    # four forms, failing first and last: each line lists its own form's cells
+    code, out, err = run(
+        capsys, "tangent", "--arrangement", "builtin:generic3",
+        "--op", "x1*d1^2 + x2*x3*d3", "--tmax", "3",
+    )
+    assert (code, err) == (1, "")
+    assert out == (
+        "form 1 (x1): t=1 pass, t=2 FAIL, t=3 FAIL\n"
+        "  witness at t=2: coefficient 2*x1 of 1 not divisible by (x1)^2\n"
+        "  witness at t=3: coefficient 6*x1^2 of 1 not divisible by (x1)^3\n"
+        "form 2 (x2): t=1 pass, t=2 pass, t=3 pass\n"
+        "form 3 (x3): t=1 pass, t=2 pass, t=3 pass\n"
+        "form 4 (x1 + x2 + x3): t=1 FAIL, t=2 FAIL, t=3 FAIL\n"
+        "  witness at t=1: coefficient x2*x3 of 1 not divisible by (x1 + x2 + x3)^1\n"
+        "  witness at t=2: coefficient 2*x1*x2*x3 + 2*x2^2*x3 + 2*x2*x3^2 + 2*x1 of 1 "
+        "not divisible by (x1 + x2 + x3)^2\n"
+        "  witness at t=3: coefficient 3*x1^2*x2*x3 + 6*x1*x2^2*x3 + 6*x1*x2*x3^2 + 3*x2^3*x3 "
+        "+ 6*x2^2*x3^2 + 3*x2*x3^3 + 6*x1^2 + 6*x1*x2 + 6*x1*x3 of 1 "
+        "not divisible by (x1 + x2 + x3)^3\n"
+        "overall: not tangent (t_max = 3)\n"
+    )
+
+
 def test_tangent_default_cutoff_pass_golden(capsys):
     # (x1*d1)^2 = x1^2*d1^2 + x1*d1 has order 2, so the table runs t = 1, 2
     code, out, err = run(

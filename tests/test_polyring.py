@@ -193,11 +193,6 @@ def test_linear_form_needs_a_nonzero_coefficient(coeffs):
         LinearForm(coeffs)
 
 
-def test_linear_form_proportionality():
-    assert LinearForm((1, 2)).proportional_to(LinearForm((2, 4)))
-    assert not LinearForm((1, 2)).proportional_to(LinearForm((2, 1)))
-
-
 # -- algebraic laws -------------------------------------------------------------
 
 _coeffs = st.integers(min_value=-6, max_value=6)
