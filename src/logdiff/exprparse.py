@@ -16,11 +16,16 @@ with more than ``MAX_TERMS`` terms (counted over all coefficients), any
 product or step of a power that multiplies more than ``MAX_TERM_PAIRS``
 pairs of terms, and any product or step of a power with a monomial of
 total degree, or a derivative order, above ``polyring.MAX_DEGREE`` are
-rejected with a ``ParseError``:
-powers are computed by repeated multiplication, the parser recurses once
-per nesting level, the term check after every step stops an expansion
-before it grows large, and the pair check before every multiplication
-stops one expensive product before it starts.  A term of
+rejected with a ``ParseError``.  The parser recurses once per nesting
+level.  It keeps a run of scalars, names and their powers as one
+monomial, a triple (coefficient, x-key, d-key) of packed keys (see
+``polyring``), and multiplies or raises monomials in one step, with the
+degree checked, whenever normal ordering adds no term: a product unless a
+d_i on the left meets an x_i on the right, and a power unless some
+variable carries both an x and a d.  Every other product, and every step
+of every other power, is checked: the term check after every step stops
+an expansion before it grows large, and the pair check before every
+multiplication stops one expensive product before it starts.  A term of
 f d^beta meets a term of g d^gamma once per derivative d^delta g that the
 Leibniz rule forms, prod_j (min(beta_j, deg_j g) + 1) times; that is once
 for a polynomial f d^0 or a constant g, so a polynomial product counts
@@ -39,7 +44,7 @@ import re
 from fractions import Fraction
 from math import prod
 
-from .polyring import DegreeLimitError, Poly, Scalar, _canon
+from .polyring import MAX_DEGREE, DegreeLimitError, Poly, Scalar, _canon, _shared, _unit, _WIDTH
 from .weyl import DiffOp, _size
 
 # Whitespace between tokens is skipped; any other character the grammar
@@ -58,7 +63,8 @@ MAX_TERMS = 10_000
 MAX_TERM_PAIRS = 1_000_000
 # Nested powers multiply exponents, so ``polyring.MAX_DEGREE`` bounds every
 # total degree and operator order too: ``product`` turns the
-# ``DegreeLimitError`` of a product past it into a ParseError.
+# ``DegreeLimitError`` of a product past it into a ParseError, and
+# ``_Parser.limited`` raises the same for a monomial step.
 # int() refuses decimal strings over the interpreter's limit, 4,300 digits
 # by default and settable down to 640; no setting of it decides at 640.
 MAX_DIGITS = 640
@@ -130,8 +136,43 @@ def _term_pairs(left: DiffOp, right: DiffOp) -> int:
                for beta, f in left.as_dict().items() for size, degrees in rights)
 
 
+# A parsed value is a DiffOp or a monomial c x^alpha d^beta, the triple
+# (c, key of alpha, key of beta); zero is (0, 0, 0).
+_Triple = tuple[Scalar, int, int]
+_ZERO: _Triple = (0, 0, 0)
+_ONE: _Triple = (1, 0, 0)
+
+
+def _operator(value: DiffOp | _Triple, nvars: int) -> DiffOp:
+    """The value as an operator: a monomial becomes one term."""
+    if type(value) is not tuple:
+        return value
+    c, alpha, beta = value
+    if not c:
+        return DiffOp._make(nvars, {})
+    if type(c) is Fraction and c.denominator == 1:
+        c = c.numerator
+    return DiffOp._make(nvars, {beta: Poly._make(nvars, {alpha: c})})
+
+
+def _monomial(value: DiffOp | _Triple) -> DiffOp | _Triple:
+    """An operator of at most one term as a monomial, any other value as it is."""
+    if type(value) is tuple:
+        return value
+    terms = value.terms
+    if not terms:
+        return _ZERO
+    if len(terms) == 1:
+        ((beta, f),) = terms.items()
+        if len(f.terms) == 1:
+            ((alpha, c),) = f.terms.items()
+            return c, alpha, beta
+    return value
+
+
 class _Parser:
-    """Recursive descent over the token list; builds DiffOp values directly."""
+    """Recursive descent over the token list; builds monomials and DiffOp
+    values directly."""
 
     def __init__(self, text: str, nvars: int, allow_partials: bool):
         self.tokens = _tokenize(text)
@@ -140,9 +181,10 @@ class _Parser:
         self.nvars = nvars
         self.allow_partials = allow_partials
         # Each distinct name is resolved once per parse; errors are not kept.
-        # Resolving every occurrence cut perfbench decompose ops_per_s by
-        # 2.8%, lower in 6 of 6 alternating 8 s pairs (2-core Xeon VM).
-        self.names: dict[str, DiffOp] = {}
+        # Resolving every occurrence made parsing the 6,000 seed-7 perfbench
+        # decompose texts 1.04 s -> 1.09-1.21 s (best of 3, three
+        # alternating runs, 2-core Xeon VM).
+        self.names: dict[str, _Triple] = {}
 
     def peek(self):
         return self.tokens[self.pos]
@@ -160,6 +202,12 @@ class _Parser:
     def bounded(self, size: int, at: int) -> None:
         if size > MAX_TERMS:
             raise ParseError(f"expression has more than {MAX_TERMS} terms", at)
+
+    def limited(self, key: int, at: int) -> int:
+        """The key itself, once its total degree is within ``MAX_DEGREE``."""
+        if key >> _WIDTH * self.nvars > MAX_DEGREE:
+            raise ParseError(str(DegreeLimitError()), at)
+        return key
 
     def product(self, left: DiffOp, right: DiffOp, at: int) -> DiffOp:
         # A term of f d^beta meets each right term at most prod_j (beta_j +
@@ -183,23 +231,27 @@ class _Parser:
         kind, tok, at = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing input {_quote(tok)}", at)
-        return value
+        return _operator(value, self.nvars)
 
-    def expr(self) -> DiffOp:
+    def expr(self) -> DiffOp | _Triple:
         value = self.term()
         kind, tok, at = self.peek()
         if kind != "op" or tok not in "+-":
             return value
         # Summands are added in place, one map of terms per d^beta, and a term
         # that cancels leaves, so ``size`` counts the running sum's terms.
-        sums = {beta: dict(f.terms) for beta, f in value.terms.items()}
-        size = _size(value)
-        while kind == "op" and tok in "+-":
-            self.advance()
-            sign = 1 if tok == "+" else -1
-            for beta, f in self.term().terms.items():
+        sums: dict[int, dict[int, Scalar]] = {}
+        size = 0
+        sign = 1
+        while True:
+            if type(value) is tuple:
+                c, alpha, beta = value
+                summand = ((beta, {alpha: c}),) if c else ()
+            else:
+                summand = ((beta, f.terms) for beta, f in value.terms.items())
+            for beta, terms in summand:
                 acc = sums.setdefault(beta, {})
-                for m, c in f.terms.items():
+                for m, c in terms.items():
                     if c := acc.get(m, 0) + c * sign:
                         size += m not in acc
                         acc[m] = c
@@ -208,30 +260,47 @@ class _Parser:
                         del acc[m]
             self.bounded(size, at)
             kind, tok, at = self.peek()
+            if kind != "op" or tok not in "+-":
+                break
+            self.advance()
+            sign = 1 if tok == "+" else -1
+            value = self.term()
         coeffs = {beta: Poly._make(self.nvars, _canon(acc)) for beta, acc in sums.items() if acc}
         return DiffOp._make(self.nvars, coeffs)
 
-    def term(self) -> DiffOp:
+    def term(self) -> DiffOp | _Triple:
         value = self.factor()
         while True:
             kind, tok, at = self.peek()
-            if kind == "op" and tok == "*":
-                self.advance()
-                value = self.product(value, self.factor(), at)
-            else:
+            if kind != "op" or tok != "*":
                 return value
+            self.advance()
+            right = self.factor()
+            # Normal ordering adds terms only where a partial on the left
+            # meets its variable on the right.
+            if type(value) is tuple and type(right) is tuple and not (
+                    value[2] and right[1] and _shared(value[2], right[1], self.nvars)):
+                c = value[0] * right[0]
+                value = (c, self.limited(value[1] + right[1], at),
+                         self.limited(value[2] + right[2], at)) if c else _ZERO
+            else:
+                n = self.nvars
+                value = self.product(_operator(value, n), _operator(right, n), at)
 
-    def factor(self) -> DiffOp:
+    def factor(self) -> DiffOp | _Triple:
         kind, tok, at = self.peek()
         if kind == "op" and tok == "-":
             self.advance()
             self.enter(at)
-            value = -self.factor()
+            value = self.factor()
             self.depth -= 1
-            return value
+            if type(value) is tuple:
+                c, alpha, beta = value
+                return -c, alpha, beta
+            return -value
         return self.power()
 
-    def power(self) -> DiffOp:
+    def power(self) -> DiffOp | _Triple:
         base = self.atom()
         kind, tok, at = self.peek()
         if kind == "op" and tok == "^":
@@ -244,18 +313,27 @@ class _Parser:
             if exp > MAX_EXPONENT:
                 raise ParseError(f"exponent {_quote(exp)} exceeds the limit {MAX_EXPONENT}", at)
             self.advance()
-            # The loop of ``polyring._Terms.__pow__``, with the term-pair
-            # bound checked before each step and the term bound after it.
-            value = base if exp else DiffOp.one(self.nvars)
+            if not exp:
+                return _ONE
+            # A monomial whose x and d share no variable commutes with
+            # itself term by term: its power is one step.
+            if type(base) is tuple:
+                c, alpha, beta = base
+                if not (alpha and beta and _shared(alpha, beta, self.nvars)):
+                    return c ** exp, self.limited(alpha * exp, at), self.limited(beta * exp, at)
+                base = _operator(base, self.nvars)
+            # Otherwise the loop of ``polyring._Terms.__pow__``, with the
+            # term-pair bound checked before each step and the term bound
+            # after it.
+            value = base
             for _ in range(exp - 1):
                 value = self.product(value, base, at)
             return value
         return base
 
-    def atom(self) -> DiffOp:
+    def atom(self) -> DiffOp | _Triple:
         kind, tok, at = self.advance()
         if kind == "int":
-            value: Scalar = tok
             nkind, ntok, nat = self.peek()
             if nkind == "op" and ntok == "/":
                 self.advance()
@@ -265,8 +343,8 @@ class _Parser:
                 if den == 0:
                     raise ParseError("zero denominator", dat)
                 self.advance()
-                value = Fraction(tok, den)
-            return DiffOp.from_poly(Poly.constant(self.nvars, value))
+                return Fraction(tok, den), 0, 0
+            return tok, 0, 0
         if kind == "name":
             value = self.names.get(tok)
             if value is None:
@@ -279,12 +357,12 @@ class _Parser:
             if kind != "op" or tok != ")":
                 raise ParseError("expected ')'", at)
             self.depth -= 1
-            return value
+            return _monomial(value)
         if kind == "end":
             raise ParseError("unexpected end of input", at)
         raise ParseError(f"unexpected token {_quote(tok)}", at)
 
-    def resolve(self, name: str, at: int) -> DiffOp:
+    def resolve(self, name: str, at: int) -> _Triple:
         n = self.nvars
         if name in _ALIASES:
             index = _ALIASES[name]
@@ -301,10 +379,10 @@ class _Parser:
             if not 1 <= index <= n:
                 raise ParseError(f"index {_quote(index)} out of range 1..{n}", at)
         if kind == "x":
-            return DiffOp.from_poly(Poly.variable(n, index))
+            return 1, _unit(n, index - 1), 0
         if not self.allow_partials:
             raise ParseError("partials are not allowed in a polynomial", at)
-        return DiffOp.partial(n, index)
+        return 1, 0, _unit(n, index - 1)
 
 
 def parse_diffop(text: str, nvars: int) -> DiffOp:

@@ -23,10 +23,13 @@ Both classes inherit the format, sums, negation, truth, equality, hashing,
 printing and powers from one base, ``_Terms``; each keeps its own
 products.  The constructors take exponent tuples, and ``as_dict``,
 ``sorted_terms``, ``top_terms`` and ``degrees`` give them back.  Outside
-this module only weyl reads or builds keys, with ``_WIDTH``, ``_FIELD``,
-``_shifts``, ``_unit`` and ``_unpack``: its operator product,
-``_bracket_linear``, ``DiffOp.partial`` and ``Derivation.__init__``.
-exprparse's sums (``_Parser.expr``) carry keys as opaque dict keys only.
+this module only weyl and exprparse read or build keys.  weyl uses
+``_WIDTH``, ``_FIELD``, ``_shifts``, ``_unit`` and ``_unpack``: its
+operator product, ``_bracket_linear``, ``DiffOp.partial`` and
+``Derivation.__init__``.  exprparse's monomials (``_Parser.term`` and
+``_Parser.power``) start from ``_unit``, add and scale keys, read the
+total degree with ``_WIDTH`` and ask ``_shared`` whether two keys share a
+variable; its sums carry keys as opaque dict keys.
 
 Variables are positional and 1-based in the public API: ``x1 .. xl``.
 """
@@ -462,6 +465,11 @@ class Poly(_Terms):
 def _unit(nvars: int, index: int) -> int:
     """The key of x<index> (0-based index)."""
     return 1 << _WIDTH * nvars | 1 << _shifts(nvars)[index]
+
+
+def _shared(a: int, b: int, nvars: int) -> bool:
+    """Whether some variable has a nonzero exponent in both keys."""
+    return any(a >> s & _FIELD and b >> s & _FIELD for s in _shifts(nvars))
 
 
 class LinearForm(Poly):

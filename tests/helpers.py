@@ -364,3 +364,27 @@ def decompose_by_jacobians(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> De
     if cur:
         words.append(Word(cur.value_at_one(), ()))
     return Decomposition(tuple(words), thetas)
+
+
+def evaluate_expression(tree, nvars: int, ring=DiffOp):
+    """The value of an expression tree in ``ring`` (DiffOp or Poly), formed
+    by the ring's own ``+``, ``-``, ``*`` and ``**``: the oracle for the
+    parser.  A tree is ("num", c) for an int or Fraction c >= 0, ("x", i),
+    ("d", i), ("neg", t), ("paren", t), ("^", t, k), or (op, a, b) for op
+    in "+", "-", "*"."""
+    head = tree[0]
+    if head in ("num", "x"):
+        f = Poly.constant(nvars, tree[1]) if head == "num" else Poly.variable(nvars, tree[1])
+        return DiffOp.from_poly(f) if ring is DiffOp else f
+    if head == "d":
+        if ring is not DiffOp:
+            raise ValueError("a polynomial has no partials")
+        return DiffOp.partial(nvars, tree[1])
+    if head == "paren":
+        return evaluate_expression(tree[1], nvars, ring)
+    if head == "neg":
+        return -evaluate_expression(tree[1], nvars, ring)
+    if head == "^":
+        return evaluate_expression(tree[1], nvars, ring) ** tree[2]
+    a, b = (evaluate_expression(t, nvars, ring) for t in tree[1:])
+    return a + b if head == "+" else a - b if head == "-" else a * b

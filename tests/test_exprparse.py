@@ -7,8 +7,10 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import random_diffop, random_poly
+from helpers import evaluate_expression, random_diffop, random_poly
 from logdiff.exprparse import (
     MAX_DIGITS,
     MAX_EXPONENT,
@@ -23,7 +25,7 @@ from logdiff.exprparse import (
     parse_poly,
     render,
 )
-from logdiff.polyring import Poly
+from logdiff.polyring import MAX_DEGREE, Poly
 from logdiff.weyl import DiffOp
 
 
@@ -334,6 +336,118 @@ def test_a_cancelling_sum_keeps_only_its_running_terms():
         finally:
             tracemalloc.stop()
     assert peaks[1] < 1.1 * peaks[0]
+
+
+# -- monomials ----------------------------------------------------------------
+
+# Expression trees for ``helpers.evaluate_expression`` in two variables:
+# names are drawn most often, products more often than sums, and powers of
+# products as often as powers of anything else.
+_leaves = st.one_of(
+    st.sampled_from([("x", 1), ("x", 2), ("d", 1), ("d", 2)]),
+    st.sampled_from([("x", 1), ("x", 2), ("d", 1), ("d", 2)]),
+    st.integers(0, 3).map(lambda c: ("num", c)),
+    st.builds(Fraction, st.integers(0, 6), st.integers(1, 4)).map(lambda c: ("num", c)),
+)
+_trees = st.recursive(_leaves, lambda children: st.one_of(
+    st.tuples(st.sampled_from("**+-"), children, children),
+    st.tuples(st.just("^"), children, st.integers(0, 4)),
+    st.tuples(st.just("^"), st.tuples(st.just("*"), children, children), st.integers(0, 4)),
+    st.tuples(st.just("paren"), children),
+    st.tuples(st.just("neg"), children),
+), max_leaves=8)
+
+
+def _text(tree) -> tuple[str, int]:
+    """The tree's text and how tightly it binds: 0 for a sum, 1 for a
+    product, 2 for a unary minus, 3 for a power, 4 for an atom."""
+    def wrap(t, level):
+        text, binds = _text(t)
+        return text if binds >= level else f"({text})"
+
+    head = tree[0]
+    if head == "num":
+        c = tree[1]
+        return (f"{c.numerator}/{c.denominator}" if isinstance(c, Fraction) else str(c)), 4
+    if head in ("x", "d"):
+        return f"{head}{tree[1]}", 4
+    if head == "paren":
+        return f"({_text(tree[1])[0]})", 4
+    if head == "neg":
+        return "-" + wrap(tree[1], 2), 2
+    if head == "^":
+        return f"{wrap(tree[1], 4)}^{tree[2]}", 3
+    if head == "*":
+        return f"{wrap(tree[1], 1)}*{wrap(tree[2], 2)}", 1
+    return f"{wrap(tree[1], 0)} {head} {wrap(tree[2], 1)}", 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees)
+@example(("*", ("d", 1), ("x", 1)))
+@example(("*", ("*", ("x", 2), ("d", 1)), ("^", ("x", 1), 3)))
+@example(("^", ("paren", ("*", ("x", 1), ("d", 1))), 3))
+@example(("^", ("paren", ("*", ("x", 1), ("d", 2))), 4))
+@example(("*", ("neg", ("num", Fraction(2, 3))), ("*", ("num", 0), ("d", 2))))
+@example(("-", ("neg", ("^", ("num", 0), 0)), ("paren", ("-", ("x", 1), ("x", 1)))))
+def test_parse_agrees_with_ring_arithmetic(tree):
+    # The parser folds runs of atoms into monomials; the oracle forms every
+    # product and power with the rings' own operators.
+    text = _text(tree)[0]
+    assert parse_diffop(text, 2) == evaluate_expression(tree, 2)
+    try:
+        f = evaluate_expression(tree, 2, Poly)
+    except ValueError:
+        with pytest.raises(ParseError, match="partials are not allowed"):
+            parse_poly(text, 2)
+    else:
+        assert parse_poly(text, 2) == f
+
+
+def test_a_run_of_atoms_forms_no_operator_product(monkeypatch):
+    # Only a partial that meets its own variable on its right needs the
+    # Leibniz rule; every other run of atoms and powers is one monomial.
+    calls = []
+    mul = DiffOp.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(DiffOp, "__mul__", counted)
+    for text, products in (("x1^1000", 0), ("d1^1000", 0), ("3*x1^2*x2*d3^4", 0),
+                           ("(x1*d2)^1000", 0), ("d1*x1", 1)):
+        calls.clear()
+        parse_diffop(text, 3)
+        assert len(calls) == products, text
+    assert parse_diffop("3*x1^2*x2*d3^4", 3) == DiffOp(3, {(0, 0, 4): Poly(3, {(2, 1, 0): 3})})
+    assert parse_diffop("(x1*d2)^1000", 3) == DiffOp(3, {(0, 1000, 0): Poly(3, {(1000, 0, 0): 1})})
+
+
+def test_long_runs_of_powers_parse_at_once():
+    # one step per power: 999 Leibniz products per d1^1000, or 999 checked
+    # products per x1^1000, took seconds for these texts
+    for name in ("d1", "x1"):
+        text = " + ".join([f"{name}^1000"] * 400)
+        start = time.process_time()
+        got = parse_diffop(text, 1)
+        assert time.process_time() - start < 0.1
+        assert got == parse_diffop(f"400*{name}^1000", 1)
+
+
+def test_monomial_degree_limit_positions():
+    # a product of monomials past MAX_DEGREE fails at its "*", a power at
+    # its exponent, for x and d alike
+    big = "(((x1^1000)^1000)^1000)^2"
+    for name in ("x1", "d1"):
+        text = f"{big} * {big}".replace("x1", name)
+        with pytest.raises(ParseError, match=f"degree exceeds the limit {MAX_DEGREE}") as info:
+            parse_diffop(text, 1)
+        assert info.value.position == 26 == text.index("*")
+    text = "(((x1^1000)^1000)^1000)^3"
+    with pytest.raises(ParseError, match=f"degree exceeds the limit {MAX_DEGREE}") as info:
+        parse_diffop(text, 1)
+    assert info.value.position == 24
 
 
 # -- rendering ----------------------------------------------------------------------
