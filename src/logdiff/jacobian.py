@@ -5,15 +5,22 @@ index tuple of a fixed length; the higher Jacobian of a coordinate tuple
 with respect to such a family is the determinant of the matrix of iterated
 commutator values at 1.  For length 1 and derivations this is the usual
 Jacobian determinant.
+
+Against linear forms no bracket is formed.  For l = c + sum_k alpha_k x_k,
+[a d^beta, l] = sum_k alpha_k beta_k a d^(beta - e_k) is the derivative of
+the symbol along alpha, so [u, l_1, ..., l_p](1) pairs u's order-p
+symbol with the product of the forms: it is the sum over |beta| = p of
+a_beta * beta! * [y^beta] prod_a (alpha_a . y).  Terms of other orders
+and the constant parts c drop out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, factorial, prod
 from typing import Sequence
 
-from .linalg import determinant, multiplicity_product, PrefixFold, sym_indices
+from .linalg import _form_product_fold, determinant, multiplicity_product, PrefixFold, sym_indices
 from .polyring import Poly
 from .weyl import DiffOp, _size, commutator, word_fold
 
@@ -54,12 +61,35 @@ def product_family(ops: Sequence[DiffOp], power: int) -> OpFamily:
 def commutator_value_matrix(fs: Sequence[Poly], fam: OpFamily) -> list[list[Poly]]:
     """Matrix entry (i, j) is [fam_i, fs_{j_1}, ..., fs_{j_p}] applied to 1.
 
-    Within a row, the bracket with each prefix of the column tuples is
-    formed once and shared by every column that extends it.
+    When every f has degree at most 1, entry (i, j) is the pairing of
+    fam_i's order-p symbol with the product of the forms' linear parts
+    along j (see the module docstring), read off the product fold that
+    ``tangent.decompose`` reads its numerators from
+    (``linalg._form_product_fold``); for coordinates column j is the single
+    monomial y^mult(j).  Otherwise, within a row, the bracket with each
+    prefix of the column tuples is formed once and shared by every column
+    that extends it.
     """
     if len(fs) != fam.nvars:
         raise ValueError("need one polynomial per variable")
     idxs = fam.index_tuples
+    alphas = [f.linear_coefficients() for f in fs]
+    if None not in alphas:
+        fold = _form_product_fold(alphas)
+        # Column k as (beta, beta! * [y^beta] fold(k)) pairs, all with
+        # |beta| = p, so a row reads only its entry's order-p terms.
+        cols = [[(beta, c * prod(map(factorial, beta))) for beta, c in fold(k).items() if c]
+                for k in idxs]
+        zero = Poly.zero(fam.nvars)
+        rows = []
+        for u in fam.entries:
+            symbol = u.as_dict()
+            row = []
+            for col in cols:
+                terms = [symbol[beta] * c for beta, c in col if beta in symbol]
+                row.append(sum(terms[1:], terms[0]) if terms else zero)
+            rows.append(row)
+        return rows
     folds = (PrefixFold(u, lambda w, j: commutator(w, fs[j - 1]), _size) for u in fam.entries)
     return [[fold(k).value_at_one() for k in idxs] for fold in folds]
 

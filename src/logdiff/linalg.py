@@ -233,10 +233,11 @@ class PrefixFold:
 def _form_product_fold(m: Matrix):
     """fold(k) is the product over i in the 1-based tuple k of the linear
     forms sum_j m[i-1][j] y_j, as a dict from exponent vectors of y to
-    coefficients.  Rows of ``sym_power_matrix`` and the substituted
-    symbols of ``tangent.decompose`` are both read off it.  Every prefix
-    is kept, so keys of length dim hold O(p * dim) for a word of p
-    letters, where index-tuple keys would hold O(p^2).
+    coefficients.  Rows of ``sym_power_matrix``, the substituted symbols
+    of ``tangent.decompose`` and the columns of
+    ``jacobian.commutator_value_matrix`` against linear forms are read off
+    it.  Every prefix is kept, so keys of length dim hold O(p * dim) for a
+    word of p letters, where index-tuple keys would hold O(p^2).
     """
     dim = len(m)
     # Row i of m as (unit exponent vector of y_j, nonzero m[i][j]) pairs.

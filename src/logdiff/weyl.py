@@ -267,8 +267,10 @@ def commutator(u: DiffOp, v) -> DiffOp:
         return u * w - w * u
     n = u.nvars
     f = w.value_at_one()
-    # Without this path perfbench verify ops_per_s fell 19% and p50 latency
-    # rose 45%, worse in 6 of 6 alternating 8 s pairs (2-core Xeon VM).
+    # No verify request reaches this path: ``jacobian.commutator_value_matrix``
+    # reads its entries against linear forms off symbols.  It serves the
+    # tests' Jacobian oracle (``decompose_by_jacobians``'s ``u_row``),
+    # ``tangent.is_tangent_q`` when Q is one form, and public callers.
     alpha = f.linear_coefficients()
     if alpha is not None:
         return DiffOp._make(n, _bracket_linear(u.terms, alpha))

@@ -323,6 +323,14 @@ def decompose_by_jacobians(u: DiffOp, arr: Arrangement, basis: SaitoBasis) -> De
     drop the order, which it always does once every division succeeds.  A
     failed division raises DecompositionError with the same level and index
     as ``decompose``.
+
+    The routes stay apart from ``decompose``'s.  The base rows, the
+    product family's entries, come from ``commutator_value_matrix``, which
+    reads their symbols against the coordinates, where each column of the
+    product fold is one monomial; ``u_row`` brackets the current operator
+    through ``iterated_commutator``; and Cramer's rule divides
+    determinants.  ``decompose`` instead substitutes xi = adj(Theta) y
+    into the symbol and divides its coefficients.
     """
     n = arr.dim
     fs = coordinates(n)

@@ -1,7 +1,10 @@
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     apply_linear_map,
@@ -11,6 +14,7 @@ from helpers import (
     random_poly,
     substitute_entry,
 )
+from logdiff import jacobian
 from logdiff.arrangement import builtin_arrangement
 from logdiff.exprparse import parse_diffop, parse_poly
 from logdiff.jacobian import (
@@ -22,7 +26,7 @@ from logdiff.jacobian import (
 )
 from logdiff.linalg import determinant, multiplicity_product, permanent, sym_indices
 from logdiff.polyring import Poly, coordinates
-from logdiff.weyl import DiffOp, iterated_commutator, value_at_one_expansion
+from logdiff.weyl import DiffOp, commutator, iterated_commutator, value_at_one_expansion
 
 
 def P(text, nvars):
@@ -146,6 +150,104 @@ def test_commutator_value_matrix_matches_unshared_routes():
         ]
         nonzero += sum(1 for row in got for x in row if x)
     assert nonzero > 40
+
+
+def _bracket_route(fs, fam):
+    """Every entry bracketed from scratch through ``iterated_commutator``."""
+    return [[iterated_commutator(u, [fs[j - 1] for j in jdx]).value_at_one()
+             for jdx in fam.index_tuples] for u in fam.entries]
+
+
+def _order_term(rng, nvars, order):
+    """c * d^beta with |beta| = order and a random nonzero polynomial c."""
+    beta = [0] * nvars
+    for _ in range(order):
+        beta[rng.randrange(nvars)] += 1
+    return DiffOp(nvars, {tuple(beta): random_poly(rng, nvars, nonzero=True)})
+
+
+def _straddling_family(rng, nvars, power):
+    """Entries with terms of order power - 1, power and power + 1."""
+    entries = []
+    for _ in sym_indices(nvars, power):
+        u = _order_term(rng, nvars, power) + _order_term(rng, nvars, power + 1)
+        entries.append(u + _order_term(rng, nvars, power - 1) if power else u)
+    return OpFamily(nvars, power, tuple(entries))
+
+
+def _no_bracket(*args):
+    raise AssertionError("the linear route formed a bracket")
+
+
+_scalars = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=3))
+
+
+@st.composite
+def _linear_fs(draw, nvars):
+    """Forms c + sum alpha_k x_k with rational coefficients, constants
+    among them, and forms repeated."""
+    fs = []
+    for _ in range(nvars):
+        kind = draw(st.sampled_from(("form", "constant", "repeat") if fs else ("form", "constant")))
+        if kind == "repeat":
+            fs.append(draw(st.sampled_from(fs)))
+            continue
+        alpha = [0] * nvars if kind == "constant" else draw(st.lists(_scalars, min_size=nvars,
+                                                                        max_size=nvars))
+        terms = {tuple(int(k == j) for k in range(nvars)): a for j, a in enumerate(alpha)}
+        terms[(0,) * nvars] = draw(_scalars)
+        fs.append(Poly(nvars, terms))
+    return fs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    _linear_fs(n), st.integers(0, 3 if n < 3 else 2), st.randoms(use_true_random=False))))
+def test_linear_route_matches_brackets(case):
+    # Against brackets per entry from operator products and from
+    # ``weyl.commutator``; entries straddle the order p.
+    fs, power, rng = case
+    fam = _straddling_family(rng, len(fs), power)
+    got = commutator_value_matrix(fs, fam)
+    assert got == commutator_value_matrix_by_products(fs, fam)
+    assert got == _bracket_route(fs, fam)
+
+
+def test_linear_route_forms_no_bracket(monkeypatch):
+    rng = random.Random(48)
+    half = Fraction(1, 2)
+    x, y, z = coordinates(3)
+    cases = [
+        (coordinates(2), product_family(builtin_arrangement("triple2")[1], 3)),
+        (coordinates(4), product_family(builtin_arrangement("D4")[1], 2)),
+        ([x - half * y + 2, Poly.constant(3, 5), x - half * y + 2], _straddling_family(rng, 3, 2)),
+        ([half * x + 3 * y - z, y + 1, z], _straddling_family(rng, 3, 0)),
+        ([Fraction(-2, 3) * coordinates(1)[0] + 1], _straddling_family(rng, 1, 3)),
+    ]
+    expected = [_bracket_route(fs, fam) for fs, fam in cases]
+    monkeypatch.setattr(jacobian, "commutator", _no_bracket)
+    for (fs, fam), want in zip(cases, expected):
+        got = commutator_value_matrix(fs, fam)
+        assert got == want
+        assert got == commutator_value_matrix_by_products(fs, fam)
+    assert any(x for row in expected[2] for x in row)
+
+
+def test_one_nonlinear_f_takes_the_bracket_route(monkeypatch):
+    rng = random.Random(49)
+    x, y = coordinates(2)
+    fs = [x + 2 * y - 1, x * y + y]
+    fam = _straddling_family(rng, 2, 2)
+    brackets = []
+
+    def counted(w, f):
+        brackets.append(f)
+        return commutator(w, f)
+    monkeypatch.setattr(jacobian, "commutator", counted)
+    got = commutator_value_matrix(fs, fam)
+    assert got == commutator_value_matrix_by_products(fs, fam)
+    assert got == _bracket_route(fs, fam)
+    assert fs[1] in brackets
 
 
 def test_product_family_entries_are_left_to_right_products():
