@@ -127,6 +127,17 @@ def commutator_value_matrix_by_products(fs: Sequence[Poly], fam: OpFamily) -> li
     return rows
 
 
+def jacobian_power_identity_by_products(fs: Sequence[Poly], ops: Sequence[DiffOp],
+                                        power: int) -> bool:
+    """Reference route for ``jacobian_power_identity``: both determinants
+    of the lemma taken from the product families' commutator value
+    matrices, every entry of the higher one a whole word product."""
+    dim = len(ops)
+    lhs = determinant(commutator_value_matrix(fs, product_family(ops, power)))
+    base = determinant(commutator_value_matrix(fs, product_family(ops, 1)))
+    return lhs == base ** comb(power + dim - 1, dim) * multiplicity_product(dim, power)
+
+
 def eval_poly(f: Poly, point) -> Fraction:
     """Independent polynomial evaluation at a rational point."""
     total = Fraction(0)

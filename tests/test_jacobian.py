@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import (
     apply_linear_map,
     commutator_value_matrix_by_products,
+    jacobian_power_identity_by_products,
     random_derivation,
     random_diffop,
     random_poly,
@@ -24,7 +25,8 @@ from logdiff.jacobian import (
     jacobian_power_identity,
     product_family,
 )
-from logdiff.linalg import determinant, multiplicity_product, permanent, sym_indices
+from logdiff.cli import main
+from logdiff.linalg import determinant, multiplicity_product, permanent, sym_indices, sym_power_matrix
 from logdiff.polyring import Poly, coordinates
 from logdiff.weyl import DiffOp, commutator, iterated_commutator, value_at_one_expansion
 
@@ -323,3 +325,84 @@ def test_power_identity_for_random_order_one_tuples():
 def test_power_identity_rejects_higher_order():
     with pytest.raises(ValueError):
         jacobian_power_identity(coordinates(1), (D("d1^2", 1),), 2)
+
+
+@st.composite
+def _polys(draw, nvars, max_degree, min_terms=0):
+    """``min_terms`` to three nonzero terms of total degree at most ``max_degree``."""
+    monos = st.tuples(*[st.integers(0, max_degree)] * nvars).filter(lambda m: sum(m) <= max_degree)
+    terms = st.dictionaries(monos, _scalars.filter(bool), min_size=min_terms, max_size=3)
+    return Poly(nvars, draw(terms))
+
+
+@st.composite
+def _order_one_ops(draw, nvars):
+    """Operators c_0 + sum_i c_i d_i, order-zero ones (zero rows of J) and
+    repeats among them."""
+    ops = []
+    for _ in range(nvars):
+        kind = draw(st.sampled_from(("op", "order zero", "repeat") if ops else ("op", "order zero")))
+        if kind == "repeat":
+            ops.append(draw(st.sampled_from(ops)))
+            continue
+        op = DiffOp.from_poly(draw(_polys(nvars, 2)))
+        if kind == "op":
+            for i in range(1, nvars + 1):
+                op = op + draw(_polys(nvars, 2, min_terms=1)) * DiffOp.partial(nvars, i)
+        ops.append(op)
+    return ops
+
+
+@st.composite
+def _any_fs(draw, nvars):
+    """Polynomials of degree up to 3, constants among them, and repeats."""
+    fs = []
+    for _ in range(nvars):
+        kind = draw(st.sampled_from(("poly", "constant", "repeat") if fs else ("poly", "constant")))
+        if kind == "repeat":
+            fs.append(draw(st.sampled_from(fs)))
+        else:
+            fs.append(draw(_polys(nvars, 3, min_terms=1) if kind == "poly" else _polys(nvars, 0)))
+    return fs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(_any_fs(n), _order_one_ops(n), st.integers(0, 3))))
+def test_product_family_values_are_the_symmetric_power(case):
+    # [ops_i1...ops_ip, f_k1, ..., f_kp](1) is the permanent of
+    # J_ik = [ops_i, f_k](1) over the index tuples, for any polynomials f.
+    fs, ops, power = case
+    jac = commutator_value_matrix(fs, product_family(ops, 1))
+    assert commutator_value_matrix(fs, product_family(ops, power)) == sym_power_matrix(jac, power)
+    assert jacobian_power_identity(fs, ops, power) == jacobian_power_identity_by_products(
+        fs, ops, power)
+
+
+def test_product_family_values_against_a_nonlinear_f():
+    # By hand: ops = (x d1 + 1, y d2), fs = (x^2, x*y), so J = [[2x^2, xy], [0, xy]]
+    # and the entry at ((1, 2), (1, 2)) is 2x^2 * xy + xy * 0 = 2x^3y.
+    x, y = coordinates(2)
+    ops = (x * DiffOp.partial(2, 1) + DiffOp.one(2), y * DiffOp.partial(2, 2))
+    fs = [x * x, x * y]
+    jac = commutator_value_matrix(fs, product_family(ops, 1))
+    assert jac == [[P("2*x^2", 2), P("x*y", 2)], [Poly.zero(2), P("x*y", 2)]]
+    got = commutator_value_matrix(fs, product_family(ops, 2))
+    assert got == sym_power_matrix(jac, 2)
+    assert got[1][1] == P("2*x^3*y", 2)
+    assert jacobian_power_identity(fs, ops, 2)
+    assert determinant(got) == multiplicity_product(2, 2) * P("2*x^3*y", 2) ** 3
+
+
+def _no_word_product(ops, power):
+    if power > 1:
+        raise AssertionError("a word product of the jacobian-power family was formed")
+    return product_family(ops, power)
+
+
+def test_jacobian_power_forms_no_word_product(monkeypatch, capsys):
+    ops = builtin_arrangement("triple2")[1]
+    assert jacobian_power_identity_by_products(coordinates(2), ops, 3)
+    monkeypatch.setattr(jacobian, "product_family", _no_word_product)
+    assert jacobian_power_identity(coordinates(2), ops, 3)
+    assert main(["verify", "--lemma", "jacobian-power", "--l", "2", "--p", "3"]) == 0
+    assert "passed=100 failed=0" in capsys.readouterr().out
