@@ -2,12 +2,14 @@
 
 Entries may be rationals (``int``/``Fraction``) or :class:`~logdiff.polyring.Poly`;
 every routine is exact.  Matrices are plain rectangular sequences of rows.
+Permanents and small determinants are one Laplace expansion along the rows
+(``_laplace``), kept as a table of minors over column sets.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 from math import comb, factorial, prod
 from operator import add
 from threading import Lock
@@ -17,9 +19,10 @@ from .polyring import Poly, exact_divide, simplify_scalar
 
 Matrix = Sequence[Sequence]
 
-# Cofactor expansion up to this size, Bareiss elimination above it.  Small
+# Laplace expansion up to this size, Bareiss elimination above it.  Small
 # polynomial matrices are the common case, and there Bareiss pays an exact
-# division per entry and step where the expansion only multiplies: Bareiss
+# division per entry and step where the expansion only multiplies: against
+# the cofactor expansion that held this range before ``_laplace``, Bareiss
 # at every size cut perfbench verify ops_per_s from 598 to 542, 9.1%, lower
 # in 6 of 6 pairs (medians of six alternating 8 s pairs, seeds 61-66, 2-core
 # Xeon VM).
@@ -72,71 +75,59 @@ def _zero_like(x):
     return 0
 
 
+def _laplace(m: Matrix, sign: int):
+    """The determinant (``sign`` -1) or the permanent (``sign`` 1) of a
+    square matrix, by Laplace expansion along its rows.
+
+    ``minors`` maps each column set S, as a bitmask, to the minor on the
+    first k rows and the columns S.  Row k extends S by every column j
+    outside it whose entry is nonzero: M(S | {j}) sums m[k][j] * M(S),
+    which the determinant signs by (-1) to the number of columns in S
+    right of j.  Nothing is divided, and only column sets that the nonzero
+    pattern reaches are formed: up to C(n, n/2) of them.
+    """
+    if not m:
+        return 1
+    minors = {1 << j: x for j, x in enumerate(m[0]) if x}
+    for row in islice(m, 1, None):
+        entries = [(j, 1 << j, x) for j, x in enumerate(row) if x]
+        grown: dict = {}
+        for cols, minor in minors.items():
+            for j, bit, x in entries:
+                if cols & bit:
+                    continue
+                term = x * minor
+                key = cols | bit
+                acc = grown.get(key)
+                if sign < 0 and (cols >> j).bit_count() & 1:
+                    grown[key] = -term if acc is None else acc - term
+                else:
+                    grown[key] = term if acc is None else acc + term
+        minors = grown
+    det = minors.get((1 << len(m)) - 1)
+    return _zero_like(m[0][0]) if det is None else det
+
+
 def permanent(m: Matrix):
     """Permanent of a square matrix: the signless determinant.
 
-    Ryser's inclusion-exclusion with Gray-code row sums, O(2^n * n) ring
-    operations.
+    Laplace expansion over the column sets the nonzero pattern reaches,
+    at most O(2^n * n) ring operations and O(C(n, n/2)) minors kept.
     """
-    n = _square_size(m)
-    if n == 0:
-        return 1
-    total = _zero_like(m[0][0])
-    sums = [_zero_like(m[0][0]) for _ in range(n)]
-    gray = 0
-    sign_n = 1 if n % 2 == 0 else -1
-    for k in range(1, 1 << n):
-        nxt = k ^ (k >> 1)
-        bit = gray ^ nxt
-        j = bit.bit_length() - 1
-        if nxt & bit:
-            for i in range(n):
-                sums[i] = sums[i] + m[i][j]
-        else:
-            for i in range(n):
-                sums[i] = sums[i] - m[i][j]
-        gray = nxt
-        prod = sums[0]
-        for i in range(1, n):
-            prod = prod * sums[i]
-        if nxt.bit_count() % 2:
-            total = total - prod
-        else:
-            total = total + prod
-    return sign_n * total
+    _square_size(m)
+    return _laplace(m, 1)
 
 
 def determinant(m: Matrix):
     """Exact determinant over an integral domain.
 
-    Cofactor expansion up to 4x4; fraction-free Bareiss elimination beyond,
+    Laplace expansion up to 4x4; fraction-free Bareiss elimination beyond,
     where every intermediate division is exact by construction.
     """
     n = _square_size(m)
-    if n == 0:
-        return 1
     if n <= _SMALL:
-        return _det_cofactor([list(row) for row in m], n)
+        return _laplace(m, -1)
     return _det_bareiss([list(row) for row in m], n)
-
-
-def _det_cofactor(m: list[list], n: int):
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = None
-    sign = 1
-    for j in range(n):
-        entry = m[0][j]
-        if entry:
-            minor = [row[:j] + row[j + 1:] for row in m[1:]]
-            term = entry * _det_cofactor(minor, n - 1)
-            if sign < 0:
-                term = -term
-            total = term if total is None else total + term
-        sign = -sign
-    return _zero_like(m[0][0]) if total is None else total
 
 
 def _det_bareiss(a: list[list], n: int):

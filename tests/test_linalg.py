@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import mat_mul, random_poly, sym_power_matrix_by_permanents
-from logdiff.exprparse import parse_poly
+from logdiff.exprparse import parse_poly, render
 from logdiff.linalg import (
     determinant,
     multiplicity_product,
@@ -117,7 +117,7 @@ def test_permanent_matches_determinant_on_diagonal():
     assert permanent([[7]]) == determinant([[7]]) == 7
 
 
-def test_permanent_ryser_against_brute_force():
+def test_permanent_against_brute_force():
     rng = random.Random(5)
     for n in range(1, 7):
         for _ in range(5):
@@ -131,6 +131,81 @@ def test_permanent_ryser_against_brute_force():
 def test_permanent_rejects_nonsquare():
     with pytest.raises(ValueError):
         permanent([[1, 2, 3], [4, 5, 6]])
+
+
+# -- the Laplace expansion of both -------------------------------------------------
+
+_RINGS = {
+    "int": (0, st.integers(-3, 3)),
+    "fraction": (0, st.one_of(st.integers(-3, 3),
+                              st.fractions(min_value=-3, max_value=3, max_denominator=4))),
+    "poly": (Poly.zero(2), st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2))
+             .map(lambda c: Poly(2, {(0, 0): c[0], (1, 0): c[1], (0, 1): c[2]}))),
+}
+
+
+@st.composite
+def _patterned_matrices(draw, kind, max_n):
+    """Square matrices with zero entries, repeated rows, or a zero block of
+    r rows by n + 1 - r columns, which no permutation avoids: then no
+    column set covers every row, and every zero row or column is such a
+    block."""
+    zero, entry = _RINGS[kind]
+    n = draw(st.integers(0, max_n))
+    m = [[draw(st.one_of(st.just(zero), entry)) for _ in range(n)] for _ in range(n)]
+    pattern = draw(st.sampled_from(["dense", "repeated row", "zero block"])) if n else "dense"
+    if pattern == "repeated row":
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        m[a] = list(m[b])
+    elif pattern == "zero block":
+        r = draw(st.integers(1, n))
+        rows = draw(st.permutations(range(n)))[:r]
+        cols = draw(st.permutations(range(n)))[:n + 1 - r]
+        for i in rows:
+            for j in cols:
+                m[i][j] = zero
+    return m
+
+
+def _same_kind(got, kind, n):
+    # Pure polynomial matrices give a Poly however they vanish, so that
+    # ``check-free`` can render a zero determinant; integer ones an int.
+    if kind == "poly" and n:
+        return isinstance(got, Poly)
+    return kind != "int" or type(got) is int
+
+
+@pytest.mark.parametrize("kind", sorted(_RINGS))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_small_determinant_matches_brute_force_hypothesis(kind, data):
+    m = data.draw(_patterned_matrices(kind, 4))
+    got = determinant(m)
+    assert got == brute_determinant(m)
+    assert _same_kind(got, kind, len(m))
+
+
+@pytest.mark.parametrize("kind", sorted(_RINGS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_permanent_matches_brute_force_hypothesis(kind, data):
+    m = data.draw(_patterned_matrices(kind, 6))
+    got = permanent(m)
+    assert got == brute_permanent(m)
+    assert _same_kind(got, kind, len(m))
+
+
+def test_vanishing_polynomial_results_stay_polynomials():
+    x1, x2 = P("x1", 2), P("x2", 2)
+    zero = Poly.zero(2)
+    # singular by the pattern, with int or Poly zeros, and by cancellation
+    for m in ([[x1, 0], [0, 0]], [[x1, zero], [zero, zero]], [[x1, x2], [x1, x2]],
+              [[zero, x1, x2], [zero, x2, x1], [zero, x1, x1]]):
+        det = determinant(m)
+        assert isinstance(det, Poly) and not det and render(det) == "0"
+    perm = permanent([[x1, x2], [x1, -x2]])
+    assert isinstance(perm, Poly) and not perm
+    assert permanent([]) == determinant([]) == 1
 
 
 # -- determinants -----------------------------------------------------------------
@@ -362,7 +437,7 @@ def _random_entry(rng, kind):
 
 @pytest.mark.parametrize("kind", ["int", "fraction", "poly"])
 def test_sym_power_matrix_matches_permanent_oracle(kind):
-    # Powers 5 and 6 take the Ryser path inside the oracle's permanents.
+    # Powers 5 and 6 give the oracle 5x5 and 6x6 permanents.
     # Rational and polynomial entries skip the largest sizes, where the
     # oracle alone takes seconds.
     rng = random.Random(53)
